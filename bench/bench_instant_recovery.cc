@@ -129,7 +129,7 @@ int main() {
     Result off = RunOne(BaseOptions(), pages);
     StableHeapOptions inst_opts = BaseOptions();
     inst_opts.instant_recovery = true;
-    inst_opts.instant_drain_threads = 1;
+    inst_opts.recovery_threads = 1;
     inst_opts.instant_drain_pages = 4;
     Result inst = RunOne(inst_opts, pages);
 

@@ -65,14 +65,13 @@ struct ScanScale {
 /// copied pages pile up behind the frontier for the executor to claim (a
 /// linked list is the degenerate case — the scan chases the copy pointer
 /// page by page and everything stays on the serial frontier path).
-ScanScale RunScan(uint32_t threads, bool batch_records) {
+ScanScale RunScan(uint32_t threads) {
   SimEnv env;
   StableHeapOptions opts;
   opts.stable_space_pages = 16384;
   opts.volatile_space_pages = 8192;
   opts.divided_heap = false;
   opts.gc_threads = threads;
-  opts.gc_batch_records = batch_records;
   auto heap = std::move(*StableHeap::Open(&env, opts));
   // Three levels: pointer directories -> half-pointer mids -> scalar
   // leaves. Mid pages give the executor copy candidates (kGcCopyBatch);
@@ -162,22 +161,18 @@ int main() {
   Header("E14  parallel scan scaling and batched GC records",
          "scan-phase sim time drops with workers (busiest-lane charge); "
          "kGcCopyBatch + clean-run kGcScan records shrink the log");
-  Row("  %-10s %-10s %12s %12s %12s %10s", "threads", "batching",
-      "scan(ms)", "gc-log(KiB)", "scan(KiB)", "runs");
+  Row("  %-10s %12s %12s %12s %10s", "threads", "scan(ms)", "gc-log(KiB)",
+      "scan(KiB)", "runs");
 
   JsonBench("gc");
-  ScanScale t1 = RunScan(1, true);
-  ScanScale t2 = RunScan(2, true);
-  ScanScale t4 = RunScan(4, true);
-  ScanScale unbatched = RunScan(1, false);
-  for (auto& [label, r] :
-       std::initializer_list<std::pair<const char*, ScanScale&>>{
-           {"1/on", t1}, {"2/on", t2}, {"4/on", t4}, {"1/off", unbatched}}) {
-    Row("  %-10s %-10s %12.2f %12.1f %12.1f %10llu",
-        std::string(label).substr(0, std::string(label).find('/')).c_str(),
-        std::string(label).find("on") != std::string::npos ? "on" : "off",
-        r.scan_ms, r.gc_log_kib, r.scan_log_kib,
-        (unsigned long long)r.scan_runs);
+  ScanScale t1 = RunScan(1);
+  ScanScale t2 = RunScan(2);
+  ScanScale t4 = RunScan(4);
+  for (auto& [threads, r] :
+       std::initializer_list<std::pair<uint32_t, ScanScale&>>{
+           {1, t1}, {2, t2}, {4, t4}}) {
+    Row("  %-10u %12.2f %12.1f %12.1f %10llu", threads, r.scan_ms,
+        r.gc_log_kib, r.scan_log_kib, (unsigned long long)r.scan_runs);
   }
 
   EmitMetric("scan_ms_threads1", t1.scan_ms, "ms");
@@ -185,12 +180,7 @@ int main() {
   EmitMetric("scan_ms_threads4", t4.scan_ms, "ms");
   EmitMetric("scan_speedup_threads4", t1.scan_ms / t4.scan_ms, "x");
   EmitMetric("gc_log_kib_batched", t1.gc_log_kib, "KiB");
-  EmitMetric("gc_log_kib_unbatched", unbatched.gc_log_kib, "KiB");
-  EmitMetric("gc_log_reduction", unbatched.gc_log_kib / t1.gc_log_kib, "x");
   EmitMetric("scan_log_kib_batched", t1.scan_log_kib, "KiB");
-  EmitMetric("scan_log_kib_unbatched", unbatched.scan_log_kib, "KiB");
-  EmitMetric("scan_log_reduction",
-             unbatched.scan_log_kib / t1.scan_log_kib, "x");
   EmitMetric("copy_batch_records", static_cast<double>(t1.batch_records),
              "records");
   EmitMetric("sync_page_writes", static_cast<double>(t1.sync_writes),
@@ -201,10 +191,6 @@ int main() {
   ShapeCheck(t2.scan_ms < t1.scan_ms, "2 workers beat 1");
   ShapeCheck(t1.batch_records > 0, "batched copies actually happened");
   ShapeCheck(t1.scan_runs > 0, "clean-run scan records actually happened");
-  ShapeCheck(unbatched.scan_log_kib > t1.scan_log_kib * 1.05,
-             "clean-run merging measurably shrinks kGcScan volume");
-  ShapeCheck(unbatched.gc_log_kib > t1.gc_log_kib,
-             "batching shrinks total GC log volume");
   ShapeCheck(t1.sync_writes == 0 && t4.sync_writes == 0,
              "the WAL-mode collector never writes synchronously");
   ShapeCheck(t1.gc_log_kib == t4.gc_log_kib && t1.scan_log_kib ==

@@ -226,12 +226,11 @@ int main() {
               (unsigned long long)gs.scan_page_steals,
               (unsigned long long)gs.scan_cursor_steps);
   std::printf("gc batching: copy-batches=%llu objects=%llu "
-              "scan-runs=%llu run-pages=%llu pacing-pages=%llu\n",
+              "scan-runs=%llu run-pages=%llu\n",
               (unsigned long long)gs.copy_batch_records,
               (unsigned long long)gs.copy_batch_objects,
               (unsigned long long)gs.scan_run_records,
-              (unsigned long long)gs.scan_run_pages,
-              (unsigned long long)gs.pacing_budget_pages);
+              (unsigned long long)gs.scan_run_pages);
   std::printf("read barrier: traps=%llu fast-hits=%llu fast-misses=%llu\n",
               (unsigned long long)gs.read_barrier_traps,
               (unsigned long long)gs.read_barrier_fast_hits,
@@ -287,7 +286,7 @@ int main() {
   CHECK_OK(heap->SimulateCrash(CrashOptions{0.0, 19, 0}));
   heap.reset();
   options.instant_recovery = true;
-  options.instant_drain_threads = 2;
+  options.recovery_threads = 2;
   auto instant_or = StableHeap::Open(&env, options);
   CHECK_OK(instant_or.status());
   heap = std::move(*instant_or);
@@ -307,7 +306,7 @@ int main() {
       "  at open:  outcome %s, %llu pages pending, time-to-open %.2f ms\n"
       "  drained:  outcome %s, %llu on-demand + %llu drained pages, "
       "%llu records applied\n",
-      (unsigned long long)options.instant_drain_threads,
+      (unsigned long long)options.recovery_threads,
       RecoveryOutcomeName(at_open.outcome),
       (unsigned long long)at_open.pending_pages,
       at_open.time_to_open_ns / 1e6, RecoveryOutcomeName(is.outcome),

@@ -124,14 +124,7 @@ Status StableHeap::InitializeImpl() {
     // *before* recovery runs, so every page access from here on — undo's
     // CLR writes, GC resume, and eventually the mutator — is uniformly
     // redone on demand. It stays inert until Redo installs the plan.
-    InstantRedoManager::Deps ideps;
-    ideps.pool = pool_.get();
-    ideps.spaces = spaces_.get();
-    ideps.clock = env_->clock();
-    ideps.faults = env_->faults();
-    ideps.drain_threads = ResolveThreads(options_.instant_drain_threads,
-                                         RedoExecutor::kMaxPartitions);
-    instant_ = std::make_unique<InstantRedoManager>(ideps);
+    instant_ = NewRedoGate();
     BufferPool::Hooks gate_hooks;
     gate_hooks.flush_log_to = [this](Lsn lsn) { return log_->FlushTo(lsn); };
     gate_hooks.before_pin = [this](PageId pid) {
@@ -150,7 +143,6 @@ Status StableHeap::InitializeImpl() {
   sopts.barrier = options_.barrier_mode;
   sopts.durability = options_.gc_durability;
   sopts.threads = ResolveThreads(options_.gc_threads, 64);
-  sopts.batch_records = options_.gc_batch_records;
   CopyingGc::Options vopts;
   vopts.space_pages = options_.volatile_space_pages;
   if (!stable_gc_) stable_gc_ = std::make_unique<AtomicGc>(ctx, sopts);
@@ -324,6 +316,17 @@ Status StableHeap::FormatHeap() {
   return log_->Force();
 }
 
+std::unique_ptr<InstantRedoManager> StableHeap::NewRedoGate() {
+  InstantRedoManager::Deps deps;
+  deps.pool = pool_.get();
+  deps.spaces = spaces_.get();
+  deps.clock = env_->clock();
+  deps.faults = env_->faults();
+  deps.drain_threads =
+      ResolveThreads(options_.recovery_threads, RedoExecutor::kMaxPartitions);
+  return std::make_unique<InstantRedoManager>(deps);
+}
+
 Status StableHeap::RecoverHeap() {
   RecoveryManager::Deps deps;
   deps.device = env_->log();
@@ -336,9 +339,12 @@ Status StableHeap::RecoverHeap() {
   deps.txns = txns_.get();
   deps.locks = &locks_;
   deps.clock = env_->clock();
-  deps.recovery_threads =
-      ResolveThreads(options_.recovery_threads, RedoExecutor::kMaxPartitions);
-  deps.instant = instant_.get();
+  // Offline recovery drains a gate of its own inside Open; instant
+  // recovery installs into the one already on the pool's before_pin hook.
+  std::unique_ptr<InstantRedoManager> offline_gate;
+  if (!instant_) offline_gate = NewRedoGate();
+  deps.redo = instant_ ? instant_.get() : offline_gate.get();
+  deps.instant = instant_ != nullptr;
   RecoveryManager recovery(deps);
   // Pessimistic terminal stamp: any failure from here to the end of the
   // open path (an injected crash between recovery passes, a GC-resume or
@@ -372,7 +378,6 @@ Status StableHeap::RecoverHeap() {
   sopts.barrier = options_.barrier_mode;
   sopts.durability = options_.gc_durability;
   sopts.threads = ResolveThreads(options_.gc_threads, 64);
-  sopts.batch_records = options_.gc_batch_records;
   stable_gc_ = std::make_unique<AtomicGc>(ctx, sopts);
   stable_gc_->InstallRecovered(std::move(result.gc));
   SHEAP_RETURN_IF_ERROR(stable_gc_->ResumeAfterRecovery());
@@ -573,20 +578,11 @@ Status StableHeap::GroupCommitWait(TxnId txn_id, bool retry) {
     // committer's clock toward the max_delay_ns deadline.
     commit_queue_->ChargePoll();
   }
-  if (concurrent()) {
-    // Leader election and batch close happen in one critical section under
-    // the queue's consumer mutex — two threads observing a closeable batch
-    // cannot both force it.
-    bool led = false;
-    SHEAP_RETURN_IF_ERROR(commit_queue_->LeadIfReady(on_durable, &led));
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-    return Status::Busy("commit pending: group-commit batch open");
-  }
-  if (commit_queue_->ShouldClose()) {
-    // This caller is the batch leader: one force covers every waiter.
-    SHEAP_RETURN_IF_ERROR(commit_queue_->CloseBatch(on_durable));
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-  }
+  // Leader election and batch close happen in one critical section under
+  // the queue's consumer mutex — two threads observing a closeable batch
+  // cannot both force it, and a lone mutator simply leads when it polls.
+  SHEAP_RETURN_IF_ERROR(commit_queue_->LeadIfReady(on_durable));
+  if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
   return Status::Busy("commit pending: group-commit batch open");
 }
 
@@ -834,7 +830,7 @@ StatusOr<Ref> StableHeap::Allocate(TxnId txn_id, ClassId cls,
   MutatorGate::ExclusiveSection exclusive(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
   SHEAP_RETURN_IF_ERROR(ValidateClass(cls, nslots));
-  SHEAP_RETURN_IF_ERROR(MaybeStepCollector((1 + nslots) * kWordSizeBytes));
+  SHEAP_RETURN_IF_ERROR(MaybeStepCollector());
   HeapAddr base;
   if (options_.divided_heap) {
     SHEAP_ASSIGN_OR_RETURN(base, AllocateVolatileRaw(txn, cls, nslots));
@@ -852,7 +848,7 @@ StatusOr<Ref> StableHeap::AllocateStable(TxnId txn_id, ClassId cls,
   MutatorGate::ExclusiveSection exclusive(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
   SHEAP_RETURN_IF_ERROR(ValidateClass(cls, nslots));
-  SHEAP_RETURN_IF_ERROR(MaybeStepCollector((1 + nslots) * kWordSizeBytes));
+  SHEAP_RETURN_IF_ERROR(MaybeStepCollector());
   SHEAP_ASSIGN_OR_RETURN(HeapAddr base,
                          AllocateStableRaw(txn, cls, nslots));
   SHEAP_RETURN_IF_ERROR(locks_.AcquireWrite(txn_id, base));
@@ -860,18 +856,12 @@ StatusOr<Ref> StableHeap::AllocateStable(TxnId txn_id, ClassId cls,
   return handles_.Create(txn_id, base);
 }
 
-Status StableHeap::MaybeStepCollector(uint64_t upcoming_alloc_bytes) {
-  if (!options_.incremental_gc || !stable_gc_->collecting()) {
+Status StableHeap::MaybeStepCollector() {
+  if (!options_.incremental_gc || !stable_gc_->collecting() ||
+      options_.gc_step_pages == 0) {
     return Status::OK();
   }
-  const uint64_t pages =
-      options_.gc_adaptive_pacing
-          ? stable_gc_->PacingBudgetPages(upcoming_alloc_bytes)
-          : options_.gc_step_pages;
-  if (pages > 0) {
-    SHEAP_RETURN_IF_ERROR(stable_gc_->Step(pages).status());
-  }
-  return Status::OK();
+  return stable_gc_->Step(options_.gc_step_pages).status();
 }
 
 StatusOr<HeapAddr> StableHeap::ResolveRef(TxnId txn, Ref ref) const {

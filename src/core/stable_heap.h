@@ -101,9 +101,10 @@ struct StableHeapOptions {
   /// (§5.2) or deferred to the next volatile collection with initial-value
   /// records (§5.5).
   PromotionMethod promotion_method = PromotionMethod::kAtCommit;
-  /// Redo worker partitions for recovery. 0 = hardware concurrency
-  /// (clamped to RedoExecutor::kMaxPartitions); 1 = the historical serial
-  /// path. Recovery output is byte-identical for every value.
+  /// Redo worker partitions for recovery, offline and instant alike (the
+  /// page-hash partitions of the redo drain). 0 = hardware concurrency
+  /// (clamped to RedoExecutor::kMaxPartitions); 1 = serial. Recovery
+  /// output is byte-identical for every value.
   uint32_t recovery_threads = 1;
   /// Instant recovery (ROADMAP item 2; cf. Sauer & Härder's REDO-only
   /// recovery and HEAL's online incremental repair, PAPERS.md): Open
@@ -112,13 +113,9 @@ struct StableHeapOptions {
   /// background drain finishes the rest at action boundaries. Time to first
   /// transaction stops scaling with the redo-plan size (experiment E15);
   /// the final heap bytes are identical to offline recovery's for every
-  /// access order and drain thread count. Off by default: the historical
-  /// offline redo pass inside Open.
+  /// access order and recovery_threads value. Off by default: the whole
+  /// plan is drained inside Open, before undo.
   bool instant_recovery = false;
-  /// Worker partitions for the instant-recovery drain (1 = serial;
-  /// clamped to RedoExecutor::kMaxPartitions). Bytes identical for every
-  /// value.
-  uint32_t instant_drain_threads = 1;
   /// Pending pages the cooperative drain redoes per Begin/Commit boundary.
   uint64_t instant_drain_pages = 8;
   /// Scan workers for the stable collector's background scan (WAL mode).
@@ -126,15 +123,6 @@ struct StableHeapOptions {
   /// and recovery state are byte-identical for every value; threads only
   /// change how fast the scan phase runs (DESIGN.md §5f).
   uint32_t gc_threads = 1;
-  /// Adaptive pacing: size the incremental collector's per-allocation step
-  /// budget from the live estimate and free headroom (k pages scanned per
-  /// page allocated) instead of the fixed gc_step_pages, so collections
-  /// finish before space exhaustion forces a full drain.
-  bool gc_adaptive_pacing = false;
-  /// Coalesce the stable collector's log records (kGcCopyBatch runs and
-  /// clean-run kGcScan). Off reverts to per-object kGcCopy encoding; kept
-  /// selectable so E14 can A/B the log volume under the same scan order.
-  bool gc_batch_records = true;
   /// Writer threads for parallel checkpoint writeback (FlushAll /
   /// CheckpointWithWriteback). 0 = hardware concurrency.
   uint32_t flush_writer_threads = 4;
@@ -325,6 +313,9 @@ class StableHeap {
   /// gate so an aborted open always reads as a terminal outcome.
   Status InitializeImpl();
   Status FormatHeap();
+  /// A per-page redo gate over this heap's pool, with recovery_threads
+  /// drain partitions.
+  std::unique_ptr<InstantRedoManager> NewRedoGate();
   Status RecoverHeap();
   void InstallPoolHooks();
   void WireGcHooks();
@@ -373,11 +364,9 @@ class StableHeap {
   Status GroupCommitWait(TxnId txn_id, bool retry);
   /// Piggyback: after any unrelated Force(), complete waiters it covered.
   void DrainCommitQueue();
-  /// Step the incremental stable collector before an allocation of
-  /// `upcoming_alloc_bytes` (header + slots). The budget is the fixed
-  /// gc_step_pages, or — under gc_adaptive_pacing — the Baker-coupled
-  /// AtomicGc::PacingBudgetPages grant for that allocation size.
-  Status MaybeStepCollector(uint64_t upcoming_alloc_bytes);
+  /// Step the incremental stable collector by gc_step_pages before an
+  /// allocation (Baker-style pacing).
+  Status MaybeStepCollector();
   /// Method-2 promotion: write every pending object's body (read from its
   /// volatile source, husk pointers resolved) to its reserved stable
   /// address. Runs before volatile collections and stable flips.

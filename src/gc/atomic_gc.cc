@@ -607,7 +607,6 @@ Status AtomicGc::Flip() {
   HwProtectCurrentSpace();  // mirror the protection in the MMU
   rb_cache_.fill(UINT64_MAX);  // new space: every cached page is stale
   scan_cursor_ = 0;
-  pacing_carry_bytes_ = 0;
   lot_.assign(to->npages, kNullAddr);
 
   SHEAP_RETURN_IF_ERROR(TranslateRootsAtFlip());
@@ -632,28 +631,6 @@ uint64_t AtomicGc::NextUnscannedPage() {
     return full_limit;
   }
   return cur->npages;
-}
-
-uint64_t AtomicGc::PacingBudgetPages(uint64_t upcoming_alloc_bytes) {
-  if (!sem_.collecting()) return 0;
-  const Space* cur = CurrentSpace();
-  const uint64_t full_limit = (sem_.copy_ptr - cur->base()) / kPageSizeBytes;
-  // The cursor is a lower bound on scan progress, so this over-estimates
-  // the remaining work — conservative in the safe direction.
-  const uint64_t unscanned =
-      full_limit > scan_cursor_ ? full_limit - scan_cursor_ : 0;
-  const uint64_t free_pages =
-      std::max<uint64_t>(sem_.free_bytes() / kPageSizeBytes, 1);
-  // k pages scanned per page allocated, sized so the remaining scan
-  // finishes with half the headroom to spare (safety factor 2), never
-  // below Baker's minimum of 1.
-  const uint64_t k = std::max<uint64_t>(
-      1, (2 * unscanned + free_pages - 1) / free_pages);
-  pacing_carry_bytes_ += upcoming_alloc_bytes * k;
-  const uint64_t pages = pacing_carry_bytes_ / kPageSizeBytes;
-  pacing_carry_bytes_ %= kPageSizeBytes;
-  stats_.pacing_budget_pages += pages;
-  return pages;
 }
 
 StatusOr<bool> AtomicGc::Step(uint64_t max_pages) {
@@ -740,7 +717,6 @@ void AtomicGc::InstallRecovered(RecoveredState rs) {
   root_object_ = rs.root_object;
   rb_cache_.fill(UINT64_MAX);
   scan_cursor_ = 0;
-  pacing_carry_bytes_ = 0;
   const Space* cur = CurrentSpace();
   scanned_.Resize(cur->npages);
   if (sem_.collecting()) {

@@ -59,10 +59,6 @@ class AtomicGc {
     /// for every value including 1, and its log/disk bytes are identical
     /// for every value (DESIGN.md §5f); threads only change wall/sim time.
     uint32_t threads = 1;
-    /// Coalesce the executor's records (kGcCopyBatch + clean-run kGcScan).
-    /// Off reverts to per-object kGcCopy encoding — kept selectable so E14
-    /// can measure the log-volume win under the same scan order.
-    bool batch_records = true;
   };
 
   AtomicGc(const GcContext& ctx, const Options& opts);
@@ -98,13 +94,6 @@ class AtomicGc {
   /// the pages are processed in ScanExecutor rounds (parallel when
   /// Options::threads > 1); the Detlefs comparator keeps the serial path.
   StatusOr<bool> Step(uint64_t max_pages);
-
-  /// Adaptive pacing (Baker §3.3 coupling): convert `upcoming_alloc_bytes`
-  /// of imminent allocation into a scan budget of k pages per allocated
-  /// page, where k is sized from the unscanned estimate and the free
-  /// headroom so the collection finishes before space runs out. Fractions
-  /// carry over between calls. Returns 0 when no collection is active.
-  uint64_t PacingBudgetPages(uint64_t upcoming_alloc_bytes);
 
   /// Drain the current collection (no-op when idle).
   Status FinishCollection();
@@ -264,8 +253,6 @@ class AtomicGc {
   /// Monotone scan cursor: every page below it is scanned. Reset at flip
   /// and recovery install.
   uint64_t scan_cursor_ = 0;
-  /// Adaptive pacing: sub-page remainder of granted scan budget.
-  uint64_t pacing_carry_bytes_ = 0;
   std::unique_ptr<ScanExecutor> executor_;
   GcStats stats_;
 

@@ -109,7 +109,6 @@ struct GcStats {
   uint64_t scan_run_records = 0;    // kGcScan clean-run records emitted
   uint64_t scan_run_pages = 0;      // pages covered by those runs
   uint64_t scan_phase_ns = 0;       // executor scan-walk time (busiest lane)
-  uint64_t pacing_budget_pages = 0; // pages granted by adaptive pacing
   uint64_t max_pause_ns = 0;
   uint64_t total_pause_ns = 0;
   uint64_t pause_count = 0;

@@ -211,46 +211,24 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   // any log prefix a crash retains satisfies the serial protocol's
   // copy-before-scan ordering.
   if (!copies.empty()) {
-    if (gc_->opts_.batch_records) {
-      LogRecord rec;
-      rec.type = RecordType::kGcCopyBatch;
-      rec.addr2 = run_base;
-      rec.count = run_words;
-      rec.contents = buffer;
-      rec.utr_entries.reserve(copies.size());
-      for (const PlannedCopy& c : copies) {
-        rec.utr_entries.push_back(UtrEntry{c.from, c.to, c.nwords});
-      }
-      const Lsn lsn = gc_->ctx_.log->Append(&rec);
-      SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteBytesLogged(
-          run_base, rec.contents.data(), rec.contents.size(), lsn));
-      for (const PlannedCopy& c : copies) {
-        SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteWordLogged(
-            c.from, MakeForwardWord(c.to), lsn));
-      }
-      ++gc_->stats_.copy_batch_records;
-      gc_->stats_.copy_batch_objects += copies.size();
-    } else {
-      // Per-object encoding, kept selectable so E14 measures the batching
-      // win against the same executor rather than a different scan order.
-      size_t off = 0;
-      for (const PlannedCopy& c : copies) {
-        const uint64_t nbytes = c.nwords * kWordSizeBytes;
-        LogRecord rec;
-        rec.type = RecordType::kGcCopy;
-        rec.addr = c.from;
-        rec.addr2 = c.to;
-        rec.count = c.nwords;
-        rec.contents.assign(buffer.begin() + off,
-                            buffer.begin() + off + nbytes);
-        off += nbytes;
-        const Lsn lsn = gc_->ctx_.log->Append(&rec);
-        SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteBytesLogged(
-            c.to, rec.contents.data(), rec.contents.size(), lsn));
-        SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteWordLogged(
-            c.from, MakeForwardWord(c.to), lsn));
-      }
+    LogRecord rec;
+    rec.type = RecordType::kGcCopyBatch;
+    rec.addr2 = run_base;
+    rec.count = run_words;
+    rec.contents = buffer;
+    rec.utr_entries.reserve(copies.size());
+    for (const PlannedCopy& c : copies) {
+      rec.utr_entries.push_back(UtrEntry{c.from, c.to, c.nwords});
     }
+    const Lsn lsn = gc_->ctx_.log->Append(&rec);
+    SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteBytesLogged(
+        run_base, rec.contents.data(), rec.contents.size(), lsn));
+    for (const PlannedCopy& c : copies) {
+      SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteWordLogged(
+          c.from, MakeForwardWord(c.to), lsn));
+    }
+    ++gc_->stats_.copy_batch_records;
+    gc_->stats_.copy_batch_objects += copies.size();
     gc_->sem_.copy_ptr = run_base + run_words * kWordSizeBytes;
     for (const PlannedCopy& c : copies) {
       gc_->UpdateLot(c.to, c.nwords);
@@ -286,17 +264,6 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
             t.page_base + static_cast<HeapAddr>(word) * kWordSizeBytes,
             value, lsn));
       }
-      ++ti;
-      ++pi;
-      continue;
-    }
-    if (!gc_->opts_.batch_records) {
-      // Legacy shape: one (translation-free) kGcScan per clean page.
-      LogRecord rec;
-      rec.type = RecordType::kGcScan;
-      rec.aux = 0;
-      rec.page = t.page_base / kPageSizeBytes;
-      gc_->ctx_.log->Append(&rec);
       ++ti;
       ++pi;
       continue;

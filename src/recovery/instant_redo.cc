@@ -43,8 +43,7 @@ InstantRedoManager::InstantRedoManager(const Deps& deps)
     : d_(deps),
       drain_threads_(std::max<uint32_t>(
           1, std::min(deps.drain_threads, RedoExecutor::kMaxPartitions))),
-      exec_(RedoExecutor::Deps{deps.pool, deps.spaces, deps.clock},
-            /*threads=*/1) {}
+      exec_(RedoExecutor::Deps{deps.pool, deps.spaces}) {}
 
 void InstantRedoManager::Install(RedoPlan plan, DirtyPageTable dpt) {
   MutexLock lock(&mu_);
@@ -52,90 +51,106 @@ void InstantRedoManager::Install(RedoPlan plan, DirtyPageTable dpt) {
   plan_ = std::move(plan);
   dpt_ = std::move(dpt);
   entry_applied_.assign(plan_.entries.size(), 0);
-  // Page -> its plan entries (both already in LSN order), pre-gated by the
-  // DPT recLSN: a (page, entry) pair the offline pass would skip never
-  // enters the table, so a page with nothing to replay is never pending.
+  // (page, plan index) pairs, pre-gated by the DPT recLSN: a pair the
+  // page's gate would skip never enters the table, so a page with nothing
+  // to replay is never pending. Sorting groups them by page, ascending
+  // plan index (= LSN) within a page.
+  std::vector<std::pair<PageId, uint32_t>> pairs;
   for (size_t i = 0; i < plan_.entries.size(); ++i) {
     for (PageId pid : plan_.entries[i].pages) {
       auto it = dpt_.find(pid);
       if (it == dpt_.end() || plan_.entries[i].rec.lsn < it->second) continue;
-      pages_[pid].entries.push_back(static_cast<uint32_t>(i));
+      pairs.emplace_back(pid, static_cast<uint32_t>(i));
     }
   }
+  std::sort(pairs.begin(), pairs.end());
+  page_entries_.reserve(pairs.size());
+  for (const auto& [pid, idx] : pairs) {
+    if (pages_.empty() || pages_.back().pid != pid) {
+      const uint32_t at = static_cast<uint32_t>(page_entries_.size());
+      pages_.push_back(PageSpan{pid, at, at});
+    }
+    page_entries_.push_back(idx);
+    ++pages_.back().end;
+  }
+  state_.assign(pages_.size(), PageState::kPending);
   pending_count_ = pages_.size();
   stats_.installed = true;
   stats_.pending_pages = pending_count_;
   active_ = pending_count_ > 0;
 }
 
-Status InstantRedoManager::ApplyPage(PageId pid,
-                                     const std::vector<uint32_t>& entries,
+size_t InstantRedoManager::FindPage(PageId pid) const {
+  auto it = std::lower_bound(
+      pages_.begin(), pages_.end(), pid,
+      [](const PageSpan& span, PageId p) { return span.pid < p; });
+  if (it == pages_.end() || it->pid != pid) return pages_.size();
+  return static_cast<size_t>(it - pages_.begin());
+}
+
+Status InstantRedoManager::ApplyPage(size_t idx,
                                      std::vector<uint8_t>* applied_flags) {
-  applied_flags->assign(entries.size(), 0);
+  const PageSpan& span = pages_[idx];
+  applied_flags->assign(span.end - span.begin, 0);
   InRedoScope in_redo;
-  for (size_t k = 0; k < entries.size(); ++k) {
+  for (uint32_t k = span.begin; k < span.end; ++k) {
     bool applied = false;
-    SHEAP_RETURN_IF_ERROR(
-        exec_.ApplyEntryToPage(plan_.entries[entries[k]], dpt_, pid,
-                               &applied));
-    (*applied_flags)[k] = applied ? 1 : 0;
+    SHEAP_RETURN_IF_ERROR(exec_.ApplyEntryToPage(
+        plan_.entries[page_entries_[k]], dpt_, span.pid, &applied));
+    (*applied_flags)[k - span.begin] = applied ? 1 : 0;
   }
   return Status::OK();
 }
 
-void InstantRedoManager::CommitPage(PageId pid,
-                                    const std::vector<uint32_t>& entries,
+void InstantRedoManager::CommitPage(size_t idx,
                                     const std::vector<uint8_t>& applied_flags,
                                     uint64_t InstantRedoStats::*counter) {
-  // Fold per-(entry,page) applied flags into per-entry firsts, so
-  // records_applied converges to the offline pass's count (an entry
-  // spanning several pages is still one applied record).
-  const size_t n = std::min(entries.size(), applied_flags.size());
+  // Fold per-(entry,page) applied flags into per-entry firsts, so an entry
+  // spanning several pages is still one applied record.
+  const PageSpan& span = pages_[idx];
+  const size_t n = std::min<size_t>(span.end - span.begin,
+                                    applied_flags.size());
   for (size_t k = 0; k < n; ++k) {
-    if (applied_flags[k] && !entry_applied_[entries[k]]) {
-      entry_applied_[entries[k]] = 1;
+    const uint32_t entry = page_entries_[span.begin + k];
+    if (applied_flags[k] && !entry_applied_[entry]) {
+      entry_applied_[entry] = 1;
       ++stats_.records_applied;
     }
   }
-  auto it = pages_.find(pid);
-  SHEAP_CHECK(it != pages_.end());
   if (counter == nullptr) {
     // Failed replay: whatever prefix applied is durable progress (the
     // page-LSN gate makes the retry skip it), but the page stays pending
     // so the next touch or drain batch finishes it.
-    it->second.state = PageState::kPending;
+    state_[idx] = PageState::kPending;
     return;
   }
-  it->second.state = PageState::kDone;
+  state_[idx] = PageState::kDone;
   --pending_count_;
   ++(stats_.*counter);
 }
 
 Status InstantRedoManager::OnPageAccess(PageId pid) {
   if (g_in_redo || !active_) return Status::OK();
-  std::vector<uint32_t> entries;
+  const size_t idx = FindPage(pid);
+  if (idx == pages_.size()) return Status::OK();
   {
     MutexLock lock(&mu_);
-    auto it = pages_.find(pid);
-    if (it == pages_.end() || it->second.state == PageState::kDone) {
-      return Status::OK();
-    }
+    if (state_[idx] == PageState::kDone) return Status::OK();
     // Heap actions are serialized and drain workers never re-enter the
     // gate (the in-redo flag), so an access can only find the page pending.
-    SHEAP_CHECK(it->second.state == PageState::kPending);
-    it->second.state = PageState::kInFlight;
-    entries = it->second.entries;
+    SHEAP_CHECK(state_[idx] == PageState::kPending);
+    state_[idx] = PageState::kInFlight;
   }
   Status st = OndemandCrashWindow(d_.faults);
   std::vector<uint8_t> applied;
-  if (st.ok()) st = ApplyPage(pid, entries, &applied);
+  if (st.ok()) st = ApplyPage(idx, &applied);
   MutexLock lock(&mu_);
   if (!st.ok()) {
-    CommitPage(pid, entries, applied, /*counter=*/nullptr);
+    CommitPage(idx, applied, /*counter=*/nullptr);
     if (st.IsCrashed()) stats_.aborted = true;
     return st;
   }
-  CommitPage(pid, entries, applied, &InstantRedoStats::ondemand_pages);
+  CommitPage(idx, applied, &InstantRedoStats::ondemand_pages);
   stats_.pending_pages = pending_count_;
   if (pending_count_ == 0) active_ = false;
   return Status::OK();
@@ -144,24 +159,22 @@ Status InstantRedoManager::OnPageAccess(PageId pid) {
 Status InstantRedoManager::DrainStep(uint64_t max_pages) {
   if (!active_ || max_pages == 0) return Status::OK();
   struct Job {
-    PageId pid = 0;
-    const std::vector<uint32_t>* entries = nullptr;
+    size_t idx = 0;
     std::vector<uint8_t> applied;
     Status status;
   };
   std::vector<Job> jobs;
   {
     MutexLock lock(&mu_);
-    for (auto& [pid, work] : pages_) {
-      if (jobs.size() >= max_pages) break;
-      if (work.state != PageState::kPending) continue;
-      work.state = PageState::kInFlight;
-      Job job;
-      job.pid = pid;
-      // Entry lists are immutable after Install and the map never grows,
-      // so workers may read through the pointer without the lock.
-      job.entries = &work.entries;
-      jobs.push_back(std::move(job));
+    while (drain_cursor_ < pages_.size() &&
+           state_[drain_cursor_] == PageState::kDone) {
+      ++drain_cursor_;
+    }
+    for (size_t i = drain_cursor_;
+         i < pages_.size() && jobs.size() < max_pages; ++i) {
+      if (state_[i] != PageState::kPending) continue;
+      state_[i] = PageState::kInFlight;
+      jobs.push_back(Job{i, {}, Status::OK()});
     }
   }
   if (jobs.empty()) return Status::OK();
@@ -169,9 +182,7 @@ Status InstantRedoManager::DrainStep(uint64_t max_pages) {
   Status window = DrainCrashWindow(d_.faults);
   if (!window.ok()) {
     MutexLock lock(&mu_);
-    for (const Job& job : jobs) {
-      pages_[job.pid].state = PageState::kPending;
-    }
+    for (const Job& job : jobs) state_[job.idx] = PageState::kPending;
     if (window.IsCrashed()) stats_.aborted = true;
     return window;
   }
@@ -179,15 +190,12 @@ Status InstantRedoManager::DrainStep(uint64_t max_pages) {
   const uint32_t nthreads = static_cast<uint32_t>(
       std::min<uint64_t>(drain_threads_, jobs.size()));
   if (nthreads <= 1) {
-    // Serial drain: charges flow straight to the shared clock, exactly
-    // like the historical serial redo pass.
-    for (Job& job : jobs) {
-      job.status = ApplyPage(job.pid, *job.entries, &job.applied);
-    }
+    // Serial drain: charges flow straight to the shared clock.
+    for (Job& job : jobs) job.status = ApplyPage(job.idx, &job.applied);
   } else {
-    // Page-hash partitioned drain, the RedoExecutor::Execute discipline:
-    // eviction off, every page confined to one worker, per-worker clock
-    // lanes, and a deterministic busiest-lane + merge-term charge.
+    // Page-hash partitioned drain: eviction off, every page confined to
+    // one worker, per-worker clock lanes, and a deterministic busiest-lane
+    // + merge-term charge.
     d_.pool->BeginConcurrent();
     std::vector<uint64_t> lane_ns(nthreads, 0);
     std::vector<std::thread> workers;
@@ -196,8 +204,10 @@ Status InstantRedoManager::DrainStep(uint64_t max_pages) {
       workers.emplace_back([this, p, nthreads, &jobs, &lane_ns]() {
         SimClock::ThreadChargeScope charge(d_.clock, &lane_ns[p]);
         for (Job& job : jobs) {
-          if (RedoExecutor::PartitionOf(job.pid, nthreads) != p) continue;
-          job.status = ApplyPage(job.pid, *job.entries, &job.applied);
+          if (RedoExecutor::PartitionOf(pages_[job.idx].pid, nthreads) != p) {
+            continue;
+          }
+          job.status = ApplyPage(job.idx, &job.applied);
         }
       });
     }
@@ -212,10 +222,9 @@ Status InstantRedoManager::DrainStep(uint64_t max_pages) {
   MutexLock lock(&mu_);
   for (Job& job : jobs) {
     if (job.status.ok()) {
-      CommitPage(job.pid, *job.entries, job.applied,
-                 &InstantRedoStats::drained_pages);
+      CommitPage(job.idx, job.applied, &InstantRedoStats::drained_pages);
     } else {
-      CommitPage(job.pid, *job.entries, job.applied, /*counter=*/nullptr);
+      CommitPage(job.idx, job.applied, /*counter=*/nullptr);
       if (job.status.IsCrashed()) stats_.aborted = true;
       if (first_error.ok()) first_error = job.status;
     }
@@ -244,13 +253,9 @@ InstantRedoStats InstantRedoManager::stats() const {
 }
 
 Lsn InstantRedoManager::MinPendingRecLsn() const {
-  MutexLock lock(&mu_);
   Lsn floor = kInvalidLsn;
-  for (const auto& [pid, work] : pages_) {
-    if (work.state == PageState::kDone) continue;
-    auto it = dpt_.find(pid);
-    if (it == dpt_.end()) continue;
-    if (floor == kInvalidLsn || it->second < floor) floor = it->second;
+  for (const auto& [pid, rec_lsn] : PendingDirtyPages()) {
+    if (floor == kInvalidLsn || rec_lsn < floor) floor = rec_lsn;
   }
   return floor;
 }
@@ -259,11 +264,10 @@ std::vector<std::pair<PageId, Lsn>> InstantRedoManager::PendingDirtyPages()
     const {
   MutexLock lock(&mu_);
   std::vector<std::pair<PageId, Lsn>> out;
-  for (const auto& [pid, work] : pages_) {
-    if (work.state == PageState::kDone) continue;
-    auto it = dpt_.find(pid);
-    if (it == dpt_.end()) continue;
-    out.emplace_back(pid, it->second);
+  for (size_t i = 0; i < pages_.size(); ++i) {
+    if (state_[i] == PageState::kDone) continue;
+    // Install admitted the page through the DPT, so it has an entry.
+    out.emplace_back(pages_[i].pid, dpt_.at(pages_[i].pid));
   }
   return out;
 }

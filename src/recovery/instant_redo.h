@@ -1,40 +1,40 @@
-// InstantRedoManager: the per-page redo gate behind instant recovery
-// (StableHeapOptions::instant_recovery; ROADMAP item 2).
+// InstantRedoManager: the per-page redo gate, recovery's one redo driver.
 //
-// Offline recovery finishes the whole redo pass before StableHeap::Open
-// returns, so downtime grows with the log volume even with PR 3's
-// partitioned executor. Instant recovery opens the heap right after
-// analysis instead: the fused redo plan is *installed* here as a shared
-// per-page work table, and every page moves through a tiny state machine
+// RecoveryManager::Redo *installs* the fused redo plan here as a per-page
+// work table, and every page moves through a tiny state machine
 //
 //     pending --> in-flight --> done
 //
 // driven from two directions, coordinated so no page is redone twice:
 //
-//  * on demand — BufferPool::Hooks::before_pin calls OnPageAccess on every
-//    pin, so the first touch of a not-yet-redone page (a mutator read or
-//    write, an undo CLR, a GC scan) replays that page's plan entries first.
-//    This is the read barrier of Sauer & Härder's REDO-only / HEAL-style
-//    on-demand recovery, expressed as a pool hook;
-//  * background drain — DrainStep claims batches of still-pending pages
-//    (ascending page id) and replays them, serially or across page-hash
-//    partitions exactly like RedoExecutor::Execute. StableHeap calls it
-//    cooperatively at action boundaries (the MaybeStepCollector idiom).
+//  * on demand — under instant recovery (StableHeapOptions::
+//    instant_recovery) BufferPool::Hooks::before_pin calls OnPageAccess on
+//    every pin, so the first touch of a not-yet-redone page (a mutator read
+//    or write, an undo CLR, a GC scan) replays that page's plan entries
+//    first. This is the read barrier of Sauer & Härder's REDO-only /
+//    HEAL-style on-demand recovery, expressed as a pool hook;
+//  * drain — DrainStep claims batches of still-pending pages (ascending
+//    page id) and replays them, serially or across page-hash partitions.
+//    Offline recovery drains the whole table inside Open, before undo;
+//    instant recovery opens the heap right after analysis + undo and lets
+//    StableHeap drain cooperatively at action boundaries (the
+//    MaybeStepCollector idiom).
 //
-// Correctness leans on the same argument as the partitioned executor: redo
-// order matters only within a page, and every application here goes through
-// RedoExecutor::ApplyEntryToPage with the identical DPT/pageLSN/live-space
-// gates — so any interleaving of touches and drain batches converges to the
-// offline pass's bytes (instant_recovery_test proves this property over
-// random first-touch orders and drain thread counts).
+// Correctness: redo order matters only within a page, and every
+// application here goes through RedoExecutor::ApplyEntryToPage with the
+// DPT/pageLSN/live-space gates — so any interleaving of touches and drain
+// batches, at any partition count, converges to the same bytes
+// (instant_recovery_test and recovery_parallel_test prove this over random
+// first-touch orders and 1..64 partitions).
 //
 // Concurrency: the mutator serializes all heap actions, so Install /
 // OnPageAccess / DrainStep are called from one thread at a time. Drain
 // workers never call back into the gate — the apply path sets a
 // thread-local in-redo flag that short-circuits before_pin re-entry (both
 // for a worker's own pins and for the recursive pin the on-demand path
-// itself performs). The work table is guarded by one leaf mutex; the plan
-// and DPT are immutable after Install and read without it.
+// itself performs). The page states are guarded by one leaf mutex; the
+// plan, DPT and page-to-entry table are immutable after Install and read
+// without it.
 //
 // Failure: a transient I/O error during a page's replay reverts the page to
 // pending — the next touch or drain batch retries it, so a fault storm
@@ -46,7 +46,6 @@
 #define SHEAP_RECOVERY_INSTANT_REDO_H_
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -64,10 +63,10 @@ namespace sheap {
 /// Counters for the gate (folded into RecoveryStats by StableHeap).
 struct InstantRedoStats {
   uint64_t ondemand_pages = 0;  // pages redone at first touch
-  uint64_t drained_pages = 0;   // pages redone by the background drain
+  uint64_t drained_pages = 0;   // pages redone by the drain
   uint64_t pending_pages = 0;   // pages still awaiting redo
-  /// Plan entries that changed at least one page so far — converges to the
-  /// offline pass's redo_records_applied once the plan is exhausted.
+  /// Plan entries that changed at least one page so far (a multi-page
+  /// entry counts once), independent of the order pages were redone in.
   uint64_t records_applied = 0;
   bool installed = false;  // Install ran (a redo plan exists)
   bool aborted = false;    // an injected crash hit the gate (terminal)
@@ -81,8 +80,9 @@ class InstantRedoManager {
     const SpaceManager* spaces = nullptr;
     SimClock* clock = nullptr;
     FaultInjector* faults = nullptr;  // may be null
-    /// Worker partitions for DrainStep batches (1 = serial). Final heap
-    /// bytes are identical for every value.
+    /// Worker partitions for DrainStep batches (1 = serial; clamped to
+    /// RedoExecutor::kMaxPartitions). Final heap bytes are identical for
+    /// every value.
     uint32_t drain_threads = 1;
   };
 
@@ -91,11 +91,10 @@ class InstantRedoManager {
   InstantRedoManager(const InstantRedoManager&) = delete;
   InstantRedoManager& operator=(const InstantRedoManager&) = delete;
 
-  /// Adopt the fused redo plan (RecoveryManager::Redo hands it over instead
-  /// of executing it). Builds the per-page work table: page -> its plan
-  /// entries in LSN order, pre-gated by the DPT recLSN so pages with
-  /// nothing to replay never enter the table. Called once, before the heap
-  /// serves any action.
+  /// Adopt the fused redo plan (RecoveryManager::Redo hands it over).
+  /// Builds the per-page work table: page -> its plan entries in LSN order,
+  /// pre-gated by the DPT recLSN so pages with nothing to replay never
+  /// enter the table. Called once, before the heap serves any action.
   void Install(RedoPlan plan, DirtyPageTable dpt) SHEAP_EXCLUDES(mu_);
 
   /// True while any page is still pending (the gate must stay on the pool
@@ -147,34 +146,43 @@ class InstantRedoManager {
  private:
   enum class PageState : uint8_t { kPending, kInFlight, kDone };
 
-  struct PageWork {
-    PageState state = PageState::kPending;
-    std::vector<uint32_t> entries;  // plan indexes, ascending LSN
+  /// One page of the work table: its plan entries are
+  /// page_entries_[begin, end), ascending LSN.
+  struct PageSpan {
+    PageId pid = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
   };
 
-  /// Replay one page's entries (sets the in-redo flag for the duration).
+  /// Index of `pid` in pages_, or pages_.size() if it has no work.
+  size_t FindPage(PageId pid) const;
+
+  /// Replay page `idx`'s entries (sets the in-redo flag for the duration).
   /// *applied_flags gets one byte per entry: did this page's slice of the
   /// entry change bytes (merged into records_applied under mu_).
-  Status ApplyPage(PageId pid, const std::vector<uint32_t>& entries,
-                   std::vector<uint8_t>* applied_flags);
+  Status ApplyPage(size_t idx, std::vector<uint8_t>* applied_flags);
 
-  /// Commit one finished page under mu_: mark done, fold applied flags.
-  void CommitPage(PageId pid, const std::vector<uint32_t>& entries,
-                  const std::vector<uint8_t>& applied_flags,
+  /// Commit one finished page under mu_: mark done, fold applied flags. A
+  /// null `counter` records a failed replay (the page reverts to pending).
+  void CommitPage(size_t idx, const std::vector<uint8_t>& applied_flags,
                   uint64_t InstantRedoStats::*counter) SHEAP_REQUIRES(mu_);
 
   Deps d_;
   uint32_t drain_threads_;
-  RedoExecutor exec_;  // single-page applier (threads() unused here)
+  RedoExecutor exec_;
 
   // Immutable after Install; drain workers read them without locking.
   RedoPlan plan_;
   DirtyPageTable dpt_;
+  std::vector<PageSpan> pages_;         // ascending page id
+  std::vector<uint32_t> page_entries_;  // plan indexes, grouped by page
 
-  /// Leaf lock for the work table (nothing else is acquired under it; the
+  /// Leaf lock for the page states (nothing else is acquired under it; the
   /// apply paths run outside it).
   mutable Mutex mu_;
-  std::map<PageId, PageWork> pages_ SHEAP_GUARDED_BY(mu_);
+  std::vector<PageState> state_ SHEAP_GUARDED_BY(mu_);  // parallel to pages_
+  /// Every page below this index is done (DrainStep starts here).
+  size_t drain_cursor_ SHEAP_GUARDED_BY(mu_) = 0;
   std::vector<uint8_t> entry_applied_ SHEAP_GUARDED_BY(mu_);
   uint64_t pending_count_ SHEAP_GUARDED_BY(mu_) = 0;
   InstantRedoStats stats_ SHEAP_GUARDED_BY(mu_);

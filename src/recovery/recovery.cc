@@ -309,7 +309,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
 Status RecoveryManager::Redo(const CheckpointData& data,
                              Lsn analysis_start_lsn, RedoPlan* plan,
                              Result* result) {
-  result->stats.redo_partitions = std::max<uint32_t>(1, d_.recovery_threads);
+  result->stats.redo_partitions = d_.redo->drain_threads();
   if (data.dpt.empty()) return Status::OK();
   Lsn redo_start = kInvalidLsn;
   for (const auto& [page, rec_lsn] : data.dpt) {
@@ -362,26 +362,15 @@ Status RecoveryManager::Redo(const CheckpointData& data,
   plan->entries.clear();
   result->stats.redo_records_seen += exec.entries.size();
 
-  if (d_.instant != nullptr) {
-    // Instant recovery: hand the fused plan to the per-page gate instead
-    // of executing it. Redo work happens after Open — on demand at first
-    // touch and in cooperative drain batches — so redo_records_applied
-    // starts at zero here and converges to the offline count as the gate
-    // drains (StableHeap folds the gate's counters into these stats).
-    d_.instant->Install(std::move(exec), data.dpt);
-    result->stats.redo_partitions = d_.instant->drain_threads();
-    return Status::OK();
-  }
-
-  RedoExecutor::Deps deps;
-  deps.pool = d_.pool;
-  deps.spaces = d_.spaces;
-  deps.clock = d_.clock;
-  RedoExecutor executor(deps, std::max<uint32_t>(1, d_.recovery_threads));
-  uint64_t applied = 0;
-  SHEAP_RETURN_IF_ERROR(executor.Execute(exec, data.dpt, &applied));
-  result->stats.redo_records_applied += applied;
-  result->stats.redo_partitions = executor.threads();
+  // One redo path: the plan goes into the per-page gate. Instant recovery
+  // returns here — pages are redone on demand at first touch and in
+  // cooperative drain batches after Open, and StableHeap folds the gate's
+  // counters into these stats as it drains. Offline recovery drains every
+  // page now, before undo.
+  d_.redo->Install(std::move(exec), data.dpt);
+  if (d_.instant) return Status::OK();
+  SHEAP_RETURN_IF_ERROR(d_.redo->DrainAll());
+  result->stats.redo_records_applied += d_.redo->stats().records_applied;
   return Status::OK();
 }
 
@@ -535,12 +524,11 @@ StatusOr<RecoveryManager::Result> RecoveryManager::Recover() {
     // half-armed — deactivate it and record the terminal aborted outcome.
     // The caller pre-stamps its salvaged stats kAborted; the log is
     // untouched, so the next recovery simply replays everything.
-    if (d_.instant != nullptr) d_.instant->Abandon();
+    d_.redo->Abandon();
     return st;
   }
-  result.stats.outcome = (d_.instant != nullptr && d_.instant->active())
-                             ? RecoveryOutcome::kOpenPendingRedo
-                             : RecoveryOutcome::kComplete;
+  result.stats.outcome = d_.redo->active() ? RecoveryOutcome::kOpenPendingRedo
+                                           : RecoveryOutcome::kComplete;
   return result;
 }
 

@@ -89,7 +89,7 @@ struct RecoveryStats {
   uint64_t analysis_ns = 0;
   uint64_t redo_ns = 0;
   uint64_t undo_ns = 0;
-  /// Worker partitions the redo plan was executed across (1 = serial).
+  /// Worker partitions the redo plan is drained across (1 = serial).
   uint64_t redo_partitions = 0;
   /// Log segments the streaming readers loaded ahead of the decode cursor.
   uint64_t log_segments_prefetched = 0;
@@ -125,12 +125,13 @@ class RecoveryManager {
     TxnManager* txns = nullptr;
     LockManager* locks = nullptr;  // re-acquired for in-doubt 2PC txns
     SimClock* clock = nullptr;
-    /// Redo worker partitions (1 = the historical serial path).
-    uint32_t recovery_threads = 1;
-    /// Instant recovery: when set, Redo installs the fused plan into this
-    /// gate instead of executing it, and Recover returns with the heap's
-    /// pages redone lazily (see recovery/instant_redo.h). Null = offline.
-    InstantRedoManager* instant = nullptr;
+    /// The per-page gate Redo installs the fused plan into (required; its
+    /// drain_threads are the redo partitions). See recovery/instant_redo.h.
+    InstantRedoManager* redo = nullptr;
+    /// Instant recovery: Recover returns with the plan still pending behind
+    /// the gate, its pages redone lazily after Open. False = offline: the
+    /// whole plan is drained before undo.
+    bool instant = false;
   };
 
   struct Result {
@@ -159,8 +160,9 @@ class RecoveryManager {
   /// the redo phase never re-reads or re-decodes the analysis range.
   Status Analysis(Lsn start_lsn, CheckpointData* data, RedoPlan* plan,
                   Result* result);
-  /// Execute redo from the plan (plus a supplementary streamed scan when
-  /// the oldest DPT recLSN precedes the analysis start) via RedoExecutor.
+  /// Install the plan (plus a supplementary streamed scan when the oldest
+  /// DPT recLSN precedes the analysis start) into the page gate; offline
+  /// recovery then drains it all.
   Status Redo(const CheckpointData& data, Lsn analysis_start_lsn,
               RedoPlan* plan, Result* result);
   Status Undo(CheckpointData* data, Result* result);

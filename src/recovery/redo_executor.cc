@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "common/check.h"
 #include "heap/address.h"
@@ -10,9 +9,52 @@
 
 namespace sheap {
 
-RedoExecutor::RedoExecutor(const Deps& deps, uint32_t threads) : d_(deps) {
-  threads_ = std::max<uint32_t>(1, std::min(threads, kMaxPartitions));
+namespace {
+
+/// Calls fn(addr, bytes, n) for every byte range `rec`'s redo writes, in
+/// record order. The bytes live until fn returns.
+template <typename Fn>
+void ForEachWrite(const LogRecord& rec, Fn&& fn) {
+  // Little-endian host: a word's value bytes are its memory bytes.
+  auto word = [&fn](HeapAddr addr, uint64_t w) {
+    fn(addr, reinterpret_cast<const uint8_t*>(&w), kWordSizeBytes);
+  };
+  switch (rec.type) {
+    case RecordType::kUpdate:
+    case RecordType::kClr:
+      word(rec.addr, rec.new_word);
+      break;
+    case RecordType::kAlloc:
+      word(rec.addr, EncodeHeader(static_cast<ClassId>(rec.aux), rec.count));
+      break;
+    case RecordType::kGcCopy:
+      fn(rec.addr2, rec.contents.data(), rec.contents.size());
+      word(rec.addr, MakeForwardWord(rec.addr2));
+      break;
+    case RecordType::kGcCopyBatch:
+      fn(rec.addr2, rec.contents.data(), rec.contents.size());
+      // One forwarding word per coalesced object.
+      for (const UtrEntry& e : rec.utr_entries) {
+        word(e.from, MakeForwardWord(e.to));
+      }
+      break;
+    case RecordType::kGcScan:
+      for (const auto& [w, value] : rec.slot_updates) {
+        word(rec.page * kPageSizeBytes + w * kWordSizeBytes, value);
+      }
+      break;
+    case RecordType::kV2sCopy:
+      fn(rec.addr2, rec.contents.data(), rec.contents.size());
+      break;
+    case RecordType::kInitialValue:
+      fn(rec.addr, rec.contents.data(), rec.contents.size());
+      break;
+    default:
+      break;
+  }
 }
+
+}  // namespace
 
 bool RedoExecutor::IsRedoable(RecordType type) {
   // Exhaustive over RecordType — no default, so adding a record type does
@@ -59,48 +101,12 @@ bool RedoExecutor::IsRedoable(RecordType type) {
 void RedoExecutor::AffectedPages(const LogRecord& rec,
                                  std::vector<PageId>* pages) {
   pages->clear();
-  // Byte ranges the record's redo touches, then flattened to unique pages.
-  std::vector<std::pair<HeapAddr, uint64_t>> ranges;
-  switch (rec.type) {
-    case RecordType::kUpdate:
-    case RecordType::kClr:
-      ranges.emplace_back(rec.addr, kWordSizeBytes);
-      break;
-    case RecordType::kAlloc:
-      ranges.emplace_back(rec.addr, kWordSizeBytes);
-      break;
-    case RecordType::kGcCopy:
-      ranges.emplace_back(rec.addr2, rec.count * kWordSizeBytes);
-      ranges.emplace_back(rec.addr, kWordSizeBytes);  // forwarding word
-      break;
-    case RecordType::kGcCopyBatch:
-      ranges.emplace_back(rec.addr2, rec.count * kWordSizeBytes);
-      for (const UtrEntry& e : rec.utr_entries) {
-        ranges.emplace_back(e.from, kWordSizeBytes);  // forwarding words
-      }
-      break;
-    case RecordType::kGcScan:
-      for (const auto& [word, value] : rec.slot_updates) {
-        ranges.emplace_back(
-            rec.page * kPageSizeBytes + word * kWordSizeBytes,
-            kWordSizeBytes);
-      }
-      break;
-    case RecordType::kV2sCopy:
-      ranges.emplace_back(rec.addr2, rec.count * kWordSizeBytes);
-      break;
-    case RecordType::kInitialValue:
-      ranges.emplace_back(rec.addr, rec.count * kWordSizeBytes);
-      break;
-    default:
-      break;
-  }
-  for (const auto& [addr, len] : ranges) {
-    if (len == 0) continue;
-    for (PageId p = PageOf(addr); p <= PageOf(addr + len - 1); ++p) {
+  ForEachWrite(rec, [pages](HeapAddr addr, const uint8_t*, uint64_t n) {
+    if (n == 0) return;
+    for (PageId p = PageOf(addr); p <= PageOf(addr + n - 1); ++p) {
       pages->push_back(p);
     }
-  }
+  });
   std::sort(pages->begin(), pages->end());
   pages->erase(std::unique(pages->begin(), pages->end()), pages->end());
 }
@@ -116,207 +122,30 @@ bool RedoExecutor::PageLive(PageId page) const {
   return sp != nullptr && !sp->freed && sp->area == Area::kStable;
 }
 
-Status RedoExecutor::RedoWriteBytes(HeapAddr addr, const uint8_t* data,
-                                    uint64_t n, Lsn lsn,
-                                    const DirtyPageTable& dpt,
-                                    const PartitionFilter& filter,
-                                    bool* applied) {
-  uint64_t done = 0;
-  while (done < n) {
-    const PageId pid = PageOf(addr + done);
-    const uint32_t off = OffsetInPage(addr + done);
-    const uint64_t chunk =
-        std::min<uint64_t>(n - done, kPageSizeBytes - off);
-    if (!filter.Covers(pid)) {
-      // Another partition's owner applies this page's slice.
-      done += chunk;
-      continue;
-    }
-    auto it = dpt.find(pid);
-    const bool in_dpt = it != dpt.end() && lsn >= it->second;
-    if (in_dpt && PageLive(pid)) {
-      SHEAP_ASSIGN_OR_RETURN(PageImage * frame, d_.pool->Pin(pid));
-      if (frame->page_lsn < lsn) {
-        std::memcpy(frame->data.data() + off, data + done, chunk);
-        d_.pool->MarkDirty(pid, lsn);
-        *applied = true;
-      }
-      d_.pool->Unpin(pid);
-    }
-    done += chunk;
-  }
-  return Status::OK();
-}
-
-Status RedoExecutor::ApplyRecord(const LogRecord& rec,
-                                 const DirtyPageTable& dpt,
-                                 const PartitionFilter& filter,
-                                 bool* applied) {
-  auto word_bytes = [](uint64_t w) {
-    return w;  // little-endian host: value bytes == memory bytes
-  };
-  switch (rec.type) {
-    case RecordType::kUpdate:
-    case RecordType::kClr: {
-      uint64_t w = word_bytes(rec.new_word);
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(
-          rec.addr, reinterpret_cast<const uint8_t*>(&w), kWordSizeBytes,
-          rec.lsn, dpt, filter, applied));
-      break;
-    }
-    case RecordType::kAlloc: {
-      uint64_t w = EncodeHeader(static_cast<ClassId>(rec.aux), rec.count);
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(
-          rec.addr, reinterpret_cast<const uint8_t*>(&w), kWordSizeBytes,
-          rec.lsn, dpt, filter, applied));
-      break;
-    }
-    case RecordType::kGcCopy: {
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(rec.addr2, rec.contents.data(),
-                                           rec.contents.size(), rec.lsn, dpt,
-                                           filter, applied));
-      uint64_t fwd = MakeForwardWord(rec.addr2);
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(
-          rec.addr, reinterpret_cast<const uint8_t*>(&fwd), kWordSizeBytes,
-          rec.lsn, dpt, filter, applied));
-      break;
-    }
-    case RecordType::kGcCopyBatch: {
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(rec.addr2, rec.contents.data(),
-                                           rec.contents.size(), rec.lsn, dpt,
-                                           filter, applied));
-      // One forwarding word per coalesced object; the to-addresses are
-      // implied by the run layout but carried explicitly in the entries.
-      for (const UtrEntry& e : rec.utr_entries) {
-        uint64_t fwd = MakeForwardWord(e.to);
-        SHEAP_RETURN_IF_ERROR(RedoWriteBytes(
-            e.from, reinterpret_cast<const uint8_t*>(&fwd), kWordSizeBytes,
-            rec.lsn, dpt, filter, applied));
-      }
-      break;
-    }
-    case RecordType::kGcScan: {
-      // All of a scan record's writes land on one page; gate once and apply
-      // them together (gating per write would let the first write's pageLSN
-      // update suppress the rest of the record).
-      if (!filter.Covers(rec.page)) break;
-      auto it = dpt.find(rec.page);
-      if (it == dpt.end() || rec.lsn < it->second || !PageLive(rec.page)) {
-        break;
-      }
-      SHEAP_ASSIGN_OR_RETURN(PageImage * frame, d_.pool->Pin(rec.page));
-      if (frame->page_lsn < rec.lsn) {
-        for (const auto& [word, value] : rec.slot_updates) {
-          frame->WriteWord(word, value);
-        }
-        d_.pool->MarkDirty(rec.page, rec.lsn);
-        *applied = true;
-      }
-      d_.pool->Unpin(rec.page);
-      break;
-    }
-    case RecordType::kV2sCopy:
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(rec.addr2, rec.contents.data(),
-                                           rec.contents.size(), rec.lsn, dpt,
-                                           filter, applied));
-      break;
-    case RecordType::kInitialValue:
-      SHEAP_RETURN_IF_ERROR(RedoWriteBytes(rec.addr, rec.contents.data(),
-                                           rec.contents.size(), rec.lsn, dpt,
-                                           filter, applied));
-      break;
-    default:
-      break;
-  }
-  return Status::OK();
-}
-
 Status RedoExecutor::ApplyEntryToPage(const RedoPlanEntry& entry,
                                       const DirtyPageTable& dpt, PageId pid,
                                       bool* applied) {
-  PartitionFilter filter;
-  filter.only_page = pid;
-  return ApplyRecord(entry.rec, dpt, filter, applied);
-}
-
-Status RedoExecutor::Execute(const RedoPlan& plan, const DirtyPageTable& dpt,
-                             uint64_t* records_applied) {
-  *records_applied = 0;
-  if (plan.entries.empty()) return Status::OK();
-
-  if (threads_ == 1) {
-    // Exactly the historical serial path: entries in LSN order, charges
-    // flowing straight to the shared clock.
-    PartitionFilter all;
-    for (const RedoPlanEntry& entry : plan.entries) {
-      bool applied = false;
-      SHEAP_RETURN_IF_ERROR(ApplyRecord(entry.rec, dpt, all, &applied));
-      if (applied) ++*records_applied;
-    }
+  const LogRecord& rec = entry.rec;
+  auto it = dpt.find(pid);
+  if (it == dpt.end() || rec.lsn < it->second || !PageLive(pid)) {
     return Status::OK();
   }
-
-  // Partition the entry indexes: entry i lands in every partition that owns
-  // one of its pages (page lists are tiny, so a bitmask dedups owners).
-  static_assert(kMaxPartitions <= 64, "owner dedup uses a 64-bit mask");
-  std::vector<std::vector<uint32_t>> part_entries(threads_);
-  for (size_t i = 0; i < plan.entries.size(); ++i) {
-    uint64_t owners = 0;
-    for (PageId pid : plan.entries[i].pages) {
-      owners |= 1ull << PartitionOf(pid, threads_);
-    }
-    for (uint32_t p = 0; p < threads_; ++p) {
-      if ((owners >> p) & 1) {
-        part_entries[p].push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-
-  // Workers: each applies its partition's entries in LSN order, charging
-  // simulated time to a partition-local lane and recording per-entry
-  // applied flags for the deterministic merge below.
-  d_.pool->BeginConcurrent();
-  std::vector<Status> part_status(threads_, Status::OK());
-  std::vector<std::vector<uint8_t>> part_applied(threads_);
-  std::vector<uint64_t> lane_ns(threads_, 0);
-  std::vector<std::thread> workers;
-  workers.reserve(threads_);
-  for (uint32_t p = 0; p < threads_; ++p) {
-    part_applied[p].assign(part_entries[p].size(), 0);
-    workers.emplace_back([this, p, &plan, &dpt, &part_entries, &part_status,
-                          &part_applied, &lane_ns]() {
-      SimClock::ThreadChargeScope charge(d_.clock, &lane_ns[p]);
-      PartitionFilter filter{threads_, p};
-      for (size_t k = 0; k < part_entries[p].size(); ++k) {
-        bool applied = false;
-        Status st = ApplyRecord(plan.entries[part_entries[p][k]].rec, dpt,
-                                filter, &applied);
-        if (!st.ok()) {
-          part_status[p] = st;
-          break;
-        }
-        part_applied[p][k] = applied ? 1 : 0;
-      }
+  SHEAP_ASSIGN_OR_RETURN(PageImage * frame, d_.pool->Pin(pid));
+  if (frame->page_lsn < rec.lsn) {
+    const HeapAddr page_base = pid * kPageSizeBytes;
+    ForEachWrite(rec, [&](HeapAddr addr, const uint8_t* data, uint64_t n) {
+      // Clip the write to this page; other pages get their slice when
+      // their own turn comes.
+      const HeapAddr lo = std::max(addr, page_base);
+      const HeapAddr hi = std::min(addr + n, page_base + kPageSizeBytes);
+      if (lo >= hi) return;
+      std::memcpy(frame->data.data() + (lo - page_base), data + (lo - addr),
+                  hi - lo);
     });
+    d_.pool->MarkDirty(pid, rec.lsn);
+    *applied = true;
   }
-  for (std::thread& t : workers) t.join();
-  d_.pool->EndConcurrent();
-
-  // Parallel hardware: the redo pass costs the busiest partition's lane,
-  // plus a coordinator merge term (one examination per plan entry).
-  d_.clock->Advance(*std::max_element(lane_ns.begin(), lane_ns.end()) +
-                    d_.clock->model().scan_word_ns * plan.entries.size());
-
-  // Deterministic merge, partition-index order: an entry counts as applied
-  // if any owning partition changed a page for it.
-  std::vector<uint8_t> applied(plan.entries.size(), 0);
-  for (uint32_t p = 0; p < threads_; ++p) {
-    SHEAP_RETURN_IF_ERROR(part_status[p]);
-    for (size_t k = 0; k < part_entries[p].size(); ++k) {
-      applied[part_entries[p][k]] |= part_applied[p][k];
-    }
-  }
-  for (uint8_t a : applied) *records_applied += a;
+  d_.pool->Unpin(pid);
   return Status::OK();
 }
 

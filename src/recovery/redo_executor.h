@@ -1,29 +1,29 @@
-// RedoExecutor: applies a redo plan serially or across page-hash partitions.
+// RedoExecutor: the stateless record applier behind recovery's page gate.
 //
 // Repeating history (paper §2.2.3, invariant 2.1) constrains redo order only
 // *within* a page: each page must see its records in LSN order, gated by the
 // DPT recLSN and the on-page LSN. Records touching different pages commute.
-// Hash-partitioning pages over N workers therefore preserves correctness
-// exactly (cf. Sauer & Härder's parallel REDO-only recovery): every page's
-// records stay in one worker's LSN-ordered list, and a record spanning
-// several partitions (a GC copy's contents plus the forwarding word in
-// from-space, say) is applied piecewise by each partition owner — the
-// per-page gates make that equivalent to one atomic application.
+// Recovery therefore replays the plan page by page (cf. Sauer & Härder's
+// REDO-only, page-wise restart): InstantRedoManager (recovery/instant_redo.h)
+// groups the plan per page and hash-partitions pages over workers, and this
+// class applies one record's slice to one page. A record spanning several
+// pages (a GC copy's contents plus its forwarding words in from-space, say)
+// is applied piecewise, once per page; the per-page gates make that
+// equivalent to one atomic application.
+//
+// The gate is tested once per (record, page): pin, compare the pageLSN with
+// the record's LSN, apply every write of the record that lands on the page,
+// then MarkDirty once. Gating each write separately would let the first
+// write's pageLSN bump suppress the rest of the record on that page (a
+// kGcCopyBatch puts several forwarding words on one from-space page).
 //
 // The plan is built once, during analysis (the records arrive already
 // decoded), so redo never re-reads or re-decodes the log.
 //
-// Determinism contract: with a fixed plan and fixed thread count the
-// recovered heap bytes equal the serial path's byte-for-byte, worker stats
-// merge in partition-index order, and simulated time advances by the
-// busiest partition plus a merge term — independent of host scheduling.
-//
-// Concurrency contract: the executor itself holds no locks. Workers share
-// nothing mutable — each owns its partition's page set, its stats struct,
-// and a thread-local clock sink — and the only cross-thread structures they
-// touch (BufferPool shards, the Disk) carry their own capability-annotated
-// mutexes. Confinement by partition, not locking, is the discipline here;
-// see DESIGN.md §5e.
+// Concurrency contract: the applier holds no locks and no mutable state.
+// Callers confine each page to one thread; the only cross-thread structures
+// touched (BufferPool shards, the Disk) carry their own capability-annotated
+// mutexes. See DESIGN.md §5e.
 
 #ifndef SHEAP_RECOVERY_REDO_EXECUTOR_H_
 #define SHEAP_RECOVERY_REDO_EXECUTOR_H_
@@ -35,7 +35,6 @@
 #include "heap/space_manager.h"
 #include "recovery/tables.h"
 #include "storage/buffer_pool.h"
-#include "util/sim_clock.h"
 #include "wal/record.h"
 
 namespace sheap {
@@ -57,67 +56,34 @@ class RedoExecutor {
   struct Deps {
     BufferPool* pool = nullptr;
     const SpaceManager* spaces = nullptr;
-    SimClock* clock = nullptr;
   };
 
-  /// `threads` == 1 is exactly the historical serial path (no worker pool,
-  /// charges flow straight to the clock). Capped at kMaxPartitions.
-  RedoExecutor(const Deps& deps, uint32_t threads);
+  explicit RedoExecutor(const Deps& deps) : d_(deps) {}
 
+  /// Upper bound on redo worker partitions.
   static constexpr uint32_t kMaxPartitions = 64;
 
   /// True for physical-redo record types.
   static bool IsRedoable(RecordType type);
 
   /// The distinct pages `rec`'s redo touches, ascending. Empty for
-  /// non-redoable records.
+  /// non-redoable records and for records that write no bytes.
   static void AffectedPages(const LogRecord& rec, std::vector<PageId>* pages);
 
   /// The partition a page belongs to under `nparts` partitions.
   static uint32_t PartitionOf(PageId pid, uint32_t nparts);
 
-  /// Apply every plan entry (ascending LSN), each page gated by the DPT
-  /// recLSN and the on-page LSN. *records_applied counts entries that
-  /// changed at least one page (merged across partitions). On a worker
-  /// error the first failure in partition-index order is returned.
-  Status Execute(const RedoPlan& plan, const DirtyPageTable& dpt,
-                 uint64_t* records_applied);
-
-  /// Apply one plan entry restricted to a single page — the instant-recovery
-  /// on-demand / drain path (recovery/instant_redo.h). The gates are exactly
-  /// Execute's (DPT recLSN, on-page LSN, live space), so redoing a
-  /// multi-page record page-by-page, in any interleaving with other pages'
-  /// redo, produces the same bytes as the offline pass; this is the same
-  /// piecewise-application argument the partitioned path already relies on.
+  /// Apply the slice of `entry` that lands on page `pid`, gated by the DPT
+  /// recLSN, the page's liveness and (once) its on-page LSN. *applied is
+  /// set when the page changed.
   Status ApplyEntryToPage(const RedoPlanEntry& entry,
                           const DirtyPageTable& dpt, PageId pid,
                           bool* applied);
 
-  uint32_t threads() const { return threads_; }
-
  private:
-  /// A worker's view: which pages it owns. Serial mode owns everything;
-  /// the single-page mode (ApplyEntryToPage) owns exactly one page.
-  struct PartitionFilter {
-    static constexpr PageId kAllPages = ~0ull;
-    uint32_t nparts = 1;
-    uint32_t index = 0;
-    PageId only_page = kAllPages;
-    bool Covers(PageId pid) const {
-      if (only_page != kAllPages) return pid == only_page;
-      return nparts <= 1 || PartitionOf(pid, nparts) == index;
-    }
-  };
-
-  Status ApplyRecord(const LogRecord& rec, const DirtyPageTable& dpt,
-                     const PartitionFilter& filter, bool* applied);
-  Status RedoWriteBytes(HeapAddr addr, const uint8_t* data, uint64_t n,
-                        Lsn lsn, const DirtyPageTable& dpt,
-                        const PartitionFilter& filter, bool* applied);
   bool PageLive(PageId page) const;
 
   Deps d_;
-  uint32_t threads_;
 };
 
 }  // namespace sheap

@@ -8,7 +8,10 @@ namespace sheap {
 
 void UndoTranslationTable::AddBatch(const std::vector<UtrEntry>& entries,
                                     const std::vector<TxnId>& active) {
-  if (entries.empty()) return;
+  // With no transaction active at the flip, no undo information names the
+  // moved objects: the batch is prunable at birth. Keeping it would leave
+  // it in every checkpoint until some other batch happened to be pruned.
+  if (entries.empty() || active.empty()) return;
   Batch batch;
   batch.entries = entries;
   batch.pending = active;

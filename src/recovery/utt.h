@@ -34,7 +34,8 @@ class UndoTranslationTable {
   UndoTranslationTable() = default;
 
   /// Add a flip's translations. `active` is the set of transactions active
-  /// at the flip; the batch can be pruned once they have all ended.
+  /// at the flip; the batch can be pruned once they have all ended (so a
+  /// batch with no active transactions is not kept at all).
   void AddBatch(const std::vector<UtrEntry>& entries,
                 const std::vector<TxnId>& active);
 

@@ -87,12 +87,6 @@ bool CommitQueue::ShouldCloseLocked() const {
   return clock_->now_ns() - batch_open_ns_ >= opts_.max_delay_ns;
 }
 
-bool CommitQueue::ShouldClose() {
-  MutexLock lock(&qmu_);
-  AbsorbLocked();
-  return ShouldCloseLocked();
-}
-
 void CommitQueue::ChargePoll() {
   clock_->Advance(opts_.poll_ns);
   MutexLock lock(&qmu_);
@@ -139,21 +133,11 @@ Status CommitQueue::CloseBatchLocked(
   return Status::OK();
 }
 
-Status CommitQueue::CloseBatch(const std::function<void(TxnId)>& on_durable) {
+Status CommitQueue::LeadIfReady(
+    const std::function<void(TxnId)>& on_durable) {
   MutexLock lock(&qmu_);
   AbsorbLocked();
-  return CloseBatchLocked(on_durable);
-}
-
-Status CommitQueue::LeadIfReady(const std::function<void(TxnId)>& on_durable,
-                                bool* led) {
-  MutexLock lock(&qmu_);
-  AbsorbLocked();
-  if (!ShouldCloseLocked()) {
-    *led = false;
-    return Status::OK();
-  }
-  *led = true;
+  if (!ShouldCloseLocked()) return Status::OK();
   return CloseBatchLocked(on_durable);
 }
 

@@ -95,26 +95,19 @@ class CommitQueue {
   bool Empty() SHEAP_EXCLUDES(qmu_);
   size_t waiter_count() SHEAP_EXCLUDES(qmu_);
 
-  /// True once the open batch must close (size, deadline, or poll budget).
-  bool ShouldClose() SHEAP_EXCLUDES(qmu_);
-
   /// Charge one queue-state re-check to the simulated clock. Called on
   /// each Commit retry so a lone committer's retries advance time toward
   /// the max_delay_ns deadline (or the close_after_polls budget).
   void ChargePoll() SHEAP_EXCLUDES(qmu_);
 
-  /// Batch leader: one Force() covering every waiter, then complete each
-  /// waiter whose commit record is behind the barrier (all of them, in
-  /// enqueue order). `on_durable` runs per completed transaction. On
-  /// Force failure the waiters stay queued and the error is returned.
-  /// Single-mutator callers only (pairs with ShouldClose on one thread).
-  Status CloseBatch(const std::function<void(TxnId)>& on_durable)
-      SHEAP_EXCLUDES(qmu_);
-
-  /// Leader election for concurrent mode: absorb, and if the batch is
-  /// ready, close it — all in one critical section, so concurrent pollers
-  /// elect exactly one leader. *led reports whether this caller led.
-  Status LeadIfReady(const std::function<void(TxnId)>& on_durable, bool* led)
+  /// Leader election: absorb, and if the open batch must close (size,
+  /// deadline, or poll budget), lead it — one Force() covering every
+  /// waiter, then complete each of them in enqueue order (`on_durable`
+  /// runs per completed transaction). All in one critical section, so
+  /// concurrent pollers elect exactly one leader; with a single mutator it
+  /// is simply the poll. On Force failure the waiters stay queued and the
+  /// error is returned.
+  Status LeadIfReady(const std::function<void(TxnId)>& on_durable)
       SHEAP_EXCLUDES(qmu_);
 
   /// Complete waiters that an unrelated barrier (WAL flush, another

@@ -62,6 +62,9 @@ Status Bank::Transfer(uint64_t from, uint64_t to, uint64_t amount,
     if (fbal < amount) return Status::InvalidArgument("insufficient funds");
     SHEAP_RETURN_IF_ERROR(
         heap_->WriteScalar(txn, fb, from % kBucketSize, fbal - amount));
+    // A self-transfer credits the balance it just debited, not the stale
+    // read, so it leaves the account unchanged.
+    if (from == to) tbal = fbal - amount;
     SHEAP_RETURN_IF_ERROR(
         heap_->WriteScalar(txn, tb, to % kBucketSize, tbal + amount));
     return Status::OK();

@@ -62,12 +62,14 @@ inline constexpr const char* kRecoveryPoints[] = {
     "recovery.undo.done",
 };
 
-/// Instant-recovery gate points (StableHeapOptions::instant_recovery):
-/// the crash window after a page is claimed for on-demand redo at first
-/// touch, and the window after a drain batch is claimed at an action
-/// boundary. Exercised by InstantRecoveryReachesItsCrashPoints /
+/// Redo-gate points: the crash window after a page is claimed for
+/// on-demand redo at first touch (instant recovery only), and the window
+/// after a drain batch is claimed — at an action boundary under instant
+/// recovery, inside Open under offline recovery. Exercised by
+/// InstantRecoveryReachesItsCrashPoints /
 /// InstantGateCrashesRecoverToOfflineState (reopen with instant recovery
-/// on, crash mid-drain / mid-on-demand-redo, recover again).
+/// on, crash mid-drain / mid-on-demand-redo, recover again) and, for the
+/// drain, by RecoveryItselfIsCrashSafe.
 inline constexpr const char* kInstantRecoveryPoints[] = {
     "recovery.drain.step",
     "recovery.ondemand.page_redo",

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "core/stable_heap.h"
 #include "workload/graph_gen.h"
@@ -22,12 +25,18 @@ using workload::GraphChecksum;
 using workload::NodeClass;
 using workload::RegisterNodeClass;
 
+// gtest registers each value-parameterized case under a name that ends in a
+// dump of the parameter's object bytes, so every byte must be deterministic:
+// no padding (`reserved` fills it with zeros) and no pointers (the case name
+// is stored inline rather than in a std::string).
 struct GcTestConfig {
   bool divided;
   bool incremental;
   GcBarrierMode barrier;
-  std::string name;
+  uint8_t reserved[5] = {};
+  char name[32] = {};
 };
+static_assert(std::has_unique_object_representations_v<GcTestConfig>);
 
 class GcTest : public ::testing::TestWithParam<GcTestConfig> {
  protected:
@@ -77,16 +86,24 @@ class GcTest : public ::testing::TestWithParam<GcTestConfig> {
 INSTANTIATE_TEST_SUITE_P(
     Modes, GcTest,
     ::testing::Values(
-        GcTestConfig{false, false, GcBarrierMode::kPageProtection,
-                     "AllStableStw"},
-        GcTestConfig{false, true, GcBarrierMode::kPageProtection,
-                     "AllStableIncremental"},
-        GcTestConfig{false, true, GcBarrierMode::kPerAccess,
-                     "AllStableBaker"},
-        GcTestConfig{true, true, GcBarrierMode::kPageProtection,
-                     "DividedIncremental"}),
+        GcTestConfig{.divided = false,
+                     .incremental = false,
+                     .barrier = GcBarrierMode::kPageProtection,
+                     .name = "AllStableStw"},
+        GcTestConfig{.divided = false,
+                     .incremental = true,
+                     .barrier = GcBarrierMode::kPageProtection,
+                     .name = "AllStableIncremental"},
+        GcTestConfig{.divided = false,
+                     .incremental = true,
+                     .barrier = GcBarrierMode::kPerAccess,
+                     .name = "AllStableBaker"},
+        GcTestConfig{.divided = true,
+                     .incremental = true,
+                     .barrier = GcBarrierMode::kPageProtection,
+                     .name = "DividedIncremental"}),
     [](const ::testing::TestParamInfo<GcTestConfig>& param_info) {
-      return param_info.param.name;
+      return std::string(param_info.param.name);
     });
 
 TEST_P(GcTest, FullCollectionPreservesCommittedGraph) {

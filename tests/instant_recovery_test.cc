@@ -45,7 +45,7 @@ StableHeapOptions BaseOptions() {
 StableHeapOptions InstantOptions(uint32_t drain_threads) {
   StableHeapOptions opts = BaseOptions();
   opts.instant_recovery = true;
-  opts.instant_drain_threads = drain_threads;
+  opts.recovery_threads = drain_threads;
   opts.instant_drain_pages = 2;  // small batches: many cooperative steps
   return opts;
 }

@@ -224,6 +224,21 @@ TEST(BankWorkloadTest, InsufficientFundsBounce) {
   EXPECT_EQ(*bank.TotalBalance(), 40u);
 }
 
+TEST(BankWorkloadTest, SelfTransferLeavesBalancesUnchanged) {
+  SimEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 128;
+  opts.volatile_space_pages = 64;
+  auto heap = std::move(*StableHeap::Open(&env, opts));
+  workload::Bank bank(heap.get(), 0);
+  ASSERT_TRUE(bank.Setup(4, 10).ok());
+  ASSERT_TRUE(bank.Transfer(2, 2, 7).ok());
+  EXPECT_EQ(*bank.BalanceOf(2), 10u);
+  EXPECT_EQ(*bank.TotalBalance(), 40u);
+  EXPECT_TRUE(bank.Transfer(2, 2, 11).IsInvalidArgument());
+  EXPECT_EQ(*bank.TotalBalance(), 40u);
+}
+
 TEST(HandleApiTest, ReleaseRefDropsOnlyThatHandle) {
   SimEnv env;
   StableHeapOptions opts;

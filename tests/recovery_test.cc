@@ -339,5 +339,91 @@ TEST_P(RecoveryTest, GroupCommitLosesAtMostUnforcedSuffixAtomically) {
   }
 }
 
+TEST(RecoveryRedoTest, BatchedForwardingWordsOnOnePageAllRedo) {
+  // One kGcCopyBatch record puts many forwarding words on each from-space
+  // page. Redo must gate once per (record, page) and apply all of them: a
+  // gate per word lets the first word's pageLSN bump suppress the rest, so
+  // the collection resumed after the crash copies a leaf a second time
+  // when it reaches it through the other directory.
+  constexpr uint64_t kLeaves = 700;
+  StableHeapOptions opts;
+  opts.divided_heap = false;
+  opts.stable_space_pages = 64;
+  opts.auto_collect = false;
+  auto env = std::make_unique<SimEnv>();
+  auto opened = StableHeap::Open(env.get(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*opened);
+
+  auto top_cls = heap->RegisterClass({true, true});
+  auto dir_cls = heap->RegisterClass(std::vector<bool>(kLeaves, true));
+  auto leaf_cls = heap->RegisterClass({false, false});
+  ASSERT_TRUE(top_cls.ok() && dir_cls.ok() && leaf_cls.ok());
+  {
+    TxnId t = *heap->Begin();
+    auto top = heap->Allocate(t, *top_cls, 2);
+    auto dir_a = heap->Allocate(t, *dir_cls, kLeaves);
+    auto dir_b = heap->Allocate(t, *dir_cls, kLeaves);
+    ASSERT_TRUE(top.ok() && dir_a.ok() && dir_b.ok());
+    for (uint64_t i = 0; i < kLeaves; ++i) {
+      auto leaf = heap->Allocate(t, *leaf_cls, 2);
+      ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+      ASSERT_TRUE(heap->WriteScalar(t, *leaf, 0, i).ok());
+      ASSERT_TRUE(heap->WriteScalar(t, *leaf, 1, 1000 + i).ok());
+      ASSERT_TRUE(heap->WriteRef(t, *dir_a, i, *leaf).ok());
+      ASSERT_TRUE(heap->WriteRef(t, *dir_b, i, *leaf).ok());
+      ASSERT_TRUE(heap->ReleaseRef(t, *leaf).ok());
+    }
+    ASSERT_TRUE(heap->WriteRef(t, *top, 0, *dir_a).ok());
+    ASSERT_TRUE(heap->WriteRef(t, *top, 1, *dir_b).ok());
+    ASSERT_TRUE(heap->SetRoot(t, 0, *top).ok());
+    ASSERT_TRUE(heap->Commit(t).ok());
+  }
+  ASSERT_TRUE(heap->CheckpointWithWriteback().ok());
+  ASSERT_TRUE(heap->StartStableCollection().ok());
+  const uint64_t batches_before = heap->stable_gc_stats().copy_batch_records;
+  ASSERT_TRUE(heap->StepStableCollection(2).ok());
+  ASSERT_EQ(heap->stable_gc_stats().copy_batch_records, batches_before + 1);
+  ASSERT_TRUE(heap->ForceLog().ok());
+
+  CrashOptions crash;
+  crash.writeback_fraction = 0;
+  ASSERT_TRUE(heap->SimulateCrash(crash).ok());
+  heap.reset();
+  opened = StableHeap::Open(env.get(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  heap = std::move(*opened);
+  ASSERT_TRUE(heap->CollectStableFully().ok());
+
+  TxnId t = *heap->Begin();
+  auto top = heap->GetRoot(t, 0);
+  ASSERT_TRUE(top.ok());
+  auto dir_a = heap->ReadRef(t, *top, 0);
+  auto dir_b = heap->ReadRef(t, *top, 1);
+  ASSERT_TRUE(dir_a.ok() && dir_b.ok());
+  uint64_t duplicated = 0;
+  for (uint64_t i = 0; i < kLeaves; ++i) {
+    auto via_a = heap->ReadRef(t, *dir_a, i);
+    auto via_b = heap->ReadRef(t, *dir_b, i);
+    ASSERT_TRUE(via_a.ok() && via_b.ok());
+    if (*heap->DebugAddrOf(*via_a) != *heap->DebugAddrOf(*via_b)) {
+      ++duplicated;
+    }
+    EXPECT_EQ(*heap->ReadScalar(t, *via_a, 1), 1000 + i);
+    ASSERT_TRUE(heap->ReleaseRef(t, *via_a).ok());
+    ASSERT_TRUE(heap->ReleaseRef(t, *via_b).ok());
+  }
+  EXPECT_EQ(duplicated, 0u) << "leaves copied twice after recovery";
+  // A write through one directory is visible through the other.
+  for (uint64_t i : {uint64_t{0}, kLeaves / 2, kLeaves - 1}) {
+    auto via_a = heap->ReadRef(t, *dir_a, i);
+    auto via_b = heap->ReadRef(t, *dir_b, i);
+    ASSERT_TRUE(via_a.ok() && via_b.ok());
+    ASSERT_TRUE(heap->WriteScalar(t, *via_a, 1, 42).ok());
+    EXPECT_EQ(*heap->ReadScalar(t, *via_b, 1), 42u) << "leaf " << i;
+  }
+  ASSERT_TRUE(heap->Commit(t).ok());
+}
+
 }  // namespace
 }  // namespace sheap

@@ -394,7 +394,7 @@ TEST(ShardedHeapTest, ByteIdenticalAcrossRecoveryConfigs) {
     ShardedHeapOptions opts = base;
     opts.parallel_open = true;
     opts.shard_options.instant_recovery = true;
-    opts.shard_options.instant_drain_threads = drain;
+    opts.shard_options.recovery_threads = drain;
     ExpectIdentical(serial, fresh_recover(opts),
                     ("instant drain " + std::to_string(drain)).c_str(),
                     /*compare_log=*/false);

@@ -166,6 +166,18 @@ TEST(UttTest, PrunedWhenAllDependentTxnsEnd) {
   EXPECT_EQ(utt.BatchCount(), 0u);
 }
 
+TEST(UttTest, BatchWithoutActiveTxnsIsNotKept) {
+  UndoTranslationTable utt;
+  utt.AddBatch({{1000, 9000, 4}}, {});
+  EXPECT_FALSE(utt.Covers(1000));
+  EXPECT_EQ(utt.BatchCount(), 0u);
+  // A later batch that is pruned normally leaves nothing behind either.
+  utt.AddBatch({{2000, 9500, 2}}, {3});
+  utt.OnTxnEnd(3);
+  EXPECT_EQ(utt.BatchCount(), 0u);
+  EXPECT_EQ(utt.EntryCount(), 0u);
+}
+
 TEST(UttTest, EncodeDecodeRoundTrip) {
   UndoTranslationTable utt;
   utt.AddBatch({{1000, 9000, 4}, {2000, 9500, 2}}, {1, 7});
