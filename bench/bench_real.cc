@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
          "amortizes one sync over a batch, cutting syncs and tail latency");
   Row("  %-7s %8s %10s %12s %9s %9s %9s %8s %8s", "mode", "threads",
       "committed", "tx/s(wall)", "p50", "p99", "p999", "fsyncs", "writev");
-  double syncs_per_txn[2] = {0, 0};  // [group] at 4 threads
+  double syncs_per_txn[2][2] = {};  // [group][threads == 4]
   for (int group = 0; group <= 1; ++group) {
     for (uint32_t threads : {1u, 4u}) {
       CommitResult r = RunCommit(group == 1, threads);
@@ -370,10 +370,8 @@ int main(int argc, char** argv) {
           Ms(static_cast<uint64_t>(r.latency.p999_ns)),
           (unsigned long long)r.fdatasyncs,
           (unsigned long long)r.writev_batches);
-      if (threads == 4) {
-        syncs_per_txn[group] =
-            static_cast<double>(r.fdatasyncs) / r.committed;
-      }
+      syncs_per_txn[group][threads == 4] =
+          static_cast<double>(r.fdatasyncs) / r.committed;
       const std::string tag = std::string(group ? "group" : "force") + "_" +
                               std::to_string(threads) + "t";
       EmitMetric("commit_throughput_txps_" + tag, r.throughput, "txn/s",
@@ -386,12 +384,15 @@ int main(int argc, char** argv) {
                  /*simulated=*/false);
     }
   }
-  Row("  fdatasyncs per committed txn at 4 threads: force %.2f, group %.2f",
-      syncs_per_txn[0], syncs_per_txn[1]);
-  ShapeCheck(syncs_per_txn[1] < syncs_per_txn[0],
+  Row("  fdatasyncs per committed txn: force %.2f at 1 thread; at 4 "
+      "threads force %.2f, group %.2f",
+      syncs_per_txn[0][0], syncs_per_txn[0][1], syncs_per_txn[1][1]);
+  ShapeCheck(syncs_per_txn[1][1] < syncs_per_txn[0][1],
              "group commit issues fewer fdatasyncs per txn than force");
-  ShapeCheck(syncs_per_txn[0] >= 0.99,
-             "force-on-commit pays >= 1 fdatasync per txn");
+  // Exact only with one committer: at 4 threads one thread's Force can
+  // carry another thread's commit record, so force reads just under 1.
+  ShapeCheck(syncs_per_txn[0][0] >= 1.0,
+             "force-on-commit pays >= 1 fdatasync per txn at 1 thread");
 
   Header("E18 real backend: recovery wall time vs redo threads",
          "redo workers are real threads here; the partitioned redo win is "

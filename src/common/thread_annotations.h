@@ -13,10 +13,10 @@
 // Build with clang and -DSHEAP_WERROR_THREAD_SAFETY=ON (CMake) to turn the
 // analysis into hard errors; under GCC every macro expands to nothing.
 //
-// Usage is enforced by tools/sheap_lint.py: raw std::mutex /
-// std::lock_guard must not appear outside this header — declare
-// `sheap::Mutex` members and take them with `sheap::MutexLock`, so every
-// lock in the tree participates in the analysis.
+// Usage is enforced by tools/sheap_analyze (check raw-mutex): raw
+// std::mutex / std::lock_guard must not appear outside this header —
+// declare `sheap::Mutex` members and take them with `sheap::MutexLock`, so
+// every lock in the tree participates in the analysis.
 
 #ifndef SHEAP_COMMON_THREAD_ANNOTATIONS_H_
 #define SHEAP_COMMON_THREAD_ANNOTATIONS_H_
@@ -97,7 +97,7 @@ namespace sheap {
 /// The project mutex: std::mutex wrapped as a clang capability. Same cost,
 /// same semantics; the wrapper exists so lock()/unlock() carry acquire/
 /// release annotations the analysis can follow. All sheap code declares
-/// Mutex members and takes them via MutexLock — tools/sheap_lint.py flags
+/// Mutex members and takes them via MutexLock — tools/sheap_analyze flags
 /// raw std::mutex declarations anywhere else.
 class SHEAP_CAPABILITY("mutex") Mutex {
  public:

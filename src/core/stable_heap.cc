@@ -392,7 +392,7 @@ Status StableHeap::RecoverHeap() {
   // spaces and start fresh.
   std::vector<SpaceId> stale;
   for (const Space& sp : spaces_->spaces()) {
-    if (sp.area == Area::kVolatile && !sp.freed) stale.push_back(sp.id);
+    if (sp.area == Area::kVolatile) stale.push_back(sp.id);
   }
   for (SpaceId id : stale) {
     SHEAP_RETURN_IF_ERROR(spaces_->Free(id));

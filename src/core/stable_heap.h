@@ -272,7 +272,8 @@ class StableHeap {
     return checkpointer_->stats();
   }
   const LockStats& lock_stats() const { return locks_.stats(); }
-  const GroupCommitStats& group_commit_stats() const {
+  /// Group-commit counters, consistent under the commit queue's lock.
+  GroupCommitStats group_commit_stats() const {
     return commit_queue_->stats();
   }
   /// Handshake counters, consistent under the gate's handshake lock.

@@ -28,14 +28,13 @@ struct Space {
   PageId base_page = 0;
   uint64_t npages = 0;
   Area area = Area::kStable;
-  bool freed = false;
 
   HeapAddr base() const { return base_page * kPageSizeBytes; }
   HeapAddr end() const { return (base_page + npages) * kPageSizeBytes; }
   uint64_t size_bytes() const { return npages * kPageSizeBytes; }
   uint64_t size_words() const { return npages * kWordsPerPage; }
   bool Contains(HeapAddr a) const {
-    return !freed && a >= base() && a < end();
+    return a >= base() && a < end();
   }
 };
 

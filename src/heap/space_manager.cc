@@ -26,26 +26,29 @@ StatusOr<SpaceId> SpaceManager::Allocate(uint64_t npages, Area area) {
   return sp.id;
 }
 
+std::deque<Space>::iterator SpaceManager::Lookup(SpaceId id) {
+  return std::find_if(spaces_.begin(), spaces_.end(),
+                      [id](const Space& sp) { return sp.id == id; });
+}
+
 Status SpaceManager::Free(SpaceId id) {
-  for (auto& sp : spaces_) {
-    if (sp.id != id) continue;
-    if (sp.freed) return Status::InvalidArgument("space already freed");
-    sp.freed = true;
-    LogRecord rec;
-    rec.type = RecordType::kSpaceFree;
-    rec.aux = id;
-    const Lsn lsn = log_->Append(&rec);
-    // The WAL rule applies to deallocation too: dropping the pages destroys
-    // state that repeating history may still need if the free record were
-    // lost with the log suffix. One buffered flush per space free.
-    SHEAP_RETURN_IF_ERROR(log_->FlushTo(lsn));
-    pool_->DropRange(sp.base_page, sp.npages);
-    for (PageId p = sp.base_page; p < sp.base_page + sp.npages; ++p) {
-      disk_->DropPage(p);
-    }
-    return Status::OK();
+  auto it = Lookup(id);
+  if (it == spaces_.end()) return Status::NotFound("unknown space");
+  const Space sp = *it;
+  spaces_.erase(it);
+  LogRecord rec;
+  rec.type = RecordType::kSpaceFree;
+  rec.aux = id;
+  const Lsn lsn = log_->Append(&rec);
+  // The WAL rule applies to deallocation too: dropping the pages destroys
+  // state that repeating history may still need if the free record were
+  // lost with the log suffix. One buffered flush per space free.
+  SHEAP_RETURN_IF_ERROR(log_->FlushTo(lsn));
+  pool_->DropRange(sp.base_page, sp.npages);
+  for (PageId p = sp.base_page; p < sp.base_page + sp.npages; ++p) {
+    disk_->DropPage(p);
   }
-  return Status::NotFound("unknown space");
+  return Status::OK();
 }
 
 const Space* SpaceManager::Find(SpaceId id) const {
@@ -78,24 +81,21 @@ void SpaceManager::ApplyAllocRecord(const LogRecord& rec) {
 
 void SpaceManager::ApplyFreeRecord(const LogRecord& rec) {
   SHEAP_CHECK(rec.type == RecordType::kSpaceFree);
-  for (auto& sp : spaces_) {
-    if (sp.id == rec.aux) {
-      sp.freed = true;
-      return;
-    }
-  }
+  auto it = Lookup(static_cast<SpaceId>(rec.aux));
   // Free of a space allocated before the truncation point and absent from
-  // the checkpoint cannot happen (checkpoints carry the full space table).
-  SHEAP_CHECK(false && "kSpaceFree for unknown space");
+  // the checkpoint cannot happen (checkpoints carry every live space).
+  SHEAP_CHECK(it != spaces_.end() && "kSpaceFree for unknown space");
+  replayed_frees_.push_back(*it);
+  spaces_.erase(it);
 }
 
 void SpaceManager::DropFreedFromDisk() {
-  for (const auto& sp : spaces_) {
-    if (!sp.freed) continue;
+  for (const Space& sp : replayed_frees_) {
     for (PageId p = sp.base_page; p < sp.base_page + sp.npages; ++p) {
       disk_->DropPage(p);
     }
   }
+  replayed_frees_.clear();
 }
 
 void SpaceManager::EncodeTo(Encoder* enc) const {
@@ -107,7 +107,6 @@ void SpaceManager::EncodeTo(Encoder* enc) const {
     enc->PutVarint(sp.base_page);
     enc->PutVarint(sp.npages);
     enc->PutU8(static_cast<uint8_t>(sp.area));
-    enc->PutU8(sp.freed ? 1 : 0);
   }
 }
 
@@ -123,17 +122,15 @@ Status SpaceManager::DecodeFrom(Decoder* dec) {
   for (uint64_t i = 0; i < n; ++i) {
     Space sp;
     uint64_t id, base, npages;
-    uint8_t area, freed;
+    uint8_t area;
     if (!dec->GetVarint(&id) || !dec->GetVarint(&base) ||
-        !dec->GetVarint(&npages) || !dec->GetU8(&area) ||
-        !dec->GetU8(&freed)) {
+        !dec->GetVarint(&npages) || !dec->GetU8(&area)) {
       return Status::Corruption("bad space entry");
     }
     sp.id = static_cast<SpaceId>(id);
     sp.base_page = base;
     sp.npages = npages;
     sp.area = static_cast<Area>(area);
-    sp.freed = freed != 0;
     spaces_.push_back(sp);
   }
   return Status::OK();

@@ -22,8 +22,10 @@
 
 namespace sheap {
 
-/// Tracks all spaces; logs allocation/free; survives crashes via the log
-/// and checkpoints.
+/// Tracks the live spaces; logs allocation/free; survives crashes via the
+/// log and checkpoints. A freed space is forgotten: page ids are never
+/// reused, so an address in it belongs to no space (Containing returns
+/// nullptr and redo treats its pages as dead).
 class SpaceManager {
  public:
   SpaceManager(LogWriter* log, Disk* disk, BufferPool* pool)
@@ -33,8 +35,7 @@ class SpaceManager {
   StatusOr<SpaceId> Allocate(uint64_t npages, Area area);
 
   /// Free a space: logs kSpaceFree, drops its buffer-pool frames and disk
-  /// pages. The space id remains known (freed=true) so stale-address checks
-  /// can give good diagnostics.
+  /// pages, and removes it from the table.
   Status Free(SpaceId id);
 
   const Space* Find(SpaceId id) const;
@@ -45,9 +46,9 @@ class SpaceManager {
   void ApplyAllocRecord(const LogRecord& rec);
   void ApplyFreeRecord(const LogRecord& rec);
 
-  /// Drop pages of freed spaces from disk after redo completes (idempotent
-  /// cleanup; redo itself never touches freed spaces because page ids are
-  /// not reused).
+  /// Drop the disk pages of the spaces ApplyFreeRecord removed, after redo
+  /// completes (redo itself never touches them: their pages lie outside
+  /// every space).
   void DropFreedFromDisk();
 
   // ---- checkpoint payload ----
@@ -57,10 +58,14 @@ class SpaceManager {
   const std::deque<Space>& spaces() const { return spaces_; }
 
  private:
+  std::deque<Space>::iterator Lookup(SpaceId id);
+
   LogWriter* log_;
   Disk* disk_;
   BufferPool* pool_;
-  std::deque<Space> spaces_;
+  std::deque<Space> spaces_;  // live spaces only, in allocation order
+  // Spaces analysis replayed as freed, awaiting DropFreedFromDisk.
+  std::vector<Space> replayed_frees_;
   SpaceId next_space_id_ = 1;
   PageId next_page_ = 0;
 };

@@ -59,7 +59,7 @@ void ForEachWrite(const LogRecord& rec, Fn&& fn) {
 bool RedoExecutor::IsRedoable(RecordType type) {
   // Exhaustive over RecordType — no default, so adding a record type does
   // not compile until someone decides whether its redo touches heap pages
-  // (tools/sheap_lint.py additionally checks every enumerator is named).
+  // (tools/sheap_analyze additionally checks every enumerator is named).
   switch (type) {
     case RecordType::kUpdate:
     case RecordType::kClr:
@@ -119,7 +119,7 @@ uint32_t RedoExecutor::PartitionOf(PageId pid, uint32_t nparts) {
 
 bool RedoExecutor::PageLive(PageId page) const {
   const Space* sp = d_.spaces->Containing(page * kPageSizeBytes);
-  return sp != nullptr && !sp->freed && sp->area == Area::kStable;
+  return sp != nullptr && sp->area == Area::kStable;
 }
 
 Status RedoExecutor::ApplyEntryToPage(const RedoPlanEntry& entry,

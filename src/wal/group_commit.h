@@ -119,9 +119,9 @@ class CommitQueue {
   /// piggyback since it enqueued; its Commit retry may now return OK.
   bool ConsumeCompleted(TxnId txn) SHEAP_EXCLUDES(qmu_);
 
-  /// Quiescent inspection only (single mutator, or after workers join);
-  /// returns a reference to qmu_-guarded counters without the lock.
-  const GroupCommitStats& stats() const SHEAP_NO_THREAD_SAFETY_ANALYSIS {
+  /// Counter snapshot, consistent under qmu_; safe while mutators run.
+  GroupCommitStats stats() const SHEAP_EXCLUDES(qmu_) {
+    MutexLock lock(&qmu_);
     return stats_;
   }
   const GroupCommitOptions& options() const { return opts_; }

@@ -6,7 +6,7 @@
 //     equals its section here (a new point in src/ that nobody lists is a
 //     crash state the matrix silently skips; a listed point no workload
 //     reaches is dead coverage), and
-//   * tools/sheap_lint.py (ctest -L lint) parses these arrays and fails if
+//   * tools/sheap_analyze (ctest -L lint) parses these arrays and fails if
 //     they drift from the `SHEAP_FAULT_POINT(..., "name")` sites in src/ —
 //     orphans in either direction are build errors.
 //

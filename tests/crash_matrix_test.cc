@@ -274,7 +274,7 @@ TEST(CrashMatrixTest, WorkloadReachesTheFullCrashPointSurface) {
   }
   // The scripted workload must reach exactly its manifest section — a
   // missing name means the surface shrank; an extra one means a new crash
-  // point exists that tools/sheap_lint.py (and this matrix) doesn't know
+  // point exists that tools/sheap_analyze (and this matrix) doesn't know
   // about. Keep tests/crash_matrix_points.h in sync with src/.
   const std::set<std::string> manifest(
       std::begin(crash_matrix::kScriptedWorkloadPoints),

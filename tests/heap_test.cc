@@ -195,9 +195,14 @@ TEST_F(SpaceTest, EncodeDecodeRoundTrip) {
   SpaceManager copy(&writer2, env_.disk(), &pool_);
   Decoder dec(buf);
   ASSERT_TRUE(copy.DecodeFrom(&dec).ok());
-  ASSERT_EQ(copy.spaces().size(), 2u);
-  EXPECT_FALSE(copy.spaces()[0].freed);
-  EXPECT_TRUE(copy.spaces()[1].freed);
+  // Only the live space round-trips; the freed one is forgotten.
+  ASSERT_EQ(copy.spaces().size(), 1u);
+  EXPECT_EQ(copy.spaces()[0].npages, 3u);
+  EXPECT_EQ(copy.Find(*b), nullptr);
+  // Page allocation still continues past the freed space.
+  auto c = copy.Allocate(1, Area::kStable);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(copy.Find(*c)->base_page, 5u);
 }
 
 TEST(HandleTableTest, CreateGetSetRelease) {

@@ -249,6 +249,35 @@ TEST_P(RecoveryTest, RepeatedCrashRecoverCycles) {
   EXPECT_EQ(*final_bank.BalanceOf(10), 550u);
 }
 
+// Every collection frees a space; the table (and with it every checkpoint
+// payload and every address-to-space lookup) must hold only the live ones,
+// however many collections and reopens the heap has seen.
+TEST(RecoverySpaceTableTest, HoldsOnlyLiveSpacesAcrossCollections) {
+  auto env = std::make_unique<SimEnv>();
+  const StableHeapOptions opts = TestOptions(/*divided=*/true);
+  auto opened = StableHeap::Open(env.get(), opts);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<StableHeap> heap = std::move(*opened);
+  Bank bank(heap.get(), 0);
+  ASSERT_TRUE(bank.Setup(16, 100).ok());
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(heap->CollectVolatile().ok());
+      EXPECT_LE(heap->spaces()->spaces().size(), 3u);
+    }
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(heap->CollectStableFully().ok());
+      EXPECT_LE(heap->spaces()->spaces().size(), 3u);
+    }
+    ASSERT_TRUE(heap->Checkpoint().ok());
+    CrashAndReopen(env, heap, opts, CrashOptions{});
+    EXPECT_LE(heap->spaces()->spaces().size(), 3u) << "cycle " << cycle;
+  }
+  Bank after(heap.get(), 0);
+  ASSERT_TRUE(after.Attach().ok());
+  EXPECT_EQ(*after.TotalBalance(), 16u * 100);
+}
+
 TEST_P(RecoveryTest, CheckpointShortensRedo) {
   Bank bank(heap_.get(), 0);
   ASSERT_TRUE(bank.Setup(64, 1000).ok());

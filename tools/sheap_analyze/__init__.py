@@ -1,7 +1,9 @@
-"""sheap_analyze: concurrency-protocol analyzer for the sheap tree.
+"""sheap_analyze: protocol analyzer for the sheap tree.
 
-Four checks (see checks.py): lock-rank graph reconciliation against
-tools/lock_rank.json, MutatorGate discipline, explicit-memory-order +
-release/acquire pairing audit, and GUARDED_BY coverage. Run as
-`python3 tools/sheap_analyze` (see cli.py for flags).
+Eight checks (see checks.py). Concurrency: lock-rank graph reconciliation
+against tools/lock_rank.json, MutatorGate discipline, explicit-memory-order
++ release/acquire pairing audit, GUARDED_BY coverage. Recovery: crash-point
+naming + manifest reconciliation, exhaustive RecordType dispatch, no raw
+std::mutex, no discarded Status. Run as `python3 tools/sheap_analyze` (see
+cli.py for flags).
 """

@@ -1,4 +1,6 @@
-"""The four sheap_analyze checks, run against a Model + tools/lock_rank.json.
+"""The eight sheap_analyze checks, run against a Model + tools/lock_rank.json.
+
+Concurrency protocol (on the Model built by a frontend):
 
   rank     — extract the mutex-acquisition graph (MutexLock nesting, manual
              lock()/unlock(), REQUIRES preconditions, interprocedural
@@ -13,11 +15,34 @@
              must pair up (all-relaxed is fine; one-sided fencing is not).
   coverage — in the declared scope, a member of a mutex-owning class without
              GUARDED_BY needs an explicit `// unguarded:` justification.
+
+Recovery protocol (on the comment/string-blanked text of the tree):
+
+  fault-points   — every SHEAP_FAULT_POINT site in src/ has a unique
+                   `subsystem.component.event` name, and the sites agree
+                   set-for-set with the arrays in tests/crash_matrix_points.h
+                   (an unlisted point is a crash state the matrix skips; a
+                   listed point with no site is dead coverage).
+  record-types   — every RecordType enumerator (but the kMaxRecordType
+                   sentinel) is named in each dispatch file: repeating
+                   history needs redo, analysis, the codec and the log
+                   inspector to decide on every record type, so those
+                   switches carry no `default:`.
+  raw-mutex      — std::mutex and friends appear only in
+                   src/common/thread_annotations.h: a raw lock is invisible
+                   to clang's thread-safety analysis.
+  dropped-status — a statement-position call to a durability entry point
+                   (Flush, WritePage, ...) must consume its Status; the
+                   compiler's [[nodiscard]] rejects a plain drop, this also
+                   rejects the `(void)` cast it accepts.
 """
 
 import dataclasses
 import json
+import os
 import re
+
+from . import cxxlex
 
 RELEASE_SIDE = {"release", "acq_rel", "seq_cst"}
 ACQUIRE_SIDE = {"acquire", "acq_rel", "seq_cst", "consume"}
@@ -26,6 +51,46 @@ RMW_OPS = {"exchange", "fetch_add", "fetch_sub", "fetch_or", "fetch_and",
            "implicit-rmw"}
 WRITE_OPS = {"store", "implicit-store"} | RMW_OPS
 READ_OPS = {"load", "implicit-load", "wait"} | RMW_OPS
+
+ALL_CHECKS = ("rank", "gate", "atomics", "coverage", "fault-points",
+              "record-types", "raw-mutex", "dropped-status")
+
+# Recovery-protocol check inputs (repo-relative).
+MANIFEST_FILE = "tests/crash_matrix_points.h"
+RECORD_ENUM_FILE = "src/wal/record.h"
+PROTOCOL_FILES = (
+    "src/recovery/redo_executor.cc",  # redo plan: what touches heap pages
+    "src/recovery/recovery.cc",       # analysis/undo dispatch
+    "src/wal/record.cc",              # encode/decode field masks + names
+    "src/dtx/two_phase.cc",           # coordinator decision-log rescan
+    "examples/log_inspector.cpp",     # human-readable dump
+)
+ANNOTATIONS_FILE = "src/common/thread_annotations.h"
+SENTINEL_ENUMERATOR = "kMaxRecordType"
+TEXT_CHECK_DIRS = ("src", "tests", "bench", "examples")
+CXX_EXTS = (".h", ".hpp", ".cc", ".cpp")
+
+FAULT_POINT_RE = re.compile(r'SHEAP_FAULT_POINT\s*\(\s*[^,]+,\s*"([^"]+)"')
+POINT_NAME_RE = re.compile(r"^[a-z0-9_]+\.[a-z0-9_]+\.[a-z0-9_]+$")
+MANIFEST_ARRAY_RE = re.compile(r"\[\]\s*=\s*\{(.*?)\};", re.DOTALL)
+QUOTED_RE = re.compile(r'"([^"]+)"')
+ENUM_RE = re.compile(r"enum\s+class\s+RecordType[^{]*\{(.*?)\};", re.DOTALL)
+ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*=", re.MULTILINE)
+RAW_MUTEX_RE = re.compile(
+    r"\bstd\s*::\s*(?:mutex|recursive_mutex|shared_mutex|timed_mutex|"
+    r"recursive_timed_mutex|lock_guard|unique_lock|shared_lock|scoped_lock|"
+    r"condition_variable(?:_any)?)\b")
+# Durability entry points returning Status. (Plain `Force` is absent on
+# purpose: SimLogDevice::Force returns void; LogWriter::Force drops are
+# already compile errors via [[nodiscard]].)
+STATUS_METHODS = ("AppendAsync|WritePage|WritePageRun|WriteBackPages|"
+                  "WriteBack|WriteBackRandomSubset|FlushTo|FlushAll|Flush|"
+                  "ForceLog")
+_STATUS_CALL = (r"[\w\.\[\]]+(?:(?:\.|->)[\w\[\]]+(?:\(\s*\))?)*(?:\.|->)"
+                r"(?:" + STATUS_METHODS + r")\s*\(.*\)\s*;\s*$")
+DROPPED_CALL_RE = re.compile(r"^\s*" + _STATUS_CALL)
+VOIDED_CALL_RE = re.compile(
+    r"^\s*(?:\(\s*void\s*\)|std::ignore\s*=)\s*" + _STATUS_CALL)
 
 
 @dataclasses.dataclass
@@ -79,10 +144,12 @@ def in_scope(path, prefixes):
 class Analysis:
     """Shared resolution machinery + the extracted acquisition graph."""
 
-    def __init__(self, model, table):
+    def __init__(self, model, table, repo):
         self.model = model
         self.table = table
+        self.repo = repo
         self.findings = []
+        self._sources = {}
         self.func_idx = model.func_index()
         self.lock_by_field = {}
         for d in model.locks:
@@ -631,17 +698,139 @@ class Analysis:
                 return True
         return False
 
+    # ---- recovery-protocol checks: shared source access ----
+
+    def _source(self, rel):
+        """(raw, comment/string-blanked) text of a repo file, or None."""
+        if rel not in self._sources:
+            path = os.path.join(self.repo, rel)
+            if not os.path.isfile(path):
+                return None
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+            self._sources[rel] = (raw, cxxlex.strip_comments(raw))
+        return self._sources[rel]
+
+    def _tree(self, subdirs):
+        """Repo-relative paths of the C++ files under `subdirs`, sorted."""
+        out = []
+        for sub in subdirs:
+            for dirpath, _, names in os.walk(os.path.join(self.repo, sub)):
+                out += [os.path.relpath(os.path.join(dirpath, nm), self.repo)
+                        for nm in names if nm.endswith(CXX_EXTS)]
+        return sorted(out)
+
+    def _error(self, check, file, line, message):
+        self.findings.append(Finding(check, file, line, message))
+
+    # ---- check 5: fault points ----
+
+    def check_fault_points(self):
+        sites = {}  # name -> [(file, line)]
+        for rel in self._tree(("src",)):
+            raw, text = self._source(rel)
+            for m in FAULT_POINT_RE.finditer(text):
+                # The blanked view hides the name; positions map 1:1, so
+                # read it from the raw text.
+                name = raw[m.start(1):m.end(1)]
+                sites.setdefault(name, []).append(
+                    (rel, text.count("\n", 0, m.start()) + 1))
+        for name, where in sorted(sites.items()):
+            if len(where) > 1:
+                locs = ", ".join("%s:%d" % w for w in where)
+                self._error("fault-points", *where[0],
+                            'duplicate crash point "%s" (%s); (point, hit) '
+                            "must name one site" % (name, locs))
+            if not POINT_NAME_RE.match(name):
+                self._error("fault-points", *where[0],
+                            'crash point "%s" does not follow '
+                            "subsystem.component.event (three dot-separated "
+                            "lower_snake segments)" % name)
+        src = self._source(MANIFEST_FILE)
+        if src is None:
+            self._error("fault-points", MANIFEST_FILE, 0, "missing manifest")
+            return
+        mtext = src[0]
+        manifest = set()
+        for arr in MANIFEST_ARRAY_RE.finditer(mtext):
+            manifest.update(QUOTED_RE.findall(arr.group(1)))
+        if not manifest:
+            self._error("fault-points", MANIFEST_FILE, 0,
+                        "manifest has no point arrays")
+            return
+        for name in sorted(set(sites) - manifest):
+            self._error("fault-points", *sites[name][0],
+                        'crash point "%s" is not listed in %s — the crash '
+                        "matrix will never crash there" %
+                        (name, MANIFEST_FILE))
+        for name in sorted(manifest - set(sites)):
+            line = mtext.count("\n", 0, mtext.index('"%s"' % name)) + 1
+            self._error("fault-points", MANIFEST_FILE, line,
+                        'manifest lists "%s" but src/ has no such '
+                        "SHEAP_FAULT_POINT site" % name)
+
+    # ---- check 6: record-type dispatch ----
+
+    def check_record_types(self):
+        src = self._source(RECORD_ENUM_FILE)
+        m = ENUM_RE.search(src[1]) if src else None
+        if not m:
+            self._error("record-types", RECORD_ENUM_FILE, 0,
+                        "could not find enum class RecordType")
+            return
+        enumerators = [e for e in ENUMERATOR_RE.findall(m.group(1))
+                       if e != SENTINEL_ENUMERATOR]
+        for rel in PROTOCOL_FILES:
+            src = self._source(rel)
+            if src is None:
+                self._error("record-types", rel, 0, "protocol file missing")
+                continue
+            used = set(re.findall(r"RecordType::(k\w+)", src[1]))
+            for e in enumerators:
+                if e not in used:
+                    self._error("record-types", rel, 0,
+                                "RecordType::%s is never dispatched here; "
+                                "the switch must stay exhaustive" % e)
+
+    # ---- check 7: raw mutexes ----
+
+    def check_raw_mutex(self):
+        for rel in self._tree(TEXT_CHECK_DIRS):
+            if rel == ANNOTATIONS_FILE:
+                continue
+            text = self._source(rel)[1]
+            for m in RAW_MUTEX_RE.finditer(text):
+                self._error("raw-mutex", rel,
+                            text.count("\n", 0, m.start()) + 1,
+                            "%s bypasses thread-safety analysis; use "
+                            "sheap::Mutex / sheap::MutexLock (%s)" %
+                            (m.group(0), ANNOTATIONS_FILE))
+
+    # ---- check 8: dropped Status ----
+
+    def check_dropped_status(self):
+        for rel in self._tree(TEXT_CHECK_DIRS):
+            for i, line in enumerate(self._source(rel)[1].splitlines(), 1):
+                # Continuation lines of a wrapped checking macro have
+                # unbalanced parens; whole-statement calls balance.
+                if line.count("(") != line.count(")"):
+                    continue
+                if DROPPED_CALL_RE.match(line):
+                    self._error("dropped-status", rel, i,
+                                "Status discarded at statement position; "
+                                "check it (SHEAP_RETURN_IF_ERROR, a named "
+                                "local, or an assertion)")
+                elif VOIDED_CALL_RE.match(line):
+                    self._error("dropped-status", rel, i,
+                                "Status explicitly voided; blanket voiding "
+                                "defeats the audit — handle or propagate")
+
     # ---- driver ----
 
-    def run(self, which=("rank", "gate", "atomics", "coverage")):
-        if "rank" in which:
-            self.check_rank()
-        if "gate" in which:
-            self.check_gate()
-        if "atomics" in which:
-            self.check_atomics()
-        if "coverage" in which:
-            self.check_coverage()
+    def run(self, which=ALL_CHECKS):
+        for name in ALL_CHECKS:
+            if name in which:
+                getattr(self, "check_" + name.replace("-", "_"))()
         return self.findings
 
     # ---- reporting ----

@@ -1,6 +1,6 @@
 """sheap_analyze command line.
 
-Modes (combinable; default = run all four checks on the tree):
+Modes (combinable; default = run all eight checks on the tree):
 
   --report            dump the extracted model (locks, edges, atomics, gate)
   --emit-graph FILE   write the extracted lock graph as JSON (CI artifact)
@@ -73,13 +73,18 @@ def gather_files(repo, compdb_path):
     return sorted(set(files))
 
 
+def analyze(repo, table_path, compdb, which):
+    """Build the model of `repo` and run the named checks on it."""
+    table = checks.RankTable.load(table_path)
+    model = frontend_text.build_model(repo, files=gather_files(repo, compdb))
+    analysis = checks.Analysis(model, table, repo)
+    analysis.run(which)
+    return model, analysis
+
+
 def run_checks(repo, table_path, compdb, which, frontend, emit_graph=None,
                report=False):
-    table = checks.RankTable.load(table_path)
-    files = gather_files(repo, compdb)
-    model = frontend_text.build_model(repo, files=files)
-    analysis = checks.Analysis(model, table)
-    analysis.run(which)
+    model, analysis = analyze(repo, table_path, compdb, which)
     if frontend in ("clang", "auto") and compdb:
         inv = (frontend_clang.ast_inventory(repo, compdb)
                if frontend_clang.available() or frontend == "clang"
@@ -105,69 +110,68 @@ def run_checks(repo, table_path, compdb, which, frontend, emit_graph=None,
         print("sheap_analyze: %d finding(s)" % len(analysis.findings))
         return 1
     if not report:
-        print("sheap_analyze: clean (%d locks, %d edges, %d atomics, "
-              "%d functions)" %
-              (len(model.locks), len(analysis.extract_edges()),
+        print("sheap_analyze: clean, %d check(s) (%d locks, %d edges, "
+              "%d atomics, %d functions)" %
+              (len(which), len(model.locks), len(analysis.extract_edges()),
                len(model.atomics), len(model.funcs)))
     return 0
 
 
+def match_expected(expected, findings):
+    """Pair each expected substring with its own finding. Returns the
+    patterns left unmatched and the findings left over; both empty means
+    the case produced exactly the expected findings."""
+    left = list(findings)
+    missing = []
+    for pat in expected:
+        hit = next((f for f in left if pat in f), None)
+        if hit is None:
+            missing.append(pat)
+        else:
+            left.remove(hit)
+    return missing, left
+
+
 def selftest(testdata):
-    """Each case dir = base tree + overlay; expect.txt pins the findings."""
+    """Each case = base tree + the case's overlay, run through all checks.
+    expect.txt holds one substring per expected finding: every line must
+    match its own finding and no finding may be left over."""
     base = os.path.join(testdata, "base")
     cases_dir = os.path.join(testdata, "cases")
     if not os.path.isdir(base) or not os.path.isdir(cases_dir):
         print("selftest: %s must contain base/ and cases/" % testdata)
         return 2
     failures = 0
-    for case in sorted(os.listdir(cases_dir)):
+    cases = sorted(c for c in os.listdir(cases_dir)
+                   if os.path.isdir(os.path.join(cases_dir, c)))
+    for case in cases:
         case_dir = os.path.join(cases_dir, case)
-        if not os.path.isdir(case_dir):
-            continue
         with tempfile.TemporaryDirectory(prefix="sheap_analyze_") as tmp:
             shutil.copytree(base, tmp, dirs_exist_ok=True)
-            for dirpath, _, names in os.walk(case_dir):
-                for nm in names:
-                    if nm == "expect.txt":
-                        continue
-                    src = os.path.join(dirpath, nm)
-                    rel = os.path.relpath(src, case_dir)
-                    dst = os.path.join(tmp, rel)
-                    os.makedirs(os.path.dirname(dst), exist_ok=True)
-                    shutil.copy(src, dst)
-            table = checks.RankTable.load(
-                os.path.join(tmp, "lock_rank.json"))
-            model = frontend_text.build_model(tmp)
-            analysis = checks.Analysis(model, table)
-            findings = [str(f) for f in analysis.run()]
-            expect_path = os.path.join(case_dir, "expect.txt")
-            expected = []
-            if os.path.exists(expect_path):
-                with open(expect_path, "r", encoding="utf-8") as fh:
-                    expected = [ln.strip() for ln in fh
-                                if ln.strip() and not ln.startswith("#")]
-            ok = True
-            if not expected:
-                if findings:
-                    ok = False
-                    print("FAIL %s: expected clean, got:" % case)
-                    for f in findings:
-                        print("    " + f)
-            else:
-                for pat in expected:
-                    if not any(pat in f for f in findings):
-                        ok = False
-                        print("FAIL %s: no finding matches %r" % (case, pat))
-                        for f in findings:
-                            print("    got: " + f)
-            if ok:
-                print("ok   %s (%d finding(s))" % (case, len(findings)))
-            else:
-                failures += 1
+            shutil.copytree(case_dir, tmp, dirs_exist_ok=True,
+                            ignore=shutil.ignore_patterns("expect.txt"))
+            _, analysis = analyze(tmp, os.path.join(tmp, "lock_rank.json"),
+                                  None, checks.ALL_CHECKS)
+        findings = [str(f) for f in analysis.findings]
+        with open(os.path.join(case_dir, "expect.txt"), "r",
+                  encoding="utf-8") as fh:
+            expected = [ln.strip() for ln in fh
+                        if ln.strip() and not ln.startswith("#")]
+        missing, extra = match_expected(expected, findings)
+        if missing or extra:
+            failures += 1
+            print("FAIL %s: expected %d finding(s), got %d" %
+                  (case, len(expected), len(findings)))
+            for pat in missing:
+                print("    missing: " + pat)
+            for f in extra:
+                print("    unexpected: " + f)
+        else:
+            print("ok   %s (%d finding(s))" % (case, len(findings)))
     if failures:
-        print("selftest: %d case(s) failed" % failures)
+        print("selftest: %d of %d case(s) failed" % (failures, len(cases)))
         return 1
-    print("selftest: all cases passed")
+    print("selftest: all %d cases passed" % len(cases))
     return 0
 
 
@@ -185,7 +189,7 @@ def main(argv=None):
                     help="default: <repo>/DESIGN.md")
     ap.add_argument("--frontend", choices=("auto", "text", "clang"),
                     default="auto")
-    ap.add_argument("--checks", default="rank,gate,atomics,coverage")
+    ap.add_argument("--checks", default=",".join(checks.ALL_CHECKS))
     ap.add_argument("--report", action="store_true")
     ap.add_argument("--emit-graph", metavar="FILE")
     ap.add_argument("--emit-markdown", action="store_true")
@@ -224,6 +228,11 @@ def main(argv=None):
             return 0
 
     which = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    unknown = sorted(set(which) - set(checks.ALL_CHECKS))
+    if unknown:
+        print("sheap_analyze: unknown check(s) %s; known: %s" %
+              (", ".join(unknown), ", ".join(checks.ALL_CHECKS)))
+        return 2
     compdb = args.compdb
     if compdb and not os.path.exists(compdb):
         print("sheap_analyze: compdb %s not found; globbing src/" % compdb,

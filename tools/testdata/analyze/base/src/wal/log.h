@@ -1,7 +1,7 @@
 #ifndef FIX_WAL_LOG_H_
 #define FIX_WAL_LOG_H_
 
-#include "common/sync.h"
+#include "common/thread_annotations.h"
 
 namespace fix {
 

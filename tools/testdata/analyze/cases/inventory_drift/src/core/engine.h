@@ -3,7 +3,7 @@
 
 #include <atomic>
 
-#include "common/sync.h"
+#include "common/thread_annotations.h"
 #include "txn/table.h"
 #include "wal/log.h"
 

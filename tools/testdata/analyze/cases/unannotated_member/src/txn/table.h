@@ -1,7 +1,7 @@
 #ifndef FIX_TXN_TABLE_H_
 #define FIX_TXN_TABLE_H_
 
-#include "common/sync.h"
+#include "common/thread_annotations.h"
 
 namespace fix {
 
