@@ -3,9 +3,9 @@
 // contents, so one collection logs roughly (bytes copied) + scan/flip
 // overhead. The table breaks the collection's log traffic down by record
 // type and reports bytes logged per byte copied across object sizes.
-// Copy traffic arrives as per-object kGcCopy (serial frontier scans) plus
-// coalesced kGcCopyBatch runs (the scan executor, DESIGN.md §5f); both
-// count as copy bytes here.
+// Every copy step is one kGcCopyBatch from the collector's copy planner
+// (DESIGN.md §5f). A linked list is its worst case: the frontier page's
+// walk copies one object per batch.
 
 #include "bench_util.h"
 #include "storage/sim_env.h"
@@ -56,10 +56,8 @@ int main() {
                             words_before) *
         8 / 1024;
     const double copy_kib =
-        static_cast<double>((after.For(RecordType::kGcCopy).bytes -
-                             before.For(RecordType::kGcCopy).bytes) +
-                            (after.For(RecordType::kGcCopyBatch).bytes -
-                             before.For(RecordType::kGcCopyBatch).bytes)) /
+        static_cast<double>(after.For(RecordType::kGcCopyBatch).bytes -
+                            before.For(RecordType::kGcCopyBatch).bytes) /
         1024;
     const double scan_kib =
         static_cast<double>(after.For(RecordType::kGcScan).bytes -

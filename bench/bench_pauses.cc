@@ -52,7 +52,7 @@ PauseResult RunOne(bool incremental, uint64_t live_words) {
 
 struct ScanScale {
   double scan_ms = 0;          // executor scan-walk sim time (busiest lane)
-  double gc_log_kib = 0;       // kGcCopy + kGcCopyBatch + kGcScan bytes
+  double gc_log_kib = 0;       // kGcCopyBatch + kGcScan bytes
   double scan_log_kib = 0;     // kGcScan bytes alone
   uint64_t batch_records = 0;
   uint64_t scan_runs = 0;
@@ -111,10 +111,8 @@ ScanScale RunScan(uint32_t threads) {
   ScanScale r;
   r.scan_ms = Ms(stats.scan_phase_ns);
   r.scan_log_kib = delta(RecordType::kGcScan) / 1024;
-  r.gc_log_kib = (delta(RecordType::kGcCopy) +
-                  delta(RecordType::kGcCopyBatch) +
-                  delta(RecordType::kGcScan)) /
-                 1024;
+  r.gc_log_kib =
+      (delta(RecordType::kGcCopyBatch) + delta(RecordType::kGcScan)) / 1024;
   r.batch_records = stats.copy_batch_records;
   r.scan_runs = stats.scan_run_records;
   r.sync_writes = stats.sync_page_writes;

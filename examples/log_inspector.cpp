@@ -102,7 +102,6 @@ int main() {
                     (unsigned long long)rec.aux,
                     (unsigned long long)rec.count);
         break;
-      case RecordType::kGcCopy:
       case RecordType::kV2sCopy:
         std::printf("from=%llu to=%llu words=%llu (%zu content bytes)",
                     (unsigned long long)rec.addr,
@@ -197,6 +196,8 @@ int main() {
       case RecordType::kDtxEnd:
         std::printf("gtid=%llu forgotten (all acks in)",
                     (unsigned long long)rec.txn_id);
+        break;
+      case RecordType::kGcCopy:  // retired id: the reader never yields it
         break;
     }
     std::printf("\n");

@@ -318,7 +318,14 @@ class StableHeap {
   /// drain partitions.
   std::unique_ptr<InstantRedoManager> NewRedoGate();
   Status RecoverHeap();
-  void InstallPoolHooks();
+  /// Build both collectors from options_ (after recovery has decoded the
+  /// format payload into it, on an existing heap); `recovered`, when not
+  /// null, is the stable collector's state rebuilt by recovery analysis.
+  void BuildCollectors(AtomicGc::RecoveredState* recovered);
+  /// The pool's hooks: the WAL constraint, the instant-recovery gate when
+  /// one is armed, and (`log_page_events`) the kPageFetch/kEndWrite records
+  /// of normal operation.
+  BufferPool::Hooks PoolHooks(bool log_page_events);
   void WireGcHooks();
   /// Cooperative instant-recovery drain: redo up to instant_drain_pages
   /// pending pages. Called at action boundaries (Begin/Commit), the

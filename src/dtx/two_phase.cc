@@ -52,7 +52,6 @@ Status TwoPhaseCoordinator::Rescan() {
       case RecordType::kSpaceAlloc:
       case RecordType::kSpaceFree:
       case RecordType::kGcFlip:
-      case RecordType::kGcCopy:
       case RecordType::kGcScan:
       case RecordType::kGcComplete:
       case RecordType::kUtr:
@@ -63,6 +62,7 @@ Status TwoPhaseCoordinator::Rescan() {
       case RecordType::kClassDef:
       case RecordType::kPrepare:
       case RecordType::kGcCopyBatch:
+      case RecordType::kGcCopy:  // retired id: the reader never yields it
         break;
     }
     if (rec.txn_id >= next_gtid_) next_gtid_ = rec.txn_id + 1;

@@ -195,13 +195,14 @@ Status AtomicGc::EnsureSlotAccess(HeapAddr slot_addr, bool is_pointer) {
   if (v == kNullAddr || !InFromSpace(v)) return Status::OK();
   ++stats_.read_barrier_traps;
   SimSpan span(ctx_.clock);
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr nv, CopyObject(v));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr nv, PlanCopy(v));
+  SHEAP_RETURN_IF_ERROR(CommitCopies());
   if (opts_.durability == GcDurability::kWriteAheadLog) {
-    LogRecord rec;
+    LogRecord& rec = scan_rec_;
     rec.type = RecordType::kGcScan;
     rec.aux = LogRecord::kScanPartial;
     rec.page = PageOf(slot_addr);
-    rec.slot_updates.emplace_back(WordInPage(slot_addr), nv);
+    rec.slot_updates.assign(1, {WordInPage(slot_addr), nv});
     const Lsn lsn = ctx_.log->Append(&rec);
     SHEAP_RETURN_IF_ERROR(ctx_.mem->WriteWordLogged(slot_addr, nv, lsn));
   } else {
@@ -210,16 +211,6 @@ Status AtomicGc::EnsureSlotAccess(HeapAddr slot_addr, bool is_pointer) {
     SHEAP_RETURN_IF_ERROR(DetlefsFlushStep());
   }
   stats_.RecordPause(span.elapsed_ns());
-  return Status::OK();
-}
-
-Status AtomicGc::SyncWriteRange(HeapAddr addr, uint64_t nbytes) {
-  SHEAP_DCHECK(nbytes > 0);
-  for (PageId p = PageOf(addr); p <= PageOf(addr + nbytes - 1); ++p) {
-    Status st = ctx_.pool->WriteBack(p);
-    if (!st.ok() && !st.IsNotFound()) return st;
-    ++stats_.sync_page_writes;
-  }
   return Status::OK();
 }
 
@@ -243,67 +234,128 @@ Status AtomicGc::DetlefsFlushStep() {
   return Status::OK();
 }
 
-StatusOr<HeapAddr> AtomicGc::ResolveAndCopy(HeapAddr base) {
-  if (!InFromSpace(base)) return base;
-  return CopyObject(base);
+size_t AtomicGc::PlanSlot(HeapAddr from) const {
+  const size_t mask = plan_table_.size() - 1;
+  size_t slot = static_cast<size_t>(((from >> 3) * 0x9E3779B97F4A7C15ull) >>
+                                    32) & mask;
+  while (plan_table_[slot].first != kNullAddr &&
+         plan_table_[slot].first != from) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
-StatusOr<HeapAddr> AtomicGc::CopyObject(HeapAddr from_base) {
-  SHEAP_DCHECK(InFromSpace(from_base));
-  SHEAP_ASSIGN_OR_RETURN(uint64_t w, ctx_.mem->ReadWord(from_base));
-  if (IsForwardWord(w)) return ForwardTarget(w);
-  if (!IsHeaderWord(w)) {
-    return Status::Corruption("copy source is not an object");
+StatusOr<HeapAddr> AtomicGc::PlanCopy(HeapAddr v) {
+  if (!InFromSpace(v)) return v;
+  if (2 * (plan_used_.size() + 1) > plan_table_.size()) {
+    // Keep the load factor at most 1/2; the grown table is kept.
+    std::vector<std::pair<HeapAddr, HeapAddr>> old(
+        std::max<size_t>(64, 2 * plan_table_.size()));
+    old.swap(plan_table_);
+    for (size_t& slot : plan_used_) {
+      const auto entry = old[slot];
+      slot = PlanSlot(entry.first);
+      plan_table_[slot] = entry;
+    }
   }
-  const ObjectHeader hdr = DecodeHeader(w);
-  const uint64_t total = hdr.TotalWords();
-  const uint64_t nbytes = total * kWordSizeBytes;
-  if (sem_.copy_ptr + nbytes > RoundDownToPage(sem_.alloc_ptr)) {
-    return Status::OutOfSpace("to-space exhausted during copy");
+  const size_t slot = PlanSlot(v);
+  if (plan_table_[slot].first == v) return plan_table_[slot].second;
+  auto w = ctx_.mem->ReadWord(v);
+  if (!w.ok()) return EndCopyBatch(w.status());
+  HeapAddr to;
+  if (IsForwardWord(*w)) {
+    to = ForwardTarget(*w);
+  } else if (!IsHeaderWord(*w)) {
+    return EndCopyBatch(Status::Corruption("copy source is not an object"));
+  } else {
+    const uint64_t total = DecodeHeader(*w).TotalWords();
+    const uint64_t nbytes = total * kWordSizeBytes;
+    const size_t off = copy_batch_.contents.size();
+    to = sem_.copy_ptr + off;
+    if (to + nbytes > RoundDownToPage(sem_.alloc_ptr)) {
+      return EndCopyBatch(
+          Status::OutOfSpace("to-space exhausted during copy"));
+    }
+    copy_batch_.contents.resize(off + nbytes);
+    Status st =
+        ctx_.mem->ReadBytes(v, nbytes, copy_batch_.contents.data() + off);
+    if (!st.ok()) return EndCopyBatch(std::move(st));
+    copy_batch_.utr_entries.push_back(UtrEntry{v, to, total});
   }
-  const HeapAddr to_base = sem_.copy_ptr;
+  plan_table_[slot] = {v, to};
+  plan_used_.push_back(slot);
+  return to;
+}
 
+Status AtomicGc::PlanTranslations(SlotUpdates* slots, size_t first) {
+  for (size_t i = first; i < slots->size(); ++i) {
+    SHEAP_ASSIGN_OR_RETURN((*slots)[i].second, PlanCopy((*slots)[i].second));
+  }
+  return Status::OK();
+}
+
+Status AtomicGc::CommitCopies() {
+  LogRecord& batch = copy_batch_;
+  if (batch.utr_entries.empty()) return EndCopyBatch(Status::OK());
+  const HeapAddr base = sem_.copy_ptr;
+  const uint64_t nbytes = batch.contents.size();
+  Status st;
   if (opts_.durability == GcDurability::kWriteAheadLog) {
-    // Copy step (§3.4.1): read contents, log the copy record, then perform
-    // the to-space write and the from-space forwarding write under the
-    // record's LSN. Redo is self-contained: the contents travel in the log.
-    LogRecord rec;
-    rec.type = RecordType::kGcCopy;
-    rec.addr = from_base;
-    rec.addr2 = to_base;
-    rec.count = total;
-    rec.contents.resize(nbytes);
-    SHEAP_RETURN_IF_ERROR(
-        ctx_.mem->ReadBytes(from_base, nbytes, rec.contents.data()));
-    const Lsn lsn = ctx_.log->Append(&rec);
-    SHEAP_RETURN_IF_ERROR(ctx_.mem->WriteBytesLogged(
-        to_base, rec.contents.data(), nbytes, lsn));
-    SHEAP_RETURN_IF_ERROR(
-        ctx_.mem->WriteWordLogged(from_base, MakeForwardWord(to_base), lsn));
+    // Copy step (§3.4.1): log the batch, then write the copies and their
+    // forwarding words under its LSN. Redo is self-contained: the contents
+    // travel in the log.
+    batch.type = RecordType::kGcCopyBatch;
+    batch.addr2 = base;
+    batch.count = nbytes / kWordSizeBytes;
+    const Lsn lsn = ctx_.log->Append(&batch);
+    st = ctx_.mem->WriteBytesLogged(base, batch.contents.data(), nbytes, lsn);
+    for (size_t i = 0; st.ok() && i < batch.utr_entries.size(); ++i) {
+      const UtrEntry& e = batch.utr_entries[i];
+      st = ctx_.mem->WriteWordLogged(e.from, MakeForwardWord(e.to), lsn);
+    }
+    ++stats_.copy_batch_records;
+    stats_.copy_batch_objects += batch.utr_entries.size();
   } else {
     // Detlefs comparator: no logging; the step's consistency comes from
     // synchronous random writes of every page it touched.
-    std::vector<uint8_t> bytes(nbytes);
-    SHEAP_RETURN_IF_ERROR(
-        ctx_.mem->ReadBytes(from_base, nbytes, bytes.data()));
-    SHEAP_RETURN_IF_ERROR(
-        ctx_.mem->WriteBytesUnlogged(to_base, bytes.data(), nbytes));
-    SHEAP_RETURN_IF_ERROR(
-        ctx_.mem->WriteWordUnlogged(from_base, MakeForwardWord(to_base)));
-    DetlefsMark(to_base, nbytes);
-    DetlefsMark(from_base, kWordSizeBytes);
+    st = ctx_.mem->WriteBytesUnlogged(base, batch.contents.data(), nbytes);
+    DetlefsMark(base, nbytes);
+    for (size_t i = 0; st.ok() && i < batch.utr_entries.size(); ++i) {
+      const UtrEntry& e = batch.utr_entries[i];
+      st = ctx_.mem->WriteWordUnlogged(e.from, MakeForwardWord(e.to));
+      DetlefsMark(e.from, kWordSizeBytes);
+    }
   }
+  if (!st.ok()) return EndCopyBatch(std::move(st));
+  sem_.copy_ptr = base + nbytes;
+  for (const UtrEntry& e : batch.utr_entries) {
+    UpdateLot(e.to, e.nwords);
+    ++stats_.objects_copied;
+    stats_.words_copied += e.nwords;
+    ctx_.clock->ChargeCopyWords(e.nwords);
+    // The lock is on the object, not the address.
+    ctx_.locks->Rekey(e.from, e.to);
+    if (on_object_moved) on_object_moved(e.from, e.to, e.nwords);
+  }
+  return EndCopyBatch(Status::OK());
+}
 
-  sem_.copy_ptr += nbytes;
-  UpdateLot(to_base, total);
-  ++stats_.objects_copied;
-  stats_.words_copied += total;
-  ctx_.clock->ChargeCopyWords(total);
+Status AtomicGc::EndCopyBatch(Status st) {
+  for (size_t slot : plan_used_) plan_table_[slot] = {kNullAddr, kNullAddr};
+  plan_used_.clear();
+  copy_batch_.contents.clear();
+  copy_batch_.utr_entries.clear();
+  return st;
+}
 
-  // The lock is on the object, not the address.
-  ctx_.locks->Rekey(from_base, to_base);
-  if (on_object_moved) on_object_moved(from_base, to_base, total);
-  return to_base;
+Status AtomicGc::RelocateRootObject() {
+  SHEAP_ASSIGN_OR_RETURN(root_object_, PlanCopy(root_object_));
+  SHEAP_RETURN_IF_ERROR(CommitCopies());
+  LogRecord rec;
+  rec.type = RecordType::kRootObject;
+  rec.addr = root_object_;
+  ctx_.log->Append(&rec);
+  return Status::OK();
 }
 
 StatusOr<HeapAddr> AtomicGc::AllocateForPromotion(uint64_t total_words,
@@ -335,14 +387,6 @@ void AtomicGc::UpdateLot(HeapAddr to_base, uint64_t total_words) {
   if (to_base % kPageSizeBytes == 0) {
     lot_[PageIndexOf(to_base)] = to_base;
   }
-}
-
-StatusOr<uint64_t> AtomicGc::TranslateValue(uint64_t v, bool* changed) {
-  *changed = false;
-  if (v == kNullAddr || !InFromSpace(v)) return v;
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr nv, CopyObject(v));
-  *changed = true;
-  return nv;
 }
 
 void AtomicGc::HwProtectCurrentSpace() {
@@ -386,6 +430,32 @@ void AtomicGc::HwSyncToBitmap() {
   }
 }
 
+HeapAddr AtomicGc::WalkPage(const PageImage& frame, HeapAddr page_base,
+                            HeapAddr obj, uint64_t header, HeapAddr limit,
+                            SlotUpdates* out) const {
+  const Space* from = FromSpace();
+  const HeapAddr page_end = page_base + kPageSizeBytes;
+  uint64_t w = header;
+  while (obj < page_end && obj < limit) {
+    // Abandoned tail of an earlier trap bump: nothing live follows.
+    if (!IsHeaderWord(w)) return page_end;
+    const ObjectHeader hdr = DecodeHeader(w);
+    for (uint64_t i = 0; i < hdr.nslots; ++i) {
+      const HeapAddr slot_addr = SlotAddr(obj, i);
+      if (slot_addr < page_base) continue;
+      if (slot_addr >= page_end) break;
+      if (!ctx_.types->IsPointerSlot(hdr.class_id, i)) continue;
+      const uint64_t v = frame.ReadWord(WordInPage(slot_addr));
+      if (v != kNullAddr && from->Contains(v)) {
+        out->emplace_back(WordInPage(slot_addr), v);
+      }
+    }
+    obj += hdr.TotalWords() * kWordSizeBytes;
+    if (obj < page_end && obj < limit) w = frame.ReadWord(WordInPage(obj));
+  }
+  return obj;
+}
+
 Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
   SHEAP_CHECK(sem_.collecting());
   SHEAP_CHECK(!scanned_.Get(idx));
@@ -411,43 +481,43 @@ Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
     return Status::OK();
   }
 
-  std::vector<std::pair<uint32_t, uint64_t>> updates;
-  HeapAddr obj = anchor;
-  // Walk until the page ends or the scan catches the copy pointer. In the
-  // background (no-bump) case the copy pointer may grow onto this very
-  // page as the walk copies referents; re-reading it each iteration makes
-  // this a per-page Cheney scan, so the page is complete when the loop
-  // exits. The caller only no-bump-scans the frontier page when it is the
-  // last unscanned one, so nothing can be copied here afterwards.
-  while (obj < page_end && obj < sem_.copy_ptr) {
-    SHEAP_ASSIGN_OR_RETURN(uint64_t w, ctx_.mem->ReadWord(obj));
-    if (!IsHeaderWord(w)) break;  // abandoned tail of an earlier bump
-    const ObjectHeader hdr = DecodeHeader(w);
-    for (uint64_t i = 0; i < hdr.nslots; ++i) {
-      const HeapAddr slot_addr = SlotAddr(obj, i);
-      if (slot_addr < page_base) continue;
-      if (slot_addr >= page_end) break;
-      if (!ctx_.types->IsPointerSlot(hdr.class_id, i)) continue;
-      SHEAP_ASSIGN_OR_RETURN(uint64_t v, ctx_.mem->ReadWord(slot_addr));
-      bool changed;
-      SHEAP_ASSIGN_OR_RETURN(uint64_t nv, TranslateValue(v, &changed));
-      if (changed) {
-        updates.emplace_back(WordInPage(slot_addr), nv);
+  // Walk the pinned page up to the copy pointer and commit one batch for
+  // the referents it found. On the frontier page (no bump) that batch may
+  // land on this very page, so the walk continues into it — a per-page
+  // Cheney scan — until it reaches the copy pointer or the page end. The
+  // caller only no-bump-scans the frontier page when it is the last
+  // unscanned one, so nothing can be copied here afterwards. After a
+  // trap's bump every copy lands past the page: one pass.
+  SHEAP_ASSIGN_OR_RETURN(uint64_t header, ctx_.mem->ReadWord(anchor));
+  const PageId pid = PageOf(page_base);
+  SHEAP_ASSIGN_OR_RETURN(PageImage* frame, ctx_.pool->Pin(pid));
+  SlotUpdates& updates = scan_rec_.slot_updates;
+  updates.clear();
+  auto walk = [&]() -> Status {
+    HeapAddr obj = anchor;
+    while (obj < page_end && obj < sem_.copy_ptr) {
+      const size_t first = updates.size();
+      obj = WalkPage(*frame, page_base, obj, header, sem_.copy_ptr, &updates);
+      SHEAP_RETURN_IF_ERROR(PlanTranslations(&updates, first));
+      SHEAP_RETURN_IF_ERROR(CommitCopies());
+      if (obj < page_end && obj < sem_.copy_ptr) {
+        header = frame->ReadWord(WordInPage(obj));
       }
     }
-    obj += hdr.TotalWords() * kWordSizeBytes;
-  }
+    return Status::OK();
+  };
+  const Status walked = walk();
+  ctx_.pool->Unpin(pid);
+  SHEAP_RETURN_IF_ERROR(walked);
 
   if (opts_.durability == GcDurability::kWriteAheadLog) {
     // Scan step (§3.4.2): log the translations, then apply them under the
     // record's LSN. Redo re-applies; analysis re-marks the page scanned
     // (and replays the copy-pointer bump for trap scans).
-    LogRecord rec;
-    rec.type = RecordType::kGcScan;
-    rec.aux = bumped ? LogRecord::kScanBumped : 0;
-    rec.page = page_base / kPageSizeBytes;
-    rec.slot_updates = updates;
-    const Lsn lsn = ctx_.log->Append(&rec);
+    scan_rec_.type = RecordType::kGcScan;
+    scan_rec_.aux = bumped ? LogRecord::kScanBumped : 0;
+    scan_rec_.page = pid;
+    const Lsn lsn = ctx_.log->Append(&scan_rec_);
     for (const auto& [word, value] : updates) {
       SHEAP_RETURN_IF_ERROR(ctx_.mem->WriteWordLogged(
           page_base + static_cast<HeapAddr>(word) * kWordSizeBytes, value,
@@ -469,33 +539,30 @@ Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
 }
 
 Status AtomicGc::TranslateRootsAtFlip() {
-  // 1. The distinguished root array.
-  SHEAP_ASSIGN_OR_RETURN(root_object_, ResolveAndCopy(root_object_));
-  LogRecord root_rec;
-  root_rec.type = RecordType::kRootObject;
-  root_rec.addr = root_object_;
-  ctx_.log->Append(&root_rec);
+  // Every root goes through the copy planner. No record may name a
+  // to-space address ahead of the batch that creates it, so each batch is
+  // committed before the record that names its copies.
+  // 1. The distinguished root array, ahead of its kRootObject record.
+  SHEAP_RETURN_IF_ERROR(RelocateRootObject());
 
   // 2. Mutator handles (registers/stacks/own variables, §3.2.1). Volatile
   //    roots: translated in memory only.
   Status handle_status = Status::OK();
   ctx_.handles->ForEachLive([&](HeapAddr* slot) {
-    if (!handle_status.ok() || !InFromSpace(*slot)) return;
-    auto copied = CopyObject(*slot);
-    if (!copied.ok()) {
-      handle_status = copied.status();
+    if (!handle_status.ok()) return;
+    auto to = PlanCopy(*slot);
+    if (!to.ok()) {
+      handle_status = to.status();
       return;
     }
-    *slot = *copied;
+    *slot = *to;
   });
   SHEAP_RETURN_IF_ERROR(handle_status);
 
-  // 3. Locked objects: the lock tables name objects by address; copying
-  //    rekeys them (CopyObject calls LockManager::Rekey).
+  // 3. Locked objects: the lock tables name objects by address; committing
+  //    their copies rekeys them (CommitCopies calls LockManager::Rekey).
   for (HeapAddr a : ctx_.locks->LockedAddresses()) {
-    if (InFromSpace(a)) {
-      SHEAP_RETURN_IF_ERROR(CopyObject(a).status());
-    }
+    SHEAP_RETURN_IF_ERROR(PlanCopy(a).status());
   }
 
   // 4. Undo roots (§3.5.2, §4.2.1): every object named by active
@@ -518,7 +585,7 @@ Status AtomicGc::TranslateRootsAtFlip() {
     } else {
       const ObjectHeader hdr = DecodeHeader(w);
       total = hdr.TotalWords();
-      SHEAP_ASSIGN_OR_RETURN(to, CopyObject(base));
+      SHEAP_ASSIGN_OR_RETURN(to, PlanCopy(base));
     }
     if (seen.insert(base).second) {
       utrs.push_back(UtrEntry{base, to, total});
@@ -546,13 +613,16 @@ Status AtomicGc::TranslateRootsAtFlip() {
     }
   }
 
+  // The handles', locks' and undo roots' copies: one batch, ahead of the
+  // kUtr that names them.
+  SHEAP_RETURN_IF_ERROR(CommitCopies());
   if (!utrs.empty()) {
     LogRecord utr_rec;
     utr_rec.type = RecordType::kUtr;
     utr_rec.utr_entries = utrs;
     ctx_.log->Append(&utr_rec);
-    // Crash window: undo roots copied (kGcCopy records ahead of this UTR
-    // in the log) but the batched translation record may still be lost.
+    // Crash window: undo roots copied (their kGcCopyBatch ahead of this
+    // UTR in the log) but the batched translation record may still be lost.
     SHEAP_FAULT_POINT(ctx_.log->faults(), "gc.utr.logged");
   }
   // The table also keeps batches alive until their transactions end even if
@@ -561,13 +631,10 @@ Status AtomicGc::TranslateRootsAtFlip() {
 
   // 5. External roots: the volatile area and any other caller state (§5.4).
   if (extra_roots) {
-    SHEAP_RETURN_IF_ERROR(extra_roots(
-        [this](HeapAddr v) -> StatusOr<HeapAddr> {
-          if (!InFromSpace(v)) return v;
-          return CopyObject(v);
-        }));
+    SHEAP_RETURN_IF_ERROR(
+        extra_roots([this](HeapAddr v) { return PlanCopy(v); }));
   }
-  return Status::OK();
+  return CommitCopies();
 }
 
 Status AtomicGc::Flip() {
@@ -609,7 +676,8 @@ Status AtomicGc::Flip() {
   scan_cursor_ = 0;
   lot_.assign(to->npages, kNullAddr);
 
-  SHEAP_RETURN_IF_ERROR(TranslateRootsAtFlip());
+  // A root translation that fails part-way must not leave a batch open.
+  SHEAP_RETURN_IF_ERROR(EndCopyBatch(TranslateRootsAtFlip()));
   // Crash window: roots copied and logged, background scan not started.
   SHEAP_FAULT_POINT(ctx_.log->faults(), "gc.flip.done");
   stats_.RecordPause(span.elapsed_ns());
@@ -738,12 +806,7 @@ void AtomicGc::InstallRecovered(RecoveredState rs) {
 
 Status AtomicGc::ResumeAfterRecovery() {
   if (!sem_.collecting() || !InFromSpace(root_object_)) return Status::OK();
-  SHEAP_ASSIGN_OR_RETURN(root_object_, CopyObject(root_object_));
-  LogRecord rec;
-  rec.type = RecordType::kRootObject;
-  rec.addr = root_object_;
-  ctx_.log->Append(&rec);
-  return Status::OK();
+  return RelocateRootObject();
 }
 
 void AtomicGc::EncodeTo(Encoder* enc) const {

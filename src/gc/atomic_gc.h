@@ -9,12 +9,17 @@
 //
 // The collector is *atomic* because each step follows the write-ahead log
 // protocol (§3.4):
-//   * a copy step logs kGcCopy{from, to, n, contents}: redo re-creates the
-//     to-space copy from the record and re-writes the forwarding pointer, so
-//     neither a lost forwarding pointer (Fig 3.4) nor a lost object
-//     descriptor (Fig 3.5) can occur;
+//   * a copy step logs one kGcCopyBatch{run base, run words, contents,
+//     per-object {from, to, n}}: redo re-creates the to-space copies from
+//     the record and re-writes every forwarding pointer, so neither a lost
+//     forwarding pointer (Fig 3.4) nor a lost object descriptor (Fig 3.5)
+//     can occur. Every stable-area copy — flip roots, recovery resume, trap
+//     and frontier scans, Baker's barrier, executor rounds — goes through
+//     one planner (PlanCopy/CommitCopies), and a batch is committed before
+//     any record that names one of its to-space addresses;
 //   * a scan step logs kGcScan{page, translations}: redo re-applies the
-//     pointer translations, and analysis re-marks the page scanned;
+//     pointer translations, and analysis re-marks the page scanned. Every
+//     page scan walks the page with one walk (WalkPage) over a pinned frame;
 //   * the flip logs kGcFlip plus kUtr records translating the addresses in
 //     active transactions' undo information (undo roots are GC roots,
 //     §3.5.2 / §4.2.1) and a kRootObject record re-anchoring the stable
@@ -28,6 +33,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -36,6 +42,7 @@
 #include "heap/object.h"
 #include "txn/txn.h"
 #include "util/bitmap.h"
+#include "wal/record.h"
 
 namespace sheap {
 
@@ -101,11 +108,6 @@ class AtomicGc {
   /// Stop-the-world driver: Flip (if idle) then drain, as one pause.
   /// This is the baseline of the earlier Kolodner-Liskov-Weihl collector.
   Status CollectFully();
-
-  /// If `base` is an unforwarded from-space object, copy it now; returns
-  /// the object's current address. Used for external roots (promotion,
-  /// volatile-collector cross-references).
-  StatusOr<HeapAddr> ResolveAndCopy(HeapAddr base);
 
   /// Reserve stable-area words for an object being promoted from the
   /// volatile area (§5.2). Bump-allocates like AllocateObject but emits no
@@ -190,24 +192,56 @@ class AtomicGc {
   std::function<Status()> before_flip;
 
  private:
-  StatusOr<HeapAddr> CopyObject(HeapAddr from_base);
+  /// A to-space slot and the pointer it holds: (word index in its page,
+  /// value) — a from-space pointer until planned, then its to-address.
+  using SlotUpdates = std::vector<std::pair<uint32_t, uint64_t>>;
+
+  // ------------------------------------------------ copy planner (§3.4.1)
+  /// Resolve `v` to the address its object has after this copy step:
+  /// unchanged unless `v` names a from-space object; otherwise the
+  /// forwarding target, the address already planned in this batch, or a
+  /// fresh address assigned contiguously at copy_ptr in request order (the
+  /// object's bytes are read now). On error the batch is dropped; nothing
+  /// has been logged or written.
+  StatusOr<HeapAddr> PlanCopy(HeapAddr v);
+  /// PlanCopy every slot value of `slots` from index `first` on, in place.
+  Status PlanTranslations(SlotUpdates* slots, size_t first);
+  /// Append one kGcCopyBatch for the planned copies, then write their
+  /// contents and forwarding words under its LSN (Detlefs: unlogged, and
+  /// marked for the step's synchronous flush); advance copy_ptr, rekey
+  /// locks and run on_object_moved. Ends the batch; no-op when empty.
+  Status CommitCopies();
+  /// Drop the open batch (committed or not) and return `st`.
+  Status EndCopyBatch(Status st);
+  /// Plan-table slot holding `from`, or the empty slot where it belongs.
+  size_t PlanSlot(HeapAddr from) const;
+  /// Plan the root array's copy, commit it, and log kRootObject.
+  Status RelocateRootObject();
+
   /// Detlefs mode: pages dirtied by the current step, synchronously
   /// written at the end of the step ("each pause requires multiple
   /// synchronous writes to disk; furthermore, these writes are random").
   std::vector<PageId> detlefs_dirty_;
   void DetlefsMark(HeapAddr addr, uint64_t nbytes);
   Status DetlefsFlushStep();
-  /// Scan one to-space page. `abandon_tail` (the trap path) bumps the copy
-  /// pointer past the page first, wasting the tail, so copies triggered by
-  /// the scan cannot land on the page being unprotected; the background
-  /// scan instead walks the frontier page Cheney-style, re-reading the copy
-  /// pointer as it grows.
+  /// The one page walk (ScanPage and the executor's workers): from object
+  /// `obj` with header word `header` (pre-read: the page's anchor may start
+  /// on an earlier page), walk the pinned to-space `frame` at `page_base`
+  /// until the page ends, the walk reaches `limit`, or a dead tail
+  /// appears, appending every on-page pointer slot that holds a from-space
+  /// value. Reads only the frame and the type registry, so scan workers
+  /// run it concurrently. Returns where the walk stopped (the page end
+  /// after a dead tail).
+  HeapAddr WalkPage(const PageImage& frame, HeapAddr page_base, HeapAddr obj,
+                    uint64_t header, HeapAddr limit, SlotUpdates* out) const;
+  /// Scan one to-space page: one kGcScan for it (Detlefs: one synchronous
+  /// flush of the pages the scan dirtied). `abandon_tail`
+  /// (the trap path) bumps the copy pointer past the page first, wasting
+  /// the tail, so copies triggered by the scan cannot land on the page
+  /// being unprotected; the background scan instead walks the frontier
+  /// page Cheney-style, committing a batch and continuing into the objects
+  /// it copied onto the page.
   Status ScanPage(uint64_t page_index, bool abandon_tail);
-  /// Detlefs mode: synchronously write the pages covering [addr, addr+n).
-  Status SyncWriteRange(HeapAddr addr, uint64_t nbytes);
-  /// Translate one slot value if it points into from-space; returns the
-  /// (possibly unchanged) value and whether it changed.
-  StatusOr<uint64_t> TranslateValue(uint64_t v, bool* changed);
   Status TranslateRootsAtFlip();
   Status Complete();
 
@@ -254,6 +288,15 @@ class AtomicGc {
   /// and recovery install.
   uint64_t scan_cursor_ = 0;
   std::unique_ptr<ScanExecutor> executor_;
+  /// The copy batch being planned: contents = the copies' bytes,
+  /// utr_entries = {from, to, nwords} per copy. With plan_table_ (an
+  /// open-addressed from -> to map over the batch's lookups) and
+  /// scan_rec_, it keeps its capacity across batches, so a trap does not
+  /// allocate.
+  LogRecord copy_batch_;
+  std::vector<std::pair<HeapAddr, HeapAddr>> plan_table_;
+  std::vector<size_t> plan_used_;  // occupied plan_table_ slots
+  LogRecord scan_rec_;             // ScanPage's / Baker's kGcScan
   GcStats stats_;
 
   friend class ScanExecutor;

@@ -3,46 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "fault/fault_injector.h"
 #include "gc/atomic_gc.h"
-#include "heap/object.h"
 #include "storage/buffer_pool.h"
 
 namespace sheap {
 
 ScanExecutor::ScanExecutor(AtomicGc* gc, uint32_t threads)
     : gc_(gc), threads_(std::max<uint32_t>(1, threads)) {}
-
-void ScanExecutor::ScanTask(PageTask* task, HeapAddr from_base,
-                            HeapAddr from_end, HeapAddr frontier) const {
-  const HeapAddr page_base = task->page_base;
-  const HeapAddr page_end = page_base + kPageSizeBytes;
-  // Same walk as the serial ScanPage, against the pinned frame: start at
-  // the LOT anchor (whose header was pre-read — it may lie on an earlier
-  // page) and parse headers until the page ends or a dead tail appears.
-  HeapAddr obj = task->anchor;
-  uint64_t w = task->anchor_header;
-  while (obj < page_end && obj < frontier) {
-    if (!IsHeaderWord(w)) break;  // abandoned tail of an earlier trap bump
-    const ObjectHeader hdr = DecodeHeader(w);
-    for (uint64_t i = 0; i < hdr.nslots; ++i) {
-      const HeapAddr slot_addr = SlotAddr(obj, i);
-      if (slot_addr < page_base) continue;
-      if (slot_addr >= page_end) break;
-      if (!gc_->ctx_.types->IsPointerSlot(hdr.class_id, i)) continue;
-      const uint64_t v = task->frame->ReadWord(WordInPage(slot_addr));
-      if (v != kNullAddr && v >= from_base && v < from_end) {
-        task->out.push_back(Candidate{WordInPage(slot_addr), v});
-      }
-    }
-    obj += hdr.TotalWords() * kWordSizeBytes;
-    if (obj >= page_end || obj >= frontier) break;
-    w = task->frame->ReadWord(WordInPage(obj));
-  }
-}
 
 Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   *pages_done = 0;
@@ -73,10 +43,6 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
 
   // Crash window: pages claimed for the round, nothing logged yet.
   SHEAP_FAULT_POINT(gc_->ctx_.log->faults(), "gc.scan.worker_claim");
-
-  const Space* from_sp = gc_->FromSpace();
-  const HeapAddr from_base = from_sp->base();
-  const HeapAddr from_end = from_sp->end();
 
   // Build tasks for pages with copied data and pre-pin their frames, in
   // ascending page order so pool fetches log kPageFetch deterministically.
@@ -117,11 +83,15 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   // Worker phase: dynamic claiming off a shared index. A worker that runs
   // ahead takes tasks that statically belong to a peer (work-stealing);
   // the claim order cannot matter because workers only fill their own
-  // task's candidate vector.
+  // task's slot vector.
+  auto walk = [&](PageTask* t) {
+    gc_->WalkPage(*t->frame, t->page_base, t->anchor, t->anchor_header,
+                  frontier, &t->slots);
+  };
   const uint32_t nworkers = static_cast<uint32_t>(std::min<uint64_t>(
       threads_, std::max<size_t>(tasks.size(), 1)));
   if (nworkers <= 1) {
-    for (PageTask& t : tasks) ScanTask(&t, from_base, from_end, frontier);
+    for (PageTask& t : tasks) walk(&t);
   } else {
     std::atomic<size_t> next{0};
     std::vector<uint64_t> steals(nworkers, 0);
@@ -138,7 +108,7 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= tasks.size()) break;
           if (i % nworkers != w) ++steals[w];
-          ScanTask(&tasks[i], from_base, from_end, frontier);
+          walk(&tasks[i]);
         }
       });
     }
@@ -158,87 +128,16 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
     gc_->stats_.scan_phase_ns += lane_ns;
   }
 
-  // Resolve pass (read-only): candidates in canonical ascending page/slot
-  // order, assigning contiguous to-addresses at the copy frontier — the
-  // deterministic merge of the workers' would-be allocation buffers. On
-  // out-of-space nothing has been logged or written: the round fails clean.
-  struct PlannedCopy {
-    HeapAddr from;
-    HeapAddr to;
-    uint64_t nwords;
-  };
-  std::vector<PlannedCopy> copies;
-  std::vector<uint8_t> buffer;
-  std::unordered_map<HeapAddr, HeapAddr> resolved;
-  const HeapAddr run_base = gc_->sem_.copy_ptr;
-  const HeapAddr alloc_floor =
-      gc_->sem_.alloc_ptr - (gc_->sem_.alloc_ptr % kPageSizeBytes);
-  uint64_t run_words = 0;
+  // Copy step: the slots, in canonical ascending page/slot order, through
+  // the collector's copy planner — contiguous to-addresses at the copy
+  // frontier, the deterministic merge of the workers' would-be allocation
+  // buffers — then one kGcCopyBatch, logged ahead of every scan record
+  // that names its to-addresses (§3.4). A planning failure (out of space)
+  // has logged and written nothing: the round fails clean.
   for (PageTask& t : tasks) {
-    for (const Candidate& c : t.out) {
-      HeapAddr nv;
-      auto it = resolved.find(c.value);
-      if (it != resolved.end()) {
-        nv = it->second;
-      } else {
-        SHEAP_ASSIGN_OR_RETURN(uint64_t w, gc_->ctx_.mem->ReadWord(c.value));
-        if (IsForwardWord(w)) {
-          nv = ForwardTarget(w);
-        } else if (!IsHeaderWord(w)) {
-          return Status::Corruption("copy source is not an object");
-        } else {
-          const uint64_t total = DecodeHeader(w).TotalWords();
-          const uint64_t nbytes = total * kWordSizeBytes;
-          if (run_base + run_words * kWordSizeBytes + nbytes > alloc_floor) {
-            return Status::OutOfSpace("to-space exhausted during copy");
-          }
-          nv = run_base + run_words * kWordSizeBytes;
-          const size_t off = buffer.size();
-          buffer.resize(off + nbytes);
-          SHEAP_RETURN_IF_ERROR(
-              gc_->ctx_.mem->ReadBytes(c.value, nbytes, buffer.data() + off));
-          copies.push_back(PlannedCopy{c.value, nv, total});
-          run_words += total;
-        }
-        resolved.emplace(c.value, nv);
-      }
-      t.updates.emplace_back(c.word, nv);
-    }
+    SHEAP_RETURN_IF_ERROR(gc_->PlanTranslations(&t.slots, 0));
   }
-
-  // Apply pass: log first, write under the record's LSN (§3.4). The batch
-  // record precedes every scan record that references its to-addresses, so
-  // any log prefix a crash retains satisfies the serial protocol's
-  // copy-before-scan ordering.
-  if (!copies.empty()) {
-    LogRecord rec;
-    rec.type = RecordType::kGcCopyBatch;
-    rec.addr2 = run_base;
-    rec.count = run_words;
-    rec.contents = buffer;
-    rec.utr_entries.reserve(copies.size());
-    for (const PlannedCopy& c : copies) {
-      rec.utr_entries.push_back(UtrEntry{c.from, c.to, c.nwords});
-    }
-    const Lsn lsn = gc_->ctx_.log->Append(&rec);
-    SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteBytesLogged(
-        run_base, rec.contents.data(), rec.contents.size(), lsn));
-    for (const PlannedCopy& c : copies) {
-      SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteWordLogged(
-          c.from, MakeForwardWord(c.to), lsn));
-    }
-    ++gc_->stats_.copy_batch_records;
-    gc_->stats_.copy_batch_objects += copies.size();
-    gc_->sem_.copy_ptr = run_base + run_words * kWordSizeBytes;
-    for (const PlannedCopy& c : copies) {
-      gc_->UpdateLot(c.to, c.nwords);
-      ++gc_->stats_.objects_copied;
-      gc_->stats_.words_copied += c.nwords;
-      gc_->ctx_.clock->ChargeCopyWords(c.nwords);
-      gc_->ctx_.locks->Rekey(c.from, c.to);
-      if (gc_->on_object_moved) gc_->on_object_moved(c.from, c.to, c.nwords);
-    }
-  }
+  SHEAP_RETURN_IF_ERROR(gc_->CommitCopies());
 
   // Per-page scan records in ascending page order. Pages with translations
   // get a kGcScan each; maximal runs of adjacent translation-free pages
@@ -252,14 +151,14 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
       continue;
     }
     PageTask& t = tasks[ti];
-    if (!t.updates.empty()) {
+    if (!t.slots.empty()) {
       LogRecord rec;
       rec.type = RecordType::kGcScan;
       rec.aux = 0;
       rec.page = t.page_base / kPageSizeBytes;
-      rec.slot_updates = t.updates;
+      rec.slot_updates = std::move(t.slots);
       const Lsn lsn = gc_->ctx_.log->Append(&rec);
-      for (const auto& [word, value] : t.updates) {
+      for (const auto& [word, value] : rec.slot_updates) {
         SHEAP_RETURN_IF_ERROR(gc_->ctx_.mem->WriteWordLogged(
             t.page_base + static_cast<HeapAddr>(word) * kWordSizeBytes,
             value, lsn));
@@ -274,7 +173,7 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
     while (run_ti < tasks.size() && run_pi < pages.size() &&
            pages[run_pi] == idx + len &&
            tasks[run_ti].index == pages[run_pi] &&
-           tasks[run_ti].updates.empty()) {
+           tasks[run_ti].slots.empty()) {
       ++len;
       ++run_ti;
       ++run_pi;

@@ -5,19 +5,20 @@
 // (strictly below the copy frontier), pins them, and hands them to N scan
 // workers that claim tasks off a shared atomic index — dynamic claiming, so
 // a worker that finishes early steals pages that would statically belong to
-// a peer. Workers are read-only: each walks its page image and emits the
-// page's translation *candidates* (pointer slots whose value lies in
-// from-space), in ascending slot order.
+// a peer. Workers are read-only: each runs the collector's one page walk
+// (AtomicGc::WalkPage, shared with the trap and frontier-page scans) over
+// its pinned page image and emits the page's pointer slots whose value
+// lies in from-space, in ascending slot order.
 //
 // Everything byte-visible then happens on the coordinator, in canonical
 // ascending page/slot order regardless of which worker produced what:
-//   * candidates are resolved against the from-space (forwarded objects
+//   * the slots go through the collector's copy planner (forwarded objects
 //     reuse their target; fresh objects get contiguous to-addresses at the
 //     copy frontier — the deterministic equivalent of a per-worker LAB
-//     merge),
-//   * one kGcCopyBatch record carries the round's coalesced copies, and one
-//     kGcScan record per page carries its translations (runs of adjacent
-//     translation-free pages collapse to a single kGcScan clean-run record),
+//     merge), which logs the round's copies as one kGcCopyBatch record,
+//   * one kGcScan record per page carries its translations (runs of
+//     adjacent translation-free pages collapse to a single kGcScan
+//     clean-run record),
 //   * heap writes follow each record under its LSN, per the WAL protocol.
 // Log bytes, space layout, and recovery state are therefore byte-identical
 // for every thread count; only simulated time differs (the scan phase is
@@ -51,8 +52,9 @@ class AtomicGc;
 struct PageImage;
 
 /// Drives one round of parallel page scanning for AtomicGc (WAL durability
-/// only; the Detlefs comparator and the read-barrier trap path keep the
-/// serial ScanPage).
+/// only). The Detlefs comparator, the read-barrier trap and the frontier
+/// page go through AtomicGc::ScanPage instead, which shares the page walk
+/// and the copy planner.
 class ScanExecutor {
  public:
   ScanExecutor(AtomicGc* gc, uint32_t threads);
@@ -65,30 +67,18 @@ class ScanExecutor {
   uint32_t threads() const { return threads_; }
 
  private:
-  /// A slot whose value needs translation: `word` is the slot's word index
-  /// within the page, `value` the from-space pointer it currently holds.
-  struct Candidate {
-    uint32_t word;
-    HeapAddr value;
-  };
-
-  /// One claimed page: inputs are immutable during the worker phase; `out`
-  /// is written only by the claiming worker.
+  /// One claimed page: inputs are immutable during the worker phase;
+  /// `slots` is written only by the claiming worker.
   struct PageTask {
     uint64_t index = 0;             // page index within the current space
     HeapAddr page_base = kNullAddr;
     HeapAddr anchor = kNullAddr;    // LOT anchor (never null for a task)
     uint64_t anchor_header = 0;     // header word at `anchor`, pre-read
     const PageImage* frame = nullptr;  // pinned by the coordinator
-    std::vector<Candidate> out;
-    /// Resolved translations (coordinator-only, filled after the workers
-    /// finish): slot word-in-page -> to-space value.
-    std::vector<std::pair<uint32_t, uint64_t>> updates;
+    /// (slot word-in-page, value): the from-space pointer the walk found,
+    /// replaced by its to-space address when the coordinator plans it.
+    std::vector<std::pair<uint32_t, uint64_t>> slots;
   };
-
-  /// Pure page walk: reads only the task's inputs and the type registry.
-  void ScanTask(PageTask* task, HeapAddr from_base, HeapAddr from_end,
-                HeapAddr frontier) const;
 
   AtomicGc* gc_;
   uint32_t threads_;

@@ -149,31 +149,6 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         gc.lot.assign(to->npages, kNullAddr);
         break;
       }
-      case RecordType::kGcCopy: {
-        const Space* to = current_space();
-        SHEAP_CHECK(to != nullptr);
-        // Every copy record doubles as an undo-translation entry: a crash
-        // can retain a flip's copies while losing the trailing kUtr record
-        // (log-suffix loss), and undo must still find the moved objects.
-        {
-          std::vector<TxnId> active;
-          for (const auto& [id, e] : data->att) active.push_back(id);
-          d_.utt->AddBatch({UtrEntry{rec.addr, rec.addr2, rec.count}},
-                           active);
-        }
-        const HeapAddr end = rec.addr2 + rec.count * kWordSizeBytes;
-        gc.sem.copy_ptr = std::max(gc.sem.copy_ptr, end);
-        // Last Object Table replay (same rule as AtomicGc::UpdateLot).
-        for (HeapAddr p = (rec.addr2 + kPageSizeBytes - 1) / kPageSizeBytes *
-                          kPageSizeBytes;
-             p < end; p += kPageSizeBytes) {
-          gc.lot[(p - to->base()) / kPageSizeBytes] = rec.addr2;
-        }
-        if (rec.addr2 % kPageSizeBytes == 0) {
-          gc.lot[(rec.addr2 - to->base()) / kPageSizeBytes] = rec.addr2;
-        }
-        break;
-      }
       case RecordType::kGcScan: {
         if (rec.aux == LogRecord::kScanPartial) break;  // redo-only record
         const Space* to = current_space();
@@ -205,8 +180,11 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       case RecordType::kGcCopyBatch: {
         const Space* to = current_space();
         SHEAP_CHECK(to != nullptr);
-        // Same invariants as kGcCopy, replayed per coalesced object: undo
-        // translations, copy frontier, and the Last Object Table.
+        // Every copy doubles as an undo-translation entry: a crash can
+        // retain a flip's copies while losing the trailing kUtr record
+        // (log-suffix loss), and undo must still find the moved objects.
+        // Then the copy frontier and, per object, the Last Object Table
+        // (same rule as AtomicGc::UpdateLot).
         {
           std::vector<TxnId> active;
           for (const auto& [id, e] : data->att) active.push_back(id);
@@ -276,6 +254,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       // a crash — analysis has nothing to rebuild from it. The kDtx*
       // records live only in a 2PC coordinator's decision log (scanned by
       // TwoPhaseCoordinator::Rescan, not here); shard analysis skips them.
+      // kGcCopy is a retired id that the reader never yields.
       case RecordType::kBegin:
       case RecordType::kUpdate:
       case RecordType::kClr:
@@ -286,6 +265,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       case RecordType::kVolatileFlip:
       case RecordType::kDtxDecision:
       case RecordType::kDtxEnd:
+      case RecordType::kGcCopy:
         break;
     }
 

@@ -27,10 +27,6 @@ void ForEachWrite(const LogRecord& rec, Fn&& fn) {
     case RecordType::kAlloc:
       word(rec.addr, EncodeHeader(static_cast<ClassId>(rec.aux), rec.count));
       break;
-    case RecordType::kGcCopy:
-      fn(rec.addr2, rec.contents.data(), rec.contents.size());
-      word(rec.addr, MakeForwardWord(rec.addr2));
-      break;
     case RecordType::kGcCopyBatch:
       fn(rec.addr2, rec.contents.data(), rec.contents.size());
       // One forwarding word per coalesced object.
@@ -64,7 +60,6 @@ bool RedoExecutor::IsRedoable(RecordType type) {
     case RecordType::kUpdate:
     case RecordType::kClr:
     case RecordType::kAlloc:
-    case RecordType::kGcCopy:
     case RecordType::kGcCopyBatch:
     case RecordType::kGcScan:
     case RecordType::kV2sCopy:
@@ -93,6 +88,7 @@ bool RedoExecutor::IsRedoable(RecordType type) {
     // redo treats them as inert control records if one is ever seen.
     case RecordType::kDtxDecision:
     case RecordType::kDtxEnd:  // value-equal to kMaxRecordType
+    case RecordType::kGcCopy:  // retired id: the reader never yields it
       return false;
   }
   return false;  // corrupt on-disk byte outside the enum

@@ -58,7 +58,7 @@ uint32_t MaskFor(RecordType type) {
     case RecordType::kGcFlip:
       return kFAux | kFAddr | kFAddr2;
     case RecordType::kGcCopy:
-      return kFAddr | kFAddr2 | kFCount | kFContents;
+      break;  // retired id: never encoded, rejected by DecodeFrom
     case RecordType::kGcScan:
       // aux: 0 = full page scan (analysis marks the page scanned and
       // replays the partial-page abandonment rule); 1 = partial slot
@@ -151,6 +151,9 @@ Status LogRecord::DecodeFrom(Decoder* dec, LogRecord* out) {
       type_byte > static_cast<uint8_t>(RecordType::kMaxRecordType)) {
     return Status::Corruption("bad record type");
   }
+  if (type_byte == static_cast<uint8_t>(RecordType::kGcCopy)) {
+    return Status::Corruption("retired record type");
+  }
   *out = LogRecord();
   out->type = static_cast<RecordType>(type_byte);
   const uint32_t mask = MaskFor(out->type);
@@ -242,7 +245,7 @@ const char* LogRecord::TypeName(RecordType type) {
     case RecordType::kGcFlip:
       return "GcFlip";
     case RecordType::kGcCopy:
-      return "GcCopy";
+      return "GcCopy(retired)";
     case RecordType::kGcScan:
       return "GcScan";
     case RecordType::kGcCopyBatch:

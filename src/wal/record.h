@@ -9,12 +9,15 @@
 // Recoverable allocation of spaces (§4.2.3):
 //   kSpaceAlloc / kSpaceFree
 // Atomic incremental garbage collection (§3.4):
-//   kGcFlip / kGcCopy / kGcScan / kGcComplete
-//   kGcCopyBatch: the parallel scan executor's coalesced form of adjacent
-//   kGcCopy records — addr2 = run start, count = run words, contents = the
+//   kGcFlip / kGcCopyBatch / kGcScan / kGcComplete
+//   kGcCopyBatch is the copy step: every stable-area copy goes through the
+//   collector's one copy planner, which logs a contiguous run of copies as
+//   one record — addr2 = run start, count = run words, contents = the
 //   concatenated object bytes, utr_entries = the per-object table
 //   {from, to, nwords} (redo re-writes every forwarding word from it;
-//   analysis replays the copy frontier, LOT and UTT from it)
+//   analysis replays the copy frontier, LOT and UTT from it).
+//   kGcCopy (15) is a retired id: the per-object copy record it named is
+//   no longer written, and decoding one reports Corruption.
 // Roots in recovery information (§4.2.1-4.2.2):
 //   kUtr (undo translation records) / kRootObject (root-array anchor)
 // Stable/volatile division (§5.2-5.3):
@@ -56,7 +59,7 @@ enum class RecordType : uint8_t {
   kSpaceAlloc = 12,
   kSpaceFree = 13,
   kGcFlip = 14,
-  kGcCopy = 15,
+  kGcCopy = 15,  // retired: never written; DecodeFrom rejects it
   kGcScan = 16,
   kGcComplete = 17,
   kUtr = 18,

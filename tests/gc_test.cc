@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/stable_heap.h"
 #include "workload/graph_gen.h"
@@ -384,6 +385,118 @@ TEST_P(GcTest, ScanCursorWorkStaysLinear) {
             2 * st.pages_scanned + 16 * st.collections_started + 64);
 }
 
+TEST_P(GcTest, CollectionLogsOnlyBatchedCopies) {
+  // Every stable-area copy is logged as a kGcCopyBatch: the flip's roots
+  // (including an open transaction's handles, locks and undo roots), the
+  // traps or Baker translations of a mid-collection traversal, and the
+  // background scan. Nothing writes the retired per-object kGcCopy.
+  const uint64_t before = PlantTree(0, 4);
+  auto txn = heap_->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto root = heap_->GetRoot(*txn, 0);
+  ASSERT_TRUE(root.ok());
+  ASSERT_TRUE(heap_->ReadScalar(*txn, *root, 0).ok());
+  auto list = BuildList(heap_.get(), *txn, cls_, 5);
+  ASSERT_TRUE(list.ok());
+  if (GetParam().incremental) {
+    ASSERT_TRUE(heap_->StartStableCollection().ok());
+    EXPECT_EQ(ChecksumOf(0), before);
+  }
+  ASSERT_TRUE(heap_->CollectStableFully().ok());
+  auto count = CountReachable(heap_.get(), *txn, *list);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 5u);
+  ASSERT_TRUE(heap_->Commit(*txn).ok());
+  EXPECT_EQ(ChecksumOf(0), before);
+
+  const LogVolumeStats& log = heap_->log_volume();
+  EXPECT_EQ(log.For(RecordType::kGcCopy).records, 0u);
+  EXPECT_GT(log.For(RecordType::kGcCopyBatch).records, 0u);
+  EXPECT_EQ(log.For(RecordType::kGcCopyBatch).records,
+            heap_->stable_gc_stats().copy_batch_records);
+}
+
+TEST(GcTrapTest, TrapCopiesThePagesReferentsInOneBatch) {
+  // An Ellis trap on a page whose slots name K > 1 from-space objects logs
+  // one kGcCopyBatch for all K, and the batch replays after a crash.
+  constexpr uint64_t kChildren = 8;
+  auto env = std::make_unique<SimEnv>();
+  StableHeapOptions opts;
+  opts.divided_heap = false;
+  opts.stable_space_pages = 64;
+  opts.auto_collect = false;
+  auto opened = StableHeap::Open(env.get(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*opened);
+  auto parent_cls = heap->RegisterClass(std::vector<bool>(kChildren, true));
+  auto leaf_cls = heap->RegisterClass({false, false});
+  ASSERT_TRUE(parent_cls.ok() && leaf_cls.ok());
+  {
+    TxnId t = *heap->Begin();
+    auto parent = heap->Allocate(t, *parent_cls, kChildren);
+    ASSERT_TRUE(parent.ok());
+    for (uint64_t i = 0; i < kChildren; ++i) {
+      auto leaf = heap->Allocate(t, *leaf_cls, 2);
+      ASSERT_TRUE(leaf.ok());
+      ASSERT_TRUE(heap->WriteScalar(t, *leaf, 0, 100 + i).ok());
+      ASSERT_TRUE(heap->WriteScalar(t, *leaf, 1, 200 + i).ok());
+      ASSERT_TRUE(heap->WriteRef(t, *parent, i, *leaf).ok());
+      ASSERT_TRUE(heap->ReleaseRef(t, *leaf).ok());
+    }
+    ASSERT_TRUE(heap->SetRoot(t, 0, *parent).ok());
+    ASSERT_TRUE(heap->Commit(t).ok());
+  }
+
+  ASSERT_TRUE(heap->StartStableCollection().ok());
+  TxnId t = *heap->Begin();
+  auto parent = heap->GetRoot(t, 0);  // traps on the root array's page
+  ASSERT_TRUE(parent.ok());
+  const LogVolumeStats& log = heap->log_volume();
+  const uint64_t batches = log.For(RecordType::kGcCopyBatch).records;
+  const uint64_t objects = heap->stable_gc_stats().objects_copied;
+  const uint64_t traps = heap->stable_gc_stats().read_barrier_traps;
+  auto first = heap->ReadRef(t, *parent, 0);  // traps on the parent's page
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(heap->ReleaseRef(t, *first).ok());
+  EXPECT_EQ(heap->stable_gc_stats().read_barrier_traps, traps + 1);
+  EXPECT_EQ(heap->stable_gc_stats().objects_copied, objects + kChildren);
+  EXPECT_EQ(log.For(RecordType::kGcCopyBatch).records, batches + 1);
+  EXPECT_EQ(log.For(RecordType::kGcCopy).records, 0u);
+  std::vector<uint64_t> contents;
+  for (uint64_t i = 0; i < kChildren; ++i) {
+    auto child = heap->ReadRef(t, *parent, i);
+    ASSERT_TRUE(child.ok());
+    contents.push_back(*heap->ReadScalar(t, *child, 0));
+    contents.push_back(*heap->ReadScalar(t, *child, 1));
+    ASSERT_TRUE(heap->ReleaseRef(t, *child).ok());
+  }
+  ASSERT_TRUE(heap->Commit(t).ok());
+  ASSERT_TRUE(heap->ForceLog().ok());
+
+  CrashOptions crash;
+  crash.writeback_fraction = 0;
+  ASSERT_TRUE(heap->SimulateCrash(crash).ok());
+  heap.reset();
+  opened = StableHeap::Open(env.get(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  heap = std::move(*opened);
+  t = *heap->Begin();
+  parent = heap->GetRoot(t, 0);
+  ASSERT_TRUE(parent.ok());
+  std::vector<uint64_t> recovered;
+  for (uint64_t i = 0; i < kChildren; ++i) {
+    auto child = heap->ReadRef(t, *parent, i);
+    ASSERT_TRUE(child.ok());
+    recovered.push_back(*heap->ReadScalar(t, *child, 0));
+    recovered.push_back(*heap->ReadScalar(t, *child, 1));
+    ASSERT_TRUE(heap->ReleaseRef(t, *child).ok());
+  }
+  ASSERT_TRUE(heap->Commit(t).ok());
+  EXPECT_EQ(recovered, contents);
+  EXPECT_EQ(contents[0], 100u);
+  EXPECT_EQ(contents.back(), 200u + kChildren - 1);
+}
+
 class VolatileGcTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -412,7 +525,7 @@ TEST_F(VolatileGcTest, VolatileCollectionIsUnlogged) {
   const uint64_t log_bytes = heap_->log_volume().TotalBytes();
   ASSERT_TRUE(heap_->CollectVolatile().ok());
   // Only the volatile-flip + space records hit the log; no copy/scan data.
-  EXPECT_EQ(heap_->log_volume().For(RecordType::kGcCopy).records, 0u);
+  EXPECT_EQ(heap_->log_volume().For(RecordType::kGcCopyBatch).records, 0u);
   EXPECT_LT(heap_->log_volume().TotalBytes() - log_bytes, 200u);
   // The uncommitted list survives via the transaction's handle.
   auto count = CountReachable(heap_.get(), *txn, *list);

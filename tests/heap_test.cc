@@ -15,6 +15,13 @@
 namespace sheap {
 namespace {
 
+/// Pool hooks with only the WAL constraint wired.
+BufferPool::Hooks WalOnlyHooks(LogWriter* writer) {
+  BufferPool::Hooks hooks;
+  hooks.flush_log_to = [writer](Lsn lsn) { return writer->FlushTo(lsn); };
+  return hooks;
+}
+
 TEST(ObjectHeaderTest, EncodeDecodeRoundTrip) {
   uint64_t w = EncodeHeader(/*class_id=*/12, /*nslots=*/345);
   ASSERT_TRUE(IsHeaderWord(w));
@@ -107,10 +114,7 @@ class SpaceTest : public ::testing::Test {
   SpaceTest()
       : writer_(env_.log()),
         pool_(env_.disk(), 64,
-              BufferPool::Hooks{
-                  [this](Lsn lsn) { return writer_.FlushTo(lsn); },
-                  nullptr,
-                  nullptr}),
+              WalOnlyHooks(&writer_)),
         spaces_(&writer_, env_.disk(), &pool_) {}
 
   SimEnv env_;
@@ -256,10 +260,7 @@ class HeapMemoryTest : public ::testing::Test {
   HeapMemoryTest()
       : writer_(env_.log()),
         pool_(env_.disk(), 64,
-              BufferPool::Hooks{
-                  [this](Lsn lsn) { return writer_.FlushTo(lsn); },
-                  nullptr,
-                  nullptr}),
+              WalOnlyHooks(&writer_)),
         mem_(&pool_) {}
 
   SimEnv env_;

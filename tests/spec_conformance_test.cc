@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/stable_heap.h"
+#include "recovery/redo_executor.h"
 #include "wal/log_reader.h"
 #include "workload/spec_heap.h"
 #include "storage/sim_env.h"
@@ -268,42 +271,19 @@ class Driver {
     LogRecord rec;
     fprintf(stderr, "--- records covering addr %llu (page %llu) ---\n",
             (unsigned long long)target, (unsigned long long)PageOf(target));
+    std::vector<PageId> pages;
     while (true) {
       auto more = reader.Next(&rec);
       if (!more.ok() || !*more) break;
-      bool hit = false;
-      auto covers = [&](HeapAddr a, uint64_t n) {
-        return target >= a && target < a + n;
-      };
-      switch (rec.type) {
-        case RecordType::kUpdate:
-        case RecordType::kClr:
-        case RecordType::kAlloc:
-          hit = covers(rec.addr, 8);
-          break;
-        case RecordType::kGcCopy:
-          hit = covers(rec.addr2, rec.count * 8) || covers(rec.addr, 8) ||
-                covers(rec.addr, rec.count * 8);
-          break;
-        case RecordType::kV2sCopy:
-          hit = covers(rec.addr2, rec.count * 8);
-          break;
-        case RecordType::kInitialValue:
-          hit = covers(rec.addr, rec.count * 8) ||
-                covers(rec.addr2, rec.count * 8);
-          break;
-        case RecordType::kGcScan:
-          hit = rec.page == PageOf(target);
-          break;
-        case RecordType::kSpaceFree:
-        case RecordType::kSpaceAlloc:
-        case RecordType::kGcFlip:
-        case RecordType::kGcComplete:
-          hit = true;
-          break;
-        default:
-          break;
-      }
+      // A record covers the target if its redo writes the target's page;
+      // space and collection boundaries are shown for context.
+      RedoExecutor::AffectedPages(rec, &pages);
+      const bool hit =
+          std::binary_search(pages.begin(), pages.end(), PageOf(target)) ||
+          rec.type == RecordType::kSpaceAlloc ||
+          rec.type == RecordType::kSpaceFree ||
+          rec.type == RecordType::kGcFlip ||
+          rec.type == RecordType::kGcComplete;
       if (hit) {
         fprintf(stderr,
                 "lsn %llu %-12s txn=%llu prev=%llu unext=%llu addr=%llu "

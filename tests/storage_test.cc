@@ -316,9 +316,11 @@ TEST_F(BufferPoolTest, WriteBackRandomSubsetHonorsWalFailure) {
   pool.Unpin(9);
   // Injected WAL failure: the log cannot reach the page LSN, so the page
   // must NOT go to disk and must stay dirty for a later retry.
-  pool.SetHooks(BufferPool::Hooks{
-      [](Lsn) { return Status::IOError("injected flush_log_to failure"); },
-      nullptr, nullptr});
+  BufferPool::Hooks failing;
+  failing.flush_log_to = [](Lsn) {
+    return Status::IOError("injected flush_log_to failure");
+  };
+  pool.SetHooks(failing);
   Rng rng(7);
   EXPECT_TRUE(pool.WriteBackRandomSubset(&rng, 1.0).IsIOError());
   EXPECT_TRUE(pool.IsDirty(9));
@@ -326,8 +328,9 @@ TEST_F(BufferPoolTest, WriteBackRandomSubsetHonorsWalFailure) {
   ASSERT_TRUE(disk_.ReadPage(9, &img).ok());
   EXPECT_EQ(img.ReadWord(0), 0u);  // never reached disk
   // With the WAL healthy again the same call succeeds.
-  pool.SetHooks(BufferPool::Hooks{[](Lsn) { return Status::OK(); },
-                                  nullptr, nullptr});
+  BufferPool::Hooks healthy;
+  healthy.flush_log_to = [](Lsn) { return Status::OK(); };
+  pool.SetHooks(healthy);
   Rng rng2(7);
   ASSERT_TRUE(pool.WriteBackRandomSubset(&rng2, 1.0).ok());
   EXPECT_FALSE(pool.IsDirty(9));

@@ -40,18 +40,38 @@ TEST(RecordTest, UpdateRoundTrip) {
   EXPECT_EQ(out.aux, LogRecord::kFlagPointer);
 }
 
-TEST(RecordTest, GcCopyRoundTripCarriesContents) {
+TEST(RecordTest, GcCopyBatchRoundTripCarriesContents) {
   LogRecord rec;
-  rec.type = RecordType::kGcCopy;
-  rec.addr = 8192;
+  rec.type = RecordType::kGcCopyBatch;
   rec.addr2 = 65536;
-  rec.count = 3;
-  rec.contents = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  rec.count = 5;
+  rec.contents.resize(5 * 8);
+  for (size_t i = 0; i < rec.contents.size(); ++i) {
+    rec.contents[i] = static_cast<uint8_t>(i + 1);
+  }
+  rec.utr_entries = {{8192, 65536, 3}, {8448, 65536 + 24, 2}};
   LogRecord out = RoundTrip(rec);
-  EXPECT_EQ(out.addr, 8192u);
+  EXPECT_EQ(out.type, RecordType::kGcCopyBatch);
   EXPECT_EQ(out.addr2, 65536u);
-  EXPECT_EQ(out.count, 3u);
+  EXPECT_EQ(out.count, 5u);
   EXPECT_EQ(out.contents, rec.contents);
+  EXPECT_EQ(out.utr_entries, rec.utr_entries);
+}
+
+TEST(RecordTest, RetiredGcCopyTypeDecodesAsCorruption) {
+  // A body in the retired per-object copy format: type 15, then from, to,
+  // word count and the length-prefixed contents.
+  std::vector<uint8_t> body;
+  Encoder enc(&body);
+  enc.PutU8(static_cast<uint8_t>(RecordType::kGcCopy));
+  enc.PutVarint(8192);
+  enc.PutVarint(65536);
+  enc.PutVarint(1);
+  const uint8_t word[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  enc.PutLengthPrefixed(word, sizeof(word));
+  Decoder dec(body);
+  LogRecord out;
+  EXPECT_TRUE(LogRecord::DecodeFrom(&dec, &out).IsCorruption());
 }
 
 TEST(RecordTest, GcScanRoundTrip) {
@@ -86,6 +106,7 @@ TEST(RecordTest, CheckpointPayloadRoundTrip) {
 TEST(RecordTest, EveryTypeRoundTripsItsFields) {
   for (uint8_t t = 1; t <= static_cast<uint8_t>(RecordType::kMaxRecordType);
        ++t) {
+    if (t == static_cast<uint8_t>(RecordType::kGcCopy)) continue;  // retired
     LogRecord rec;
     rec.type = static_cast<RecordType>(t);
     rec.txn_id = 1;
