@@ -7,9 +7,9 @@
 //   force     — force_on_commit, one synchronous force per transaction;
 //   manual-N  — explicit ForceLog() every N transactions (the seed's
 //               group-commit idiom; durability is only at the batch call);
-//   group     — the real commit queue: concurrent transactions enqueue,
-//               Commit returns Busy until a batch leader's single force
-//               covers the wave (every Commit OK is durable).
+//   group     — the real commit queue: concurrent transactions join a
+//               batch, Commit returns Busy until a batch leader's single
+//               force covers the wave (every Commit OK is durable).
 
 #include "bench_util.h"
 #include "storage/sim_env.h"

@@ -1,7 +1,7 @@
 // E17 — true concurrent mutators (DESIGN.md §5i): N OS threads drive
 // Begin/Read/Write/Commit against one StableHeap. Each thread owns a
 // disjoint account array (low contention), runs inside a SimClock lane
-// (ThreadChargeScope), and commits through the lock-free group-commit
+// (ThreadChargeScope), and commits through the ticketed group-commit
 // queue with the Busy retry protocol. Elapsed time is the longest lane
 // (perfect-parallelism model, as E16 does across shards), so the modeled
 // win is real amortization, not free parallelism: a batch leader pays the

@@ -203,15 +203,13 @@ Status StableHeap::InitializeImpl() {
     //     lifetime (EndConcurrent in the destructor rebuilds determinism
     //     for anyone reusing the pool),
     //   * the collector asserts the gate is held exclusively around every
-    //     structural transition,
-    //   * commit enqueue switches to the lock-free path.
+    //     structural transition.
     if (instant_ && instant_->active()) {
       SHEAP_RETURN_IF_ERROR(instant_->DrainAll());
     }
     pool_->BeginConcurrent();
     pool_concurrent_ = true;
     stable_gc_->AttachGate(&gate_);
-    commit_queue_->SetConcurrent(true);
   }
   return Status::OK();
 }
@@ -414,7 +412,6 @@ StatusOr<ClassId> StableHeap::RegisterClass(
   // Schema definitions are durable immediately: heap contents allocated
   // under a class would be unparseable without its pointer map.
   SHEAP_RETURN_IF_ERROR(log_->Force());
-  DrainCommitQueue();
   return id;
 }
 
@@ -451,21 +448,15 @@ Status StableHeap::Commit(TxnId txn_id) {
   }
   // Concurrent commit. The common case — no promotion work — runs entirely
   // inside a shared section: the commit record is appended under the log's
-  // own mutex and the transaction joins the group-commit batch through the
-  // lock-free queue. Only a commit that must move newly stable objects
-  // (divided heap, non-empty remembered slots) takes the gate exclusively,
-  // because promotion rewrites heap pages and collector state.
+  // own mutex and the transaction joins the group-commit batch under the
+  // queue's. Only a commit that must move newly stable objects (divided
+  // heap, non-empty remembered slots) takes the gate exclusively, because
+  // promotion rewrites heap pages and collector state.
   {
     MutatorGate::SharedSection shared(&gate_);
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-    if (commit_queue_->IsWaiter(txn_id)) {
-      return GroupCommitWait(txn_id, /*retry=*/true);
+    if (Txn* waiter = GroupCommitWaiter(txn_id)) {
+      return CommitTail(waiter, /*retry=*/true);
     }
-    // A concurrent leader may have completed this txn between the two
-    // checks above; re-check before concluding it is unknown. After this
-    // point it cannot become completed behind our back: only the owning
-    // thread enqueues it.
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
     bool needs_promotion = false;
     if (options_.divided_heap) {
       MutexLock side(&side_mu_);
@@ -476,20 +467,15 @@ Status StableHeap::Commit(TxnId txn_id) {
       txn->state = TxnState::kCommitting;
       LogRecord rec;
       rec.type = RecordType::kCommit;
-      const Lsn commit_lsn = txns_->AppendChained(txn, &rec);
+      txns_->AppendChained(txn, &rec);
       // Crash window: commit spooled but not forced (concurrent fast path;
       // the single-thread path's window is "txn.commit.logged").
       SHEAP_FAULT_POINT(env_->faults(), "txn.mtcommit.logged");
-      if (options_.group_commit) {
-        commit_queue_->Enqueue(txn_id, commit_lsn);
-        return GroupCommitWait(txn_id, /*retry=*/false);
-      }
-      if (options_.force_on_commit) {
+      if (!options_.group_commit && options_.force_on_commit) {
         SHEAP_RETURN_IF_ERROR(log_->Force());
         SHEAP_FAULT_POINT(env_->faults(), "txn.mtcommit.forced");
       }
-      txn->state = TxnState::kCommitted;
-      return FinishTxn(txn_id);
+      return CommitTail(txn, /*retry=*/false);
     }
   }
   MutatorGate::ExclusiveSection exclusive(&gate_);
@@ -497,15 +483,10 @@ Status StableHeap::Commit(TxnId txn_id) {
 }
 
 Status StableHeap::CommitImpl(TxnId txn_id) {
-  // Group-commit retries: a transaction whose earlier Commit returned Busy
-  // calls again. It is either completed (a leader or piggyback made it
-  // durable and ran FinishTxn) or still waiting on the open batch.
-  if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-  if (commit_queue_->IsWaiter(txn_id)) {
-    return GroupCommitWait(txn_id, /*retry=*/true);
+  if (Txn* waiter = GroupCommitWaiter(txn_id)) {
+    return CommitTail(waiter, /*retry=*/true);
   }
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  txn->state = TxnState::kCommitting;
 
   // Newly stable objects move to the stable area before the commit record
   // (§5.2): if the commit record survives, so does the promotion.
@@ -522,62 +503,60 @@ Status StableHeap::CommitImpl(TxnId txn_id) {
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.promoted");
   }
 
+  txn->state = TxnState::kCommitting;
   LogRecord rec;
   rec.type = RecordType::kCommit;
-  const Lsn commit_lsn = txns_->AppendChained(txn, &rec);
+  txns_->AppendChained(txn, &rec);
   // Crash window: commit spooled but not forced — the transaction must
   // abort at recovery unless a later flush happened to carry it out.
   SHEAP_FAULT_POINT(env_->faults(), "txn.commit.logged");
-  if (options_.group_commit) {
-    commit_queue_->Enqueue(txn_id, commit_lsn);
-    return GroupCommitWait(txn_id, /*retry=*/false);
-  }
-  if (options_.force_on_commit) {
+  if (!options_.group_commit && options_.force_on_commit) {
     SHEAP_RETURN_IF_ERROR(log_->Force());
     // Crash window: commit durable, end record and lock release lost.
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.forced");
   }
-  txn->state = TxnState::kCommitted;
-  return FinishTxn(txn_id);
+  return CommitTail(txn, /*retry=*/false);
 }
 
-void StableHeap::CompleteGroupCommit(TxnId txn_id) {
+Txn* StableHeap::GroupCommitWaiter(TxnId txn_id) {
+  // Without group commit a kCommitting transaction is one whose force
+  // failed, not one waiting on a batch.
+  if (!options_.group_commit) return nullptr;
   Txn* txn = txns_->Find(txn_id);
-  SHEAP_CHECK(txn != nullptr && txn->state == TxnState::kCommitting);
-  txn->state = TxnState::kCommitted;
-  SHEAP_CHECK_OK(FinishTxn(txn_id));
+  return txn != nullptr && txn->state == TxnState::kCommitting ? txn
+                                                                : nullptr;
 }
 
-Status StableHeap::GroupCommitWait(TxnId txn_id, bool retry) {
-  auto on_durable = [this](TxnId id) { CompleteGroupCommit(id); };
-  if (retry) {
-    // A barrier raised since the last attempt (WAL flush, another force)
-    // may already cover this waiter.
-    commit_queue_->DrainDurable(on_durable);
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-    // Each retry re-checks the queue; charging it advances a lone
-    // committer's clock toward the max_delay_ns deadline.
-    commit_queue_->ChargePoll();
+Status StableHeap::CommitTail(Txn* txn, bool retry) {
+  if (options_.group_commit) {
+    // Nothing is chained to a kCommitting transaction, so its last LSN is
+    // its commit record: the ticket. It is durable iff the barrier has
+    // passed it; only the owner ever checks, so only the owner finishes.
+    const Lsn ticket = txn->last_lsn;
+    if (!retry) {
+      commit_queue_->Join(ticket);
+    } else if (log_->durable_lsn() < ticket) {
+      // A retry that is still waiting re-checks the queue; charging it
+      // advances a lone committer's clock toward the max_delay_ns deadline.
+      commit_queue_->ChargePoll();
+    }
+    // Leader election and batch close happen in one critical section under
+    // the queue's mutex — two threads observing a closeable batch cannot
+    // both force it, and a lone mutator simply leads when it polls.
+    SHEAP_RETURN_IF_ERROR(commit_queue_->LeadIfReady());
+    if (log_->durable_lsn() < ticket) {
+      return Status::Busy("commit pending: group-commit batch open");
+    }
   }
-  // Leader election and batch close happen in one critical section under
-  // the queue's consumer mutex — two threads observing a closeable batch
-  // cannot both force it, and a lone mutator simply leads when it polls.
-  SHEAP_RETURN_IF_ERROR(commit_queue_->LeadIfReady(on_durable));
-  if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-  return Status::Busy("commit pending: group-commit batch open");
-}
-
-void StableHeap::DrainCommitQueue() {
-  if (commit_queue_->Empty()) return;
-  commit_queue_->DrainDurable([this](TxnId id) { CompleteGroupCommit(id); });
+  txn->state = TxnState::kCommitted;
+  return FinishTxn(txn->id);
 }
 
 Status StableHeap::FinishTxn(TxnId txn_id) {
   locks_.ReleaseAll(txn_id);
   handles_.ReleaseTxn(txn_id);
   {
-    // Side tables are plain maps shared by every committer (lock rank:
-    // below the queue's consumer mutex — FinishTxn runs from batch close).
+    // Side tables are plain maps shared by every committer.
     MutexLock side(&side_mu_);
     remembered_.EraseTxn(txn_id);
     ls_.EraseTxn(txn_id);
@@ -675,10 +654,9 @@ Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
   rec.type = RecordType::kPrepare;
   rec.aux = gtid;
   txns_->AppendChained(txn, &rec);
-  SHEAP_RETURN_IF_ERROR(log_->Force());  // the vote must be durable
-  // The prepare force also covers any queued group-commit waiters whose
-  // commit records preceded it (piggybacking).
-  DrainCommitQueue();
+  // The vote must be durable. The force also covers any group-commit
+  // waiters whose commit records preceded it (piggybacking).
+  SHEAP_RETURN_IF_ERROR(log_->Force());
   // Crash window: the vote is durable — recovery must restore the
   // transaction in doubt, with its locks.
   SHEAP_FAULT_POINT(env_->faults(), "txn.prepare.forced");
@@ -696,35 +674,26 @@ Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
 Status StableHeap::CommitPrepared(TxnId txn_id) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::ExclusiveSection exclusive(&gate_);
-  if (options_.group_commit) {
-    // Same Busy retry protocol as Commit: a prepared transaction whose
-    // earlier CommitPrepared returned Busy calls again.
-    if (commit_queue_->ConsumeCompleted(txn_id)) return Status::OK();
-    if (commit_queue_->IsWaiter(txn_id)) {
-      return GroupCommitWait(txn_id, /*retry=*/true);
-    }
+  // Same Busy retry protocol as Commit: a prepared transaction whose
+  // earlier CommitPrepared returned Busy calls again.
+  if (Txn* waiter = GroupCommitWaiter(txn_id)) {
+    return CommitTail(waiter, /*retry=*/true);
   }
   Txn* txn = txns_->Find(txn_id);
   if (txn == nullptr || txn->state != TxnState::kPrepared) {
     return Status::Aborted("transaction is not in doubt");
   }
+  txn->state = TxnState::kCommitting;
   LogRecord rec;
   rec.type = RecordType::kCommit;
-  const Lsn commit_lsn = txns_->AppendChained(txn, &rec);
-  if (options_.group_commit) {
-    // 2PC decision application piggybacks on group commit: the commit
-    // record joins the queue and is forced by the next batch leader (or an
-    // unrelated barrier), so a cross-shard commit costs at most one forced
-    // batch per participant. Crash before the force leaves the transaction
-    // in doubt; the coordinator's decision log re-commits it on reopen.
-    txn->state = TxnState::kCommitting;
-    commit_queue_->Enqueue(txn_id, commit_lsn);
-    return GroupCommitWait(txn_id, /*retry=*/false);
-  }
-  SHEAP_RETURN_IF_ERROR(log_->Force());
-  DrainCommitQueue();
-  txn->state = TxnState::kCommitted;
-  return FinishTxn(txn_id);
+  txns_->AppendChained(txn, &rec);
+  // 2PC decision application piggybacks on group commit: the commit record
+  // joins the open batch and is forced by the next batch leader (or an
+  // unrelated barrier), so a cross-shard commit costs at most one forced
+  // batch per participant. Crash before the force leaves the transaction
+  // in doubt; the coordinator's decision log re-commits it on reopen.
+  if (!options_.group_commit) SHEAP_RETURN_IF_ERROR(log_->Force());
+  return CommitTail(txn, /*retry=*/false);
 }
 
 Status StableHeap::AbortPrepared(TxnId txn_id) {
@@ -1096,9 +1065,7 @@ Status StableHeap::CheckpointWithWriteback() {
 Status StableHeap::ForceLog() {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::ExclusiveSection exclusive(&gate_);
-  SHEAP_RETURN_IF_ERROR(log_->Force());
-  DrainCommitQueue();
-  return Status::OK();
+  return log_->Force();
 }
 
 Status StableHeap::StartStableCollection() {

@@ -18,9 +18,10 @@
 //   * > 1: true concurrent mutators. Begin/Read*/Write*/Commit/Abort and
 //     the root operations may be called from that many OS threads at once;
 //     each action runs inside a shared section of the GC<->mutator
-//     handshake gate, commits enqueue lock-free, and structural operations
-//     (allocation, collection, checkpoints, crash simulation) take the
-//     gate exclusively after an epoch/acknowledgment handshake. Outcomes
+//     handshake gate, commits join group commit by commit-LSN ticket, and
+//     structural operations (allocation, collection, checkpoints, crash
+//     simulation) take the gate exclusively after an epoch/acknowledgment
+//     handshake. Outcomes
 //     are serializable (strict 2PL is unchanged) but schedule-dependent;
 //     correctness is checked by post-run invariants, not byte equality.
 
@@ -74,12 +75,14 @@ struct StableHeapOptions {
   /// Force the log at every commit (true) or rely on explicit ForceLog()
   /// batches (group commit, §2.2.1 footnote 1).
   bool force_on_commit = true;
-  /// Real group commit (§2.2.1 footnote 1): committing transactions join a
-  /// commit queue; one batch-leader Force() covers every waiter. While a
-  /// transaction waits, Commit returns Status::Busy — retry the same call
-  /// until it returns OK (the scheduler's standard retry discipline).
-  /// Takes precedence over force_on_commit. Commit still returns OK only
-  /// after the commit record is on the stable device.
+  /// Real group commit (§2.2.1 footnote 1): a committing transaction joins
+  /// the open batch with its commit record's LSN as a ticket; one
+  /// batch-leader Force() covers the batch. Until the ticket is behind
+  /// LogWriter::durable_lsn(), Commit returns Status::Busy and the
+  /// transaction keeps its locks — retry the same call (the scheduler's
+  /// standard retry discipline); the retry that finds the ticket durable
+  /// finishes the transaction and returns OK. Takes precedence over
+  /// force_on_commit.
   bool group_commit = false;
   /// Batch-close policy and poll cost for group commit.
   GroupCommitOptions group_commit_options;
@@ -175,9 +178,10 @@ class StableHeap {
   [[nodiscard]] Status Abort(TxnId txn);
 
   /// Convenience for single-threaded callers under group commit: drive
-  /// Commit through the Busy retry protocol until the batch closes (each
-  /// retry charges poll time, so a lone committer reaches the batch
-  /// deadline). Identical to Commit when group commit is off.
+  /// Commit through the Busy retry protocol until the commit record is
+  /// durable (each waiting retry charges poll time, so a lone committer
+  /// reaches the batch deadline and leads its own force). Identical to
+  /// Commit when group commit is off.
   [[nodiscard]] Status CommitSync(TxnId txn) {
     for (;;) {
       Status st = Commit(txn);
@@ -289,7 +293,6 @@ class StableHeap {
   CopyingGc* volatile_gc() { return volatile_gc_.get(); }
   BufferPool* pool() { return pool_.get(); }
   LogWriter* log_writer() { return log_.get(); }
-  CommitQueue* commit_queue() { return commit_queue_.get(); }
   SpaceManager* spaces() { return spaces_.get(); }
   UndoTranslationTable* utt() { return &utt_; }
   RememberedSet* remembered() { return &remembered_; }
@@ -364,14 +367,16 @@ class StableHeap {
   /// Shared tail of Commit/CommitPrepared/Abort/AbortPrepared: release
   /// locks and per-transaction side state, log kEnd, drop the table entry.
   Status FinishTxn(TxnId txn_id);
-  /// Group commit: complete one durable waiter (kCommitting → kCommitted,
-  /// then the FinishTxn tail). Runs from the commit queue's callbacks.
-  void CompleteGroupCommit(TxnId txn_id);
-  /// Drive the commit queue for a waiting transaction. Returns OK once the
-  /// waiter's commit record is durable, Busy while the batch stays open.
-  Status GroupCommitWait(TxnId txn_id, bool retry);
-  /// Piggyback: after any unrelated Force(), complete waiters it covered.
-  void DrainCommitQueue();
+  /// Group commit's retry check, shared by Commit and CommitPrepared:
+  /// the transaction if an earlier call left it waiting on its commit
+  /// record's durability (kCommitting), else null.
+  Txn* GroupCommitWaiter(TxnId txn_id);
+  /// Durability tail of every commit entry point, once the commit record
+  /// is spooled (and forced, if the caller forces): under group commit,
+  /// join the open batch (first call) or charge a poll (retry), lead it if
+  /// it must close, and return Busy until the record is durable. Then
+  /// kCommitting -> kCommitted and the FinishTxn tail.
+  Status CommitTail(Txn* txn, bool retry);
   /// Step the incremental stable collector by gc_step_pages before an
   /// allocation (Baker-style pacing).
   Status MaybeStepCollector();
@@ -406,7 +411,7 @@ class StableHeap {
   Mutex gc_mu_;
   /// Guards the cross-transaction side tables (remembered_, ls_, utt_ and
   /// the tracker's maps) against concurrent shared-section mutators. Rank:
-  /// below qmu_, above the structure shards and the log writer's mutex.
+  /// above the structure shards and the log writer's mutex.
   Mutex side_mu_;
   /// The buffer pool's concurrent regime is held open for the heap's
   /// lifetime in multi-mutator mode; closed by the destructor.

@@ -306,7 +306,6 @@ Status AtomicGc::CommitCopies() {
     // travel in the log.
     batch.type = RecordType::kGcCopyBatch;
     batch.addr2 = base;
-    batch.count = nbytes / kWordSizeBytes;
     const Lsn lsn = ctx_.log->Append(&batch);
     st = ctx_.mem->WriteBytesLogged(base, batch.contents.data(), nbytes, lsn);
     for (size_t i = 0; st.ok() && i < batch.utr_entries.size(); ++i) {

@@ -9,14 +9,14 @@
 //
 // The collector is *atomic* because each step follows the write-ahead log
 // protocol (§3.4):
-//   * a copy step logs one kGcCopyBatch{run base, run words, contents,
-//     per-object {from, to, n}}: redo re-creates the to-space copies from
-//     the record and re-writes every forwarding pointer, so neither a lost
-//     forwarding pointer (Fig 3.4) nor a lost object descriptor (Fig 3.5)
-//     can occur. Every stable-area copy — flip roots, recovery resume, trap
-//     and frontier scans, Baker's barrier, executor rounds — goes through
-//     one planner (PlanCopy/CommitCopies), and a batch is committed before
-//     any record that names one of its to-space addresses;
+//   * a copy step logs one kGcCopyBatch{run base, contents, per-object
+//     {from, n}}: redo re-creates the to-space copies from the record
+//     and re-writes every forwarding pointer, so neither a lost forwarding
+//     pointer (Fig 3.4) nor a lost object descriptor (Fig 3.5) can occur.
+//     Every stable-area copy — flip roots, recovery resume, trap and
+//     frontier scans, Baker's barrier, executor rounds — goes through one
+//     planner (PlanCopy/CommitCopies), and a batch is committed before any
+//     record that names one of its to-space addresses;
 //   * a scan step logs kGcScan{page, translations}: redo re-applies the
 //     pointer translations, and analysis re-marks the page scanned. Every
 //     page scan walks the page with one walk (WalkPage) over a pinned frame;

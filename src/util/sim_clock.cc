@@ -2,7 +2,7 @@
 
 namespace sheap {
 
-thread_local SimClock* SimClock::tls_sink_clock_ = nullptr;
-thread_local uint64_t* SimClock::tls_sink_ns_ = nullptr;
+constinit thread_local SimClock* SimClock::tls_sink_clock_ = nullptr;
+constinit thread_local uint64_t* SimClock::tls_sink_ns_ = nullptr;
 
 }  // namespace sheap

@@ -116,8 +116,13 @@ class SimClock {
   void Reset() { now_ns_.store(0, std::memory_order_relaxed); }
 
  private:
-  static thread_local SimClock* tls_sink_clock_;
-  static thread_local uint64_t* tls_sink_ns_;
+  // constinit: other translation units then access these directly instead
+  // of through a TLS wrapper that checks for a dynamic initializer. With
+  // g++ 12 under -fsanitize=undefined that wrapper path tests the zero flag
+  // of an `addq x@gottpoff(%rip)` which the linker relaxes to a flag-less
+  // `lea`, so UBSan reported "store to null pointer" on every scope entry.
+  static constinit thread_local SimClock* tls_sink_clock_;
+  static constinit thread_local uint64_t* tls_sink_ns_;
 
   CostModel model_;
   std::atomic<uint64_t> now_ns_{0};

@@ -24,6 +24,7 @@ enum FieldBit : uint32_t {
   kFSlots = 1u << 11,
   kFUtrs = 1u << 12,
   kFPayload = 1u << 13,
+  kFCopies = 1u << 14,
 };
 
 uint32_t MaskFor(RecordType type) {
@@ -66,9 +67,11 @@ uint32_t MaskFor(RecordType type) {
       // 3 = run of `count` clean pages (batched executor encoding).
       return kFPage | kFSlots | kFAux | kFCount;
     case RecordType::kGcCopyBatch:
-      // addr2 = run base, count = run words, contents = concatenated
-      // object bytes, utr_entries = per-object {from, to, nwords}.
-      return kFAddr2 | kFCount | kFContents | kFUtrs;
+      // addr2 = run base, contents = concatenated object bytes, then the
+      // per-object {from, nwords} until the word counts cover the contents.
+      // Each `to` and the run length `count` follow from addr2 and the word
+      // counts, so only decoding fills them in.
+      return kFAddr2 | kFContents | kFCopies;
     case RecordType::kGcComplete:
       return kFAux | kFAddr;
     case RecordType::kUtr:
@@ -140,6 +143,17 @@ void LogRecord::EncodeTo(std::vector<uint8_t>* out) const {
       enc.PutVarint(e.nwords);
     }
   }
+  if (mask & kFCopies) {
+    // The copy planner lays a run out contiguously from addr2.
+    uint64_t to = addr2;
+    for (const auto& e : utr_entries) {
+      SHEAP_CHECK(e.to == to && e.nwords > 0);
+      enc.PutVarint(e.from);
+      enc.PutVarint(e.nwords);
+      to += e.nwords * kWordSizeBytes;
+    }
+    SHEAP_CHECK(to - addr2 == contents.size());
+  }
   if (mask & kFPayload) {
     enc.PutLengthPrefixed(payload.data(), payload.size());
   }
@@ -203,6 +217,24 @@ Status LogRecord::DecodeFrom(Decoder* dec, LogRecord* out) {
           !dec->GetVarint(&e.nwords)) {
         return Status::Corruption("truncated utr entries");
       }
+      out->utr_entries.push_back(e);
+    }
+  }
+  if (mask & kFCopies) {
+    if (out->contents.size() % kWordSizeBytes != 0) {
+      return Status::Corruption("copy contents are not whole words");
+    }
+    const uint64_t run_words = out->contents.size() / kWordSizeBytes;
+    while (out->count < run_words) {
+      UtrEntry e;
+      if (!dec->GetVarint(&e.from) || !dec->GetVarint(&e.nwords)) {
+        return Status::Corruption("truncated copy entries");
+      }
+      if (e.nwords == 0 || e.nwords > run_words - out->count) {
+        return Status::Corruption("copy word counts do not match contents");
+      }
+      e.to = out->addr2 + out->count * kWordSizeBytes;
+      out->count += e.nwords;
       out->utr_entries.push_back(e);
     }
   }

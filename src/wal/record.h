@@ -12,10 +12,12 @@
 //   kGcFlip / kGcCopyBatch / kGcScan / kGcComplete
 //   kGcCopyBatch is the copy step: every stable-area copy goes through the
 //   collector's one copy planner, which logs a contiguous run of copies as
-//   one record — addr2 = run start, count = run words, contents = the
-//   concatenated object bytes, utr_entries = the per-object table
-//   {from, to, nwords} (redo re-writes every forwarding word from it;
-//   analysis replays the copy frontier, LOT and UTT from it).
+//   one record — addr2 = run start, contents = the concatenated object
+//   bytes, utr_entries = the per-object table {from, to, nwords} (redo
+//   re-writes every forwarding word from it; analysis replays the copy
+//   frontier, LOT and UTT from it). Only {from, nwords} is encoded: each
+//   `to` and the run length `count` are rebuilt from addr2 and the word
+//   counts, so a one-object batch is no larger than the retired kGcCopy.
 //   kGcCopy (15) is a retired id: the per-object copy record it named is
 //   no longer written, and decoding one reports Corruption.
 // Roots in recovery information (§4.2.1-4.2.2):

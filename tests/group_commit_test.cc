@@ -1,19 +1,21 @@
 // Group-commit scheduler tests (paper §2.2.1, footnote 1): committing
-// transactions join a commit queue and one batch-leader Force() makes the
-// whole batch durable. The durability contract is unchanged — Commit
-// returns OK only after the commit record is behind the durable barrier —
-// and while queued Commit returns Busy, the simulator's "retry this
-// low-level action" signal.
+// transactions join the open batch with their commit LSN as a ticket and
+// one batch-leader Force() makes the whole batch durable. The durability
+// contract is unchanged — Commit returns OK only after the commit record is
+// behind the durable barrier — and while the ticket is not durable Commit
+// returns Busy, the simulator's "retry this low-level action" signal.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "core/stable_heap.h"
+#include "wal/log_reader.h"
 #include "workload/scheduler.h"
 #include "workload/workloads.h"
 #include "storage/sim_env.h"
@@ -51,13 +53,17 @@ class GroupCommitTest : public ::testing::Test {
     SHEAP_CHECK_OK(st);
   }
 
-  /// Commit a stable scalar array under root 0 with `slots` slots.
-  /// Object handles are per-transaction, so callers re-fetch the array
-  /// with GetRoot(t, 0) inside their own transactions.
-  void SetupArray(uint64_t slots) {
+  /// Commit `n` stable scalar arrays of `slots` slots under roots 0..n-1,
+  /// so up to `n` transactions that each touch their own array can wait in
+  /// the same batch without lock conflicts. Object handles are
+  /// per-transaction, so callers re-fetch an array with GetRoot inside
+  /// their own transactions.
+  void SetupArrays(uint64_t n, uint64_t slots = 4) {
     TxnId txn = *heap_->Begin();
-    Ref arr = *heap_->AllocateStable(txn, kClassDataArray, slots);
-    SHEAP_CHECK_OK(heap_->SetRoot(txn, 0, arr));
+    for (uint64_t i = 0; i < n; ++i) {
+      Ref arr = *heap_->AllocateStable(txn, kClassDataArray, slots);
+      SHEAP_CHECK_OK(heap_->SetRoot(txn, i, arr));
+    }
     CommitViaForce(txn);
   }
 
@@ -70,14 +76,7 @@ class GroupCommitTest : public ::testing::Test {
 TEST_F(GroupCommitTest, BatchClosesAtMaxBatchWithOneForce) {
   Open(/*max_batch=*/4, /*max_delay_ns=*/3'600'000'000'000ull);
   // Distinct objects so all four committers can be queued at once.
-  {
-    TxnId txn = *heap_->Begin();
-    for (int i = 0; i < 4; ++i) {
-      Ref arr = *heap_->AllocateStable(txn, kClassDataArray, 2);
-      SHEAP_CHECK_OK(heap_->SetRoot(txn, i, arr));
-    }
-    CommitViaForce(txn);
-  }
+  SetupArrays(4, 2);
 
   std::vector<TxnId> txns;
   for (uint64_t i = 0; i < 3; ++i) {
@@ -99,7 +98,9 @@ TEST_F(GroupCommitTest, BatchClosesAtMaxBatchWithOneForce) {
   EXPECT_EQ(gc.enqueued, 5u);  // setup commit + 4
   EXPECT_EQ(gc.size_closes, 1u);
   EXPECT_EQ(gc.max_batch_seen, 4u);
-  EXPECT_TRUE(heap_->commit_queue()->Empty());
+  // Nobody is left waiting: every committer finished its own transaction.
+  txns.push_back(leader);
+  for (TxnId t : txns) EXPECT_EQ(heap_->txn_manager()->Find(t), nullptr);
 }
 
 // A lone committer must not wait forever: each Busy retry charges poll_ns
@@ -107,7 +108,7 @@ TEST_F(GroupCommitTest, BatchClosesAtMaxBatchWithOneForce) {
 // becomes its own batch leader.
 TEST_F(GroupCommitTest, LoneCommitterClosesAtDeadline) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/2'000'000);
-  SetupArray(4);
+  SetupArrays(1);
 
   TxnId t = *heap_->Begin();
   Ref arr = *heap_->GetRoot(t, 0);
@@ -132,7 +133,7 @@ TEST_F(GroupCommitTest, LoneCommitterClosesAtDeadline) {
 // queued waiters without a leader force: piggybacking.
 TEST_F(GroupCommitTest, WaitersPiggybackOnUnrelatedForce) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/3'600'000'000'000ull);
-  SetupArray(4);
+  SetupArrays(1);
   const uint64_t batches_before = heap_->group_commit_stats().batches;
 
   TxnId t = *heap_->Begin();
@@ -147,11 +148,42 @@ TEST_F(GroupCommitTest, WaitersPiggybackOnUnrelatedForce) {
   EXPECT_EQ(gc.batches, batches_before);  // no leader force was needed
 }
 
+// A batch whose highest ticket an unrelated barrier already made durable
+// is retired as piggybacked: polls past the batch's deadline do not force
+// it a second time.
+TEST_F(GroupCommitTest, LeaderNeverForcesAnAlreadyDurableBatch) {
+  Open(/*max_batch=*/3, /*max_delay_ns=*/2'000'000);
+  SetupArrays(2);
+
+  std::vector<TxnId> waiters;
+  for (uint64_t i = 0; i < 2; ++i) {
+    TxnId t = *heap_->Begin();
+    Ref arr = *heap_->GetRoot(t, i);
+    ASSERT_TRUE(heap_->WriteScalar(t, arr, 0, 10 + i).ok());
+    EXPECT_TRUE(heap_->Commit(t).IsBusy());
+    waiters.push_back(t);
+  }
+  ASSERT_TRUE(heap_->ForceLog().ok());
+  const GroupCommitStats before = heap_->group_commit_stats();
+  const uint64_t syncs_before = env_->log()->stats().forces;
+
+  // The open batch is past its deadline, so a poll would close it.
+  env_->clock()->Advance(3'000'000);
+  for (TxnId t : waiters) EXPECT_TRUE(heap_->Commit(t).ok());
+
+  const GroupCommitStats after = heap_->group_commit_stats();
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.piggybacked, before.piggybacked + 2);
+  EXPECT_EQ(env_->log()->stats().forces, syncs_before);
+}
+
 // While queued the transaction is still kCommitting: its locks stay held,
-// so conflicting writers keep getting Busy until the batch is durable.
+// so conflicting writers keep getting Busy. Only the waiter finishes its
+// own transaction, so the locks are released at the waiter's next Commit
+// after its commit record is durable, not by the force itself.
 TEST_F(GroupCommitTest, QueuedCommitHoldsLocksUntilDurable) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/3'600'000'000'000ull);
-  SetupArray(4);
+  SetupArrays(1);
 
   TxnId t1 = *heap_->Begin();
   Ref arr1 = *heap_->GetRoot(t1, 0);
@@ -162,8 +194,9 @@ TEST_F(GroupCommitTest, QueuedCommitHoldsLocksUntilDurable) {
   Ref arr2 = *heap_->GetRoot(t2, 0);
   EXPECT_TRUE(heap_->WriteScalar(t2, arr2, 0, 2).IsBusy());  // t1's lock
 
-  ASSERT_TRUE(heap_->ForceLog().ok());  // makes t1 durable, releases locks
-  EXPECT_TRUE(heap_->Commit(t1).ok());
+  ASSERT_TRUE(heap_->ForceLog().ok());  // makes t1's commit record durable
+  EXPECT_TRUE(heap_->WriteScalar(t2, arr2, 0, 2).IsBusy());  // still held
+  EXPECT_TRUE(heap_->Commit(t1).ok());  // t1 finishes: locks released
   EXPECT_TRUE(heap_->WriteScalar(t2, arr2, 0, 2).ok());
   CommitViaForce(t2);
 }
@@ -174,14 +207,7 @@ TEST_F(GroupCommitTest, CommittedBatchesSurviveCrash) {
   Open(/*max_batch=*/4, /*max_delay_ns=*/2'000'000);
   // One array per queue position: the 4 transactions of a wave touch
   // distinct objects, so they can all sit in the same batch.
-  {
-    TxnId txn = *heap_->Begin();
-    for (int i = 0; i < 4; ++i) {
-      Ref arr = *heap_->AllocateStable(txn, kClassDataArray, 4);
-      SHEAP_CHECK_OK(heap_->SetRoot(txn, i, arr));
-    }
-    CommitViaForce(txn);
-  }
+  SetupArrays(4);
 
   // Waves of 4 fill batches exactly; each wave is one leader force.
   for (uint64_t wave = 0; wave < 4; ++wave) {
@@ -223,7 +249,7 @@ TEST_F(GroupCommitTest, CommittedBatchesSurviveCrash) {
 // closes; everything still serializes.
 TEST_F(GroupCommitTest, SchedulerInterleavesQueuedCommits) {
   Open(/*max_batch=*/8, /*max_delay_ns=*/2'000'000);
-  SetupArray(8);
+  SetupArrays(1, 8);
 
   Scheduler sched(heap_.get(), /*seed=*/1234);
   constexpr uint64_t kClients = 4;
@@ -329,6 +355,84 @@ TEST_F(GroupCommitTest, ThreadsShareBatchesUnderActionMutex) {
     }
   }
   ASSERT_TRUE(heap_->CommitSync(t).ok());
+}
+
+// Two concurrent mutator threads (mutator_threads = 2): each committer
+// finishes its own transaction, and only once its ticket is durable. Every
+// Commit that returns OK must already see LogWriter::durable_lsn() at or
+// past that transaction's commit LSN (read back from the log afterwards).
+TEST(GroupCommitConcurrentTest, OkCommitsAreBehindTheDurableBarrier) {
+  constexpr uint64_t kThreads = 2;
+  constexpr uint64_t kCommitsPerThread = 64;
+  SimEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 512;
+  opts.volatile_space_pages = 256;
+  opts.mutator_threads = kThreads;
+  opts.group_commit = true;
+  opts.group_commit_options.max_batch = 4;
+  opts.group_commit_options.close_after_polls = 4;
+  auto opened = StableHeap::Open(&env, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*opened);
+  {
+    TxnId txn = *heap->Begin();
+    for (uint64_t i = 0; i < kThreads; ++i) {
+      Ref arr = *heap->AllocateStable(txn, kClassDataArray, 8);
+      SHEAP_CHECK_OK(heap->SetRoot(txn, i, arr));
+    }
+    SHEAP_CHECK_OK(heap->CommitSync(txn));
+  }
+
+  struct Acked {
+    TxnId txn;
+    Lsn durable_at_return;
+  };
+  std::vector<std::vector<Acked>> acked(kThreads);
+  std::atomic<bool> failed{false};
+  auto worker = [&](uint64_t id) {
+    for (uint64_t i = 0; i < kCommitsPerThread && !failed; ++i) {
+      auto txn = heap->Begin();
+      if (!txn.ok()) { failed = true; return; }
+      auto arr = heap->GetRoot(*txn, id);
+      if (!arr.ok() || !heap->WriteScalar(*txn, *arr, i % 8, i + 1).ok()) {
+        failed = true;
+        return;
+      }
+      for (;;) {
+        Status st = heap->Commit(*txn);
+        if (st.ok()) {
+          acked[id].push_back({*txn, heap->log_writer()->durable_lsn()});
+          break;
+        }
+        if (!st.IsBusy()) { failed = true; return; }
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& t : threads) t.join();
+  ASSERT_FALSE(failed);
+
+  std::unordered_map<TxnId, Lsn> commit_lsn;
+  LogReader reader(env.log());
+  LogRecord rec;
+  for (;;) {
+    auto more = reader.Next(&rec);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    if (rec.type == RecordType::kCommit) commit_lsn[rec.txn_id] = rec.lsn;
+  }
+  for (const auto& per_thread : acked) {
+    ASSERT_EQ(per_thread.size(), kCommitsPerThread);
+    for (const Acked& a : per_thread) {
+      auto it = commit_lsn.find(a.txn);
+      ASSERT_NE(it, commit_lsn.end()) << "acknowledged commit not durable";
+      EXPECT_GE(a.durable_at_return, it->second) << "txn " << a.txn;
+    }
+  }
+  EXPECT_GT(heap->group_commit_stats().batches, 0u);
 }
 
 }  // namespace

@@ -58,20 +58,66 @@ TEST(RecordTest, GcCopyBatchRoundTripCarriesContents) {
   EXPECT_EQ(out.utr_entries, rec.utr_entries);
 }
 
-TEST(RecordTest, RetiredGcCopyTypeDecodesAsCorruption) {
-  // A body in the retired per-object copy format: type 15, then from, to,
-  // word count and the length-prefixed contents.
+/// A body in the retired per-object copy format: type 15, then from, to,
+/// word count and the length-prefixed contents.
+std::vector<uint8_t> RetiredGcCopyBody(uint64_t from, uint64_t to,
+                                       const std::vector<uint8_t>& contents) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
   enc.PutU8(static_cast<uint8_t>(RecordType::kGcCopy));
-  enc.PutVarint(8192);
-  enc.PutVarint(65536);
-  enc.PutVarint(1);
-  const uint8_t word[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  enc.PutLengthPrefixed(word, sizeof(word));
+  enc.PutVarint(from);
+  enc.PutVarint(to);
+  enc.PutVarint(contents.size() / kWordSizeBytes);
+  enc.PutLengthPrefixed(contents.data(), contents.size());
+  return body;
+}
+
+TEST(RecordTest, RetiredGcCopyTypeDecodesAsCorruption) {
+  std::vector<uint8_t> body =
+      RetiredGcCopyBody(8192, 65536, {1, 2, 3, 4, 5, 6, 7, 8});
   Decoder dec(body);
   LogRecord out;
   EXPECT_TRUE(LogRecord::DecodeFrom(&dec, &out).IsCorruption());
+}
+
+TEST(RecordTest, OneObjectGcCopyBatchIsNoLargerThanRetiredGcCopy) {
+  // Each `to` and the run length follow from addr2 and the word counts,
+  // so a batch of one object carries what the retired record did.
+  LogRecord rec;
+  rec.type = RecordType::kGcCopyBatch;
+  rec.addr2 = 65536;
+  rec.contents = std::vector<uint8_t>(3 * kWordSizeBytes, 0x5a);
+  rec.utr_entries = {{8192, 65536, 3}};
+  std::vector<uint8_t> batch;
+  rec.EncodeTo(&batch);
+  EXPECT_LE(batch.size(), RetiredGcCopyBody(8192, 65536, rec.contents).size());
+  LogRecord out = RoundTrip(rec);
+  EXPECT_EQ(out.count, 3u);
+  EXPECT_EQ(out.utr_entries, rec.utr_entries);
+}
+
+TEST(RecordTest, GcCopyBatchWordCountsMustCoverItsContents) {
+  // A kGcCopyBatch body: addr2, one length-prefixed word of contents, then
+  // per-object {from, nwords} entries.
+  auto body = [](std::initializer_list<uint64_t> entries) {
+    std::vector<uint8_t> b;
+    Encoder enc(&b);
+    enc.PutU8(static_cast<uint8_t>(RecordType::kGcCopyBatch));
+    enc.PutVarint(65536);
+    const uint8_t word[8] = {};
+    enc.PutLengthPrefixed(word, sizeof(word));
+    for (uint64_t v : entries) enc.PutVarint(v);
+    return b;
+  };
+  auto decode = [](const std::vector<uint8_t>& b) {
+    Decoder dec(b);
+    LogRecord out;
+    return LogRecord::DecodeFrom(&dec, &out);
+  };
+  EXPECT_TRUE(decode(body({8192, 1})).ok());
+  EXPECT_TRUE(decode(body({8192, 2})).IsCorruption());  // overshoots
+  EXPECT_TRUE(decode(body({8192, 0})).IsCorruption());  // empty object
+  EXPECT_TRUE(decode(body({})).IsCorruption());         // covers nothing
 }
 
 TEST(RecordTest, GcScanRoundTrip) {
@@ -117,11 +163,12 @@ TEST(RecordTest, EveryTypeRoundTripsItsFields) {
     rec.new_word = 6;
     rec.old_word = 7;
     rec.aux = 0;
-    rec.count = 9;
+    rec.count = 3;
     rec.page = 10;
-    rec.contents = {0xaa};
+    // One 3-word object laid out at addr2, as a kGcCopyBatch requires.
+    rec.contents = std::vector<uint8_t>(3 * kWordSizeBytes, 0xaa);
     rec.slot_updates = {{1, 2}};
-    rec.utr_entries = {{1, 2, 3}};
+    rec.utr_entries = {{1, 5, 3}};
     rec.payload = {0xbb};
     LogRecord out = RoundTrip(rec);
     EXPECT_EQ(out.type, rec.type) << LogRecord::TypeName(rec.type);
