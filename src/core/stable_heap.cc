@@ -119,12 +119,8 @@ Status StableHeap::InitializeImpl() {
     BuildCollectors(nullptr);
   }
 
-  tracker_ = std::make_unique<StabilityTracker>(mem_.get(), &types_,
-                                                env_->clock(), &ls_);
-  tracker_->is_volatile = [this](HeapAddr a) {
-    return volatile_gc_->Contains(a);
-  };
-  tracker_->resolve = [this](HeapAddr a) { return ResolveHusk(a); };
+  tracker_ = std::make_unique<StabilityTracker>(
+      mem_.get(), &types_, volatile_gc_.get(), env_->clock(), &ls_);
 
   Promoter::Deps pdeps;
   pdeps.mem = mem_.get();
@@ -172,14 +168,7 @@ Status StableHeap::InitializeImpl() {
   checkpointer_->extra_dirty_pages =
       [this]() -> std::vector<std::pair<PageId, Lsn>> {
     std::vector<std::pair<PageId, Lsn>> out;
-    SHEAP_CHECK_OK(pending_.ForEach(
-        [&](HeapAddr s, const PendingMaterializations::Entry& e) {
-          const uint64_t bytes = (1 + e.nslots) * kWordSizeBytes;
-          for (PageId p = PageOf(s); p <= PageOf(s + bytes - 1); ++p) {
-            out.emplace_back(p, e.initial_lsn);
-          }
-          return Status::OK();
-        }));
+    pending_.AppendDirtyPages(&out);
     if (instant_) {
       // Pages still behind the gate are dirty-in-waiting: a checkpoint
       // taken mid-drain carries them at their original recLSNs, so a crash
@@ -226,7 +215,7 @@ void StableHeap::WireGcHooks() {
       [this](const std::function<StatusOr<HeapAddr>(HeapAddr)>& translate) {
         return ScanVolatileAreaAsRoots(translate);
       };
-  stable_gc_->before_flip = [this]() { return MaterializePending(); };
+  stable_gc_->before_flip = [this]() { return promoter_->Materialize(); };
   stable_gc_->before_complete = [this]() -> Status {
     if (!options_.divided_heap) return Status::OK();
     // Repair or retire promotion husks while from-space is still readable.
@@ -491,14 +480,7 @@ Status StableHeap::CommitImpl(TxnId txn_id) {
   // Newly stable objects move to the stable area before the commit record
   // (§5.2): if the commit record survives, so does the promotion.
   if (options_.divided_heap) {
-    Status promoted = promoter_->PromoteAtCommit(txn);
-    if (promoted.IsOutOfSpace() && options_.auto_collect) {
-      // Promotion is all-or-nothing (capacity precheck), so it is safe to
-      // reclaim the stable area and retry.
-      SHEAP_RETURN_IF_ERROR(stable_gc_->CollectFully());
-      promoted = promoter_->PromoteAtCommit(txn);
-    }
-    SHEAP_RETURN_IF_ERROR(promoted);
+    SHEAP_RETURN_IF_ERROR(Promote(txn));
     // Crash window: promotion copies spooled, commit record not.
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.promoted");
   }
@@ -516,6 +498,17 @@ Status StableHeap::CommitImpl(TxnId txn_id) {
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.forced");
   }
   return CommitTail(txn, /*retry=*/false);
+}
+
+Status StableHeap::Promote(Txn* txn) {
+  Status promoted = promoter_->PromoteAtCommit(txn);
+  if (promoted.IsOutOfSpace() && options_.auto_collect) {
+    // Promotion is all-or-nothing (capacity precheck), so it is safe to
+    // reclaim the stable area and retry.
+    SHEAP_RETURN_IF_ERROR(stable_gc_->CollectFully());
+    promoted = promoter_->PromoteAtCommit(txn);
+  }
+  return promoted;
 }
 
 Txn* StableHeap::GroupCommitWaiter(TxnId txn_id) {
@@ -583,7 +576,7 @@ Status StableHeap::UndoTxn(Txn* txn) {
   for (auto it = txn->updates.rbegin(); it != txn->updates.rend(); ++it) {
     const TxnUpdate& e = *it;
     const HeapAddr slot_addr = SlotAddr(e.obj_base, e.slot);
-    const HeapAddr phys_addr = PhysSlotAddr(slot_addr);
+    Lsn lsn = kInvalidLsn;
     if (e.logged) {
       --logged_remaining;
       const Lsn undo_next =
@@ -595,18 +588,10 @@ Status StableHeap::UndoTxn(Txn* txn) {
       clr.addr = slot_addr;
       clr.new_word = e.old_word;
       clr.aux = e.is_pointer ? LogRecord::kFlagPointer : 0;
-      const Lsn lsn = txns_->AppendChained(txn, &clr);
-      if (phys_addr != slot_addr) {
-        SHEAP_RETURN_IF_ERROR(
-            mem_->WriteWordUnlogged(phys_addr, e.old_word));
-      } else {
-        SHEAP_RETURN_IF_ERROR(
-            mem_->WriteWordLogged(slot_addr, e.old_word, lsn));
-      }
-    } else {
-      SHEAP_RETURN_IF_ERROR(
-          mem_->WriteWordUnlogged(phys_addr, e.old_word));
+      lsn = txns_->AppendChained(txn, &clr);
     }
+    SHEAP_RETURN_IF_ERROR(
+        pending_.WriteSlot(mem_.get(), slot_addr, e.old_word, lsn));
   }
   return Status::OK();
 }
@@ -641,14 +626,7 @@ Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
 
   // Pre-commit work happens at prepare: if the coordinator decides commit,
   // only the kCommit record remains to be written.
-  if (options_.divided_heap) {
-    Status promoted = promoter_->PromoteAtCommit(txn);
-    if (promoted.IsOutOfSpace() && options_.auto_collect) {
-      SHEAP_RETURN_IF_ERROR(stable_gc_->CollectFully());
-      promoted = promoter_->PromoteAtCommit(txn);
-    }
-    SHEAP_RETURN_IF_ERROR(promoted);
-  }
+  if (options_.divided_heap) SHEAP_RETURN_IF_ERROR(Promote(txn));
 
   LogRecord rec;
   rec.type = RecordType::kPrepare;
@@ -766,13 +744,23 @@ StatusOr<HeapAddr> StableHeap::AllocateVolatileRaw(Txn* txn, ClassId cls,
       !options_.auto_collect) {
     return result;
   }
-  SHEAP_RETURN_IF_ERROR(MaterializePending());
+  SHEAP_RETURN_IF_ERROR(promoter_->Materialize());
   SHEAP_RETURN_IF_ERROR(volatile_gc_->Collect());
   return volatile_gc_->AllocateObject(txn, cls, nslots);
 }
 
 StatusOr<Ref> StableHeap::Allocate(TxnId txn_id, ClassId cls,
                                    uint64_t nslots) {
+  return AllocateIn(txn_id, cls, nslots, /*stable=*/!options_.divided_heap);
+}
+
+StatusOr<Ref> StableHeap::AllocateStable(TxnId txn_id, ClassId cls,
+                                         uint64_t nslots) {
+  return AllocateIn(txn_id, cls, nslots, /*stable=*/true);
+}
+
+StatusOr<Ref> StableHeap::AllocateIn(TxnId txn_id, ClassId cls,
+                                     uint64_t nslots, bool stable) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   // Allocation moves the space allocation pointer and may step or flip the
   // collector (auto_collect / pacing); exclusive keeps those transitions
@@ -781,26 +769,9 @@ StatusOr<Ref> StableHeap::Allocate(TxnId txn_id, ClassId cls,
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
   SHEAP_RETURN_IF_ERROR(ValidateClass(cls, nslots));
   SHEAP_RETURN_IF_ERROR(MaybeStepCollector());
-  HeapAddr base;
-  if (options_.divided_heap) {
-    SHEAP_ASSIGN_OR_RETURN(base, AllocateVolatileRaw(txn, cls, nslots));
-  } else {
-    SHEAP_ASSIGN_OR_RETURN(base, AllocateStableRaw(txn, cls, nslots));
-  }
-  SHEAP_RETURN_IF_ERROR(locks_.AcquireWrite(txn_id, base));
-  env_->clock()->ChargeAccess();
-  return handles_.Create(txn_id, base);
-}
-
-StatusOr<Ref> StableHeap::AllocateStable(TxnId txn_id, ClassId cls,
-                                         uint64_t nslots) {
-  SHEAP_RETURN_IF_ERROR(CheckUsable());
-  MutatorGate::ExclusiveSection exclusive(&gate_);
-  SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  SHEAP_RETURN_IF_ERROR(ValidateClass(cls, nslots));
-  SHEAP_RETURN_IF_ERROR(MaybeStepCollector());
   SHEAP_ASSIGN_OR_RETURN(HeapAddr base,
-                         AllocateStableRaw(txn, cls, nslots));
+                         stable ? AllocateStableRaw(txn, cls, nslots)
+                                : AllocateVolatileRaw(txn, cls, nslots));
   SHEAP_RETURN_IF_ERROR(locks_.AcquireWrite(txn_id, base));
   env_->clock()->ChargeAccess();
   return handles_.Create(txn_id, base);
@@ -825,11 +796,16 @@ StatusOr<HeapAddr> StableHeap::ResolveRef(TxnId txn, Ref ref) const {
   return *addr;
 }
 
-StatusOr<HeapAddr> StableHeap::ResolveHusk(HeapAddr a) {
-  if (a == kNullAddr || !volatile_gc_->Contains(a)) return a;
-  SHEAP_ASSIGN_OR_RETURN(uint64_t w, mem_->ReadWord(a));
-  if (IsForwardWord(w)) return ForwardTarget(w);
-  return a;
+StatusOr<HeapAddr> StableHeap::ResolveTarget(TxnId txn, Ref target) const {
+  if (target == kNullRef) return kNullAddr;
+  return ResolveRef(txn, target);
+}
+
+StatusOr<Ref> StableHeap::HandleFor(TxnId txn, HeapAddr v) {
+  if (v == kNullAddr) return kNullRef;
+  // A slot may still name a promotion husk; hand out the live address.
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr live, volatile_gc_->ResolveHusk(v));
+  return handles_.Create(txn, live);
 }
 
 bool StableHeap::InStableArea(HeapAddr a) const {
@@ -875,11 +851,6 @@ StatusOr<ObjectHeader> StableHeap::CheckedHeader(HeapAddr base,
   return hdr;
 }
 
-HeapAddr StableHeap::PhysSlotAddr(HeapAddr slot_addr) const {
-  const HeapAddr redirected = pending_.Redirect(slot_addr);
-  return redirected == kNullAddr ? slot_addr : redirected;
-}
-
 StatusOr<uint64_t> StableHeap::ReadSlotInternal(Txn* txn, HeapAddr base,
                                                 uint64_t slot,
                                                 bool want_pointer) {
@@ -892,8 +863,7 @@ StatusOr<uint64_t> StableHeap::ReadSlotInternal(Txn* txn, HeapAddr base,
   }
   const HeapAddr slot_addr = SlotAddr(base, slot);
   SHEAP_RETURN_IF_ERROR(GcEnsureSlotAccess(slot_addr, want_pointer));
-  SHEAP_ASSIGN_OR_RETURN(uint64_t v,
-                         mem_->ReadWord(PhysSlotAddr(slot_addr)));
+  SHEAP_ASSIGN_OR_RETURN(uint64_t v, pending_.ReadSlot(mem_.get(), slot_addr));
   env_->clock()->ChargeAccess();
   return v;
 }
@@ -907,8 +877,8 @@ Status StableHeap::WriteSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
   }
   const HeapAddr slot_addr = SlotAddr(base, slot);
   SHEAP_RETURN_IF_ERROR(GcEnsureSlotAccess(slot_addr, is_pointer));
-  const HeapAddr phys_addr = PhysSlotAddr(slot_addr);
-  SHEAP_ASSIGN_OR_RETURN(uint64_t old, mem_->ReadWord(phys_addr));
+  SHEAP_ASSIGN_OR_RETURN(uint64_t old,
+                         pending_.ReadSlot(mem_.get(), slot_addr));
 
   const bool stable = InStableArea(base);
   TxnUpdate e;
@@ -927,19 +897,12 @@ Status StableHeap::WriteSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
     rec.old_word = old;
     rec.new_word = value;
     rec.aux = is_pointer ? LogRecord::kFlagPointer : 0;
-    const Lsn lsn = txns_->AppendChained(txn, &rec);
-    if (phys_addr != slot_addr) {
-      // Pending (method-2) object: the record targets the stable address,
-      // the physical body still lives at the volatile source.
-      SHEAP_RETURN_IF_ERROR(mem_->WriteWordUnlogged(phys_addr, value));
-    } else {
-      SHEAP_RETURN_IF_ERROR(mem_->WriteWordLogged(slot_addr, value, lsn));
-    }
+    e.lsn = txns_->AppendChained(txn, &rec);
     e.logged = true;
-    e.lsn = lsn;
-  } else {
-    SHEAP_RETURN_IF_ERROR(mem_->WriteWordUnlogged(phys_addr, value));
   }
+  // A stable write is logged at e.lsn; a volatile one (kInvalidLsn) is not.
+  SHEAP_RETURN_IF_ERROR(
+      pending_.WriteSlot(mem_.get(), slot_addr, value, e.lsn));
   txn->updates.push_back(e);
 
   if (is_pointer && options_.divided_heap) {
@@ -979,10 +942,7 @@ StatusOr<Ref> StableHeap::ReadRef(TxnId txn_id, Ref ref, uint64_t slot) {
   SHEAP_ASSIGN_OR_RETURN(uint64_t v,
                          ReadSlotInternal(txn, base, slot,
                                           /*want_pointer=*/true));
-  if (v == kNullAddr) return kNullRef;
-  // A slot may still name a promotion husk; hand out the live address.
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved, ResolveHusk(v));
-  return handles_.Create(txn_id, resolved);
+  return HandleFor(txn_id, v);
 }
 
 Status StableHeap::WriteScalar(TxnId txn_id, Ref ref, uint64_t slot,
@@ -1000,10 +960,7 @@ Status StableHeap::WriteRef(TxnId txn_id, Ref ref, uint64_t slot,
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
   SHEAP_ASSIGN_OR_RETURN(HeapAddr base, ResolveRef(txn_id, ref));
-  HeapAddr value = kNullAddr;
-  if (target != kNullRef) {
-    SHEAP_ASSIGN_OR_RETURN(value, ResolveRef(txn_id, target));
-  }
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr value, ResolveTarget(txn_id, target));
   return WriteSlotInternal(txn, base, slot, value, /*is_pointer=*/true);
 }
 
@@ -1024,10 +981,7 @@ Status StableHeap::SetRoot(TxnId txn_id, uint64_t index, Ref target) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  HeapAddr value = kNullAddr;
-  if (target != kNullRef) {
-    SHEAP_ASSIGN_OR_RETURN(value, ResolveRef(txn_id, target));
-  }
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr value, ResolveTarget(txn_id, target));
   return WriteSlotInternal(txn, stable_gc_->root_object(), index, value,
                            /*is_pointer=*/true);
 }
@@ -1039,9 +993,7 @@ StatusOr<Ref> StableHeap::GetRoot(TxnId txn_id, uint64_t index) {
   SHEAP_ASSIGN_OR_RETURN(uint64_t v,
                          ReadSlotInternal(txn, stable_gc_->root_object(),
                                           index, /*want_pointer=*/true));
-  if (v == kNullAddr) return kNullRef;
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved, ResolveHusk(v));
-  return handles_.Create(txn_id, resolved);
+  return HandleFor(txn_id, v);
 }
 
 // --------------------------------------------------------------- control
@@ -1092,7 +1044,7 @@ Status StableHeap::CollectVolatile() {
   if (!options_.divided_heap) {
     return Status::InvalidArgument("heap is not divided");
   }
-  SHEAP_RETURN_IF_ERROR(MaterializePending());
+  SHEAP_RETURN_IF_ERROR(promoter_->Materialize());
   return volatile_gc_->Collect();
 }
 
@@ -1169,49 +1121,7 @@ StatusOr<uint64_t> StableHeap::DebugReadWord(HeapAddr addr) {
   if (const auto* entry = pending_.Lookup(addr)) {
     return EncodeHeader(entry->cls, entry->nslots);
   }
-  return mem_->ReadWord(PhysSlotAddr(addr));
-}
-
-Status StableHeap::MaterializePending() {
-  if (pending_.empty()) return Status::OK();
-  struct Move {
-    HeapAddr stable_base;
-    PendingMaterializations::Entry entry;
-  };
-  std::vector<Move> moves;
-  SHEAP_RETURN_IF_ERROR(pending_.ForEach(
-      [&](HeapAddr s, const PendingMaterializations::Entry& e) {
-        moves.push_back({s, e});
-        return Status::OK();
-      }));
-  for (const Move& m : moves) {
-    const uint64_t total = 1 + m.entry.nslots;
-    std::vector<uint8_t> bytes(total * kWordSizeBytes);
-    // Header synthesized (the volatile source's word 0 is the forwarding
-    // word); slots read from the live body, husk pointers resolved.
-    const uint64_t header = EncodeHeader(m.entry.cls, m.entry.nslots);
-    std::memcpy(bytes.data(), &header, kWordSizeBytes);
-    for (uint64_t s = 0; s < m.entry.nslots; ++s) {
-      SHEAP_ASSIGN_OR_RETURN(
-          uint64_t v,
-          mem_->ReadWord(SlotAddr(m.entry.volatile_base, s)));
-      if (types_.IsPointerSlot(m.entry.cls, s) && v != kNullAddr) {
-        SHEAP_ASSIGN_OR_RETURN(v, ResolveHusk(v));
-      }
-      std::memcpy(bytes.data() + (1 + s) * kWordSizeBytes, &v,
-                  kWordSizeBytes);
-    }
-    // Written under the initial-value record's LSN: if this frame reaches
-    // disk, redo skips the record; if not, redo rebuilds from it.
-    SHEAP_RETURN_IF_ERROR(mem_->WriteBytesLogged(
-        m.stable_base, bytes.data(), bytes.size(), m.entry.initial_lsn));
-    pending_.Erase(m.stable_base);
-  }
-  // The materialized pages now hold normally logged data; later pending
-  // batches must not share them (their neighbours' pageLSNs would suppress
-  // the batches' initial-value redo).
-  stable_gc_->ResetAllocIsolation();
-  return Status::OK();
+  return pending_.ReadSlot(mem_.get(), addr);
 }
 
 // ---------------------------------------------------- GC root callbacks
@@ -1230,7 +1140,8 @@ Status StableHeap::ScanVolatileAreaAsRoots(
           const HeapAddr slot_addr = SlotAddr(base, i);
           SHEAP_ASSIGN_OR_RETURN(uint64_t v, mem_->ReadWord(slot_addr));
           if (v == kNullAddr) continue;
-          SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved, ResolveHusk(v));
+          SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved,
+                                 volatile_gc_->ResolveHusk(v));
           SHEAP_ASSIGN_OR_RETURN(HeapAddr translated, translate(resolved));
           if (translated != v) {
             SHEAP_RETURN_IF_ERROR(

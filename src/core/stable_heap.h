@@ -347,6 +347,10 @@ class StableHeap {
   /// needs promotion, and inlines the promotion-free tail under a shared
   /// section otherwise.
   Status CommitImpl(TxnId txn_id);
+  /// Promote what `txn`'s commit makes stable (divided heap; CommitImpl
+  /// and Prepare). On OutOfSpace with auto_collect, collect the stable area
+  /// fully and retry once: promotion is all-or-nothing.
+  Status Promote(Txn* txn);
   /// Read-barrier wrappers: under concurrent mutators an Ellis trap scans
   /// a page (copies objects, writes log records), so barrier evaluation
   /// during an active collection serializes on gc_mu_.
@@ -354,8 +358,13 @@ class StableHeap {
   Status GcEnsureSlotAccess(HeapAddr slot_addr, bool is_pointer);
   StatusOr<Txn*> FindActive(TxnId txn);
   StatusOr<HeapAddr> ResolveRef(TxnId txn, Ref ref) const;
-  /// Resolve a promotion husk's forwarding word, if any.
-  StatusOr<HeapAddr> ResolveHusk(HeapAddr a);
+  /// The address a pointer store writes: null for kNullRef, else
+  /// ResolveRef (WriteRef, SetRoot).
+  StatusOr<HeapAddr> ResolveTarget(TxnId txn, Ref target) const;
+  /// The handle a pointer read returns: kNullRef for null, else a new
+  /// handle on the live address, past any promotion husk (ReadRef,
+  /// GetRoot).
+  StatusOr<Ref> HandleFor(TxnId txn, HeapAddr v);
   bool InStableArea(HeapAddr a) const;
 
   StatusOr<uint64_t> ReadSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
@@ -380,13 +389,10 @@ class StableHeap {
   /// Step the incremental stable collector by gc_step_pages before an
   /// allocation (Baker-style pacing).
   Status MaybeStepCollector();
-  /// Method-2 promotion: write every pending object's body (read from its
-  /// volatile source, husk pointers resolved) to its reserved stable
-  /// address. Runs before volatile collections and stable flips.
-  Status MaterializePending();
-  /// Physical location of a slot (pending objects live at their volatile
-  /// source until materialized).
-  HeapAddr PhysSlotAddr(HeapAddr slot_addr) const;
+  /// Allocate and AllocateStable: one object in the stable area (`stable`)
+  /// or the volatile one, write-locked, behind a new handle.
+  StatusOr<Ref> AllocateIn(TxnId txn_id, ClassId cls, uint64_t nslots,
+                           bool stable);
   StatusOr<HeapAddr> AllocateStableRaw(Txn* txn, ClassId cls,
                                        uint64_t nslots);
   StatusOr<HeapAddr> AllocateVolatileRaw(Txn* txn, ClassId cls,

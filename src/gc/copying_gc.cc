@@ -61,10 +61,10 @@ StatusOr<HeapAddr> CopyingGc::AllocateObject(Txn* txn, ClassId cls,
   return base;
 }
 
-StatusOr<HeapAddr> CopyingGc::ResolveForward(HeapAddr base) {
-  SHEAP_ASSIGN_OR_RETURN(uint64_t w, ctx_.mem->ReadWord(base));
-  if (IsForwardWord(w)) return ForwardTarget(w);
-  return base;
+StatusOr<HeapAddr> CopyingGc::ResolveHusk(HeapAddr a) const {
+  if (!Contains(a)) return a;
+  SHEAP_ASSIGN_OR_RETURN(uint64_t w, ctx_.mem->ReadWord(a));
+  return IsForwardWord(w) ? ForwardTarget(w) : a;
 }
 
 StatusOr<HeapAddr> CopyingGc::CopyObject(HeapAddr from_base) {

@@ -3,6 +3,11 @@
 // no logging, no coordination with recovery — because volatile objects do
 // not survive crashes.
 //
+// The collector owns the volatile area's forwarding words, including the
+// promotion husks a method-1 promotion leaves behind (§5.2): ResolveHusk is
+// the one place a husk is followed to its stable copy, for the core's read
+// path, the stability tracker and the promoter alike.
+//
 // Cross-structure fixups are delegated to hooks so the collector stays
 // ignorant of the stable half:
 //  * `extra_roots` lets core enumerate/translate roots beyond the handle
@@ -57,8 +62,10 @@ class CopyingGc {
   Status ForEachObject(
       const std::function<Status(HeapAddr, const ObjectHeader&)>& f);
 
-  /// Follow a forwarding word if present (valid only mid-collection).
-  StatusOr<HeapAddr> ResolveForward(HeapAddr base);
+  /// The live address of `a`: a volatile object whose word 0 is a
+  /// forwarding word (a promotion husk) resolves to its target; null,
+  /// non-volatile and unforwarded addresses pass through.
+  StatusOr<HeapAddr> ResolveHusk(HeapAddr a) const;
 
   /// Fix every promotion husk at the end of a stable collection, while the
   /// stable from-space is still readable: `fix(target)` returns the

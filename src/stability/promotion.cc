@@ -8,21 +8,28 @@
 
 namespace sheap {
 
-StatusOr<uint64_t> Promoter::ReadSlotPhys(HeapAddr slot_addr) {
-  // Method-2 pending objects keep their physical body at the volatile
-  // source; logical slot addresses redirect there.
-  if (d_.pending != nullptr) {
-    const HeapAddr phys = d_.pending->Redirect(slot_addr);
-    if (phys != kNullAddr) return d_.mem->ReadWord(phys);
-  }
-  return d_.mem->ReadWord(slot_addr);
+StatusOr<uint64_t> PendingMaterializations::ReadSlot(HeapMemory* mem,
+                                                     HeapAddr slot) const {
+  const HeapAddr phys = Redirect(slot);
+  return mem->ReadWord(phys == kNullAddr ? slot : phys);
 }
 
-StatusOr<HeapAddr> Promoter::Resolve(HeapAddr a) {
-  if (a == kNullAddr || !d_.volatile_gc->Contains(a)) return a;
-  SHEAP_ASSIGN_OR_RETURN(uint64_t w, d_.mem->ReadWord(a));
-  if (IsForwardWord(w)) return ForwardTarget(w);
-  return a;
+Status PendingMaterializations::WriteSlot(HeapMemory* mem, HeapAddr slot,
+                                          uint64_t v, Lsn lsn) const {
+  const HeapAddr phys = Redirect(slot);
+  if (phys != kNullAddr) return mem->WriteWordUnlogged(phys, v);
+  if (lsn == kInvalidLsn) return mem->WriteWordUnlogged(slot, v);
+  return mem->WriteWordLogged(slot, v, lsn);
+}
+
+void PendingMaterializations::AppendDirtyPages(
+    std::vector<std::pair<PageId, Lsn>>* out) const {
+  for (const auto& [s, e] : by_stable_) {
+    const uint64_t bytes = (1 + e.nslots) * kWordSizeBytes;
+    for (PageId p = PageOf(s); p <= PageOf(s + bytes - 1); ++p) {
+      out->emplace_back(p, e.initial_lsn);
+    }
+  }
 }
 
 StatusOr<bool> Promoter::NeedsPromotion(HeapAddr a) {
@@ -42,7 +49,7 @@ Status Promoter::ComputeClosure(const std::vector<HeapAddr>& roots,
     while (!worklist.empty()) {
       HeapAddr obj = worklist.back();
       worklist.pop_back();
-      SHEAP_ASSIGN_OR_RETURN(HeapAddr r, Resolve(obj));
+      SHEAP_ASSIGN_OR_RETURN(HeapAddr r, d_.volatile_gc->ResolveHusk(obj));
       SHEAP_ASSIGN_OR_RETURN(bool needs, NeedsPromotion(r));
       if (!needs || closure.count(r) > 0) continue;
       closure.insert(r);
@@ -59,7 +66,8 @@ Status Promoter::ComputeClosure(const std::vector<HeapAddr>& roots,
     for (Txn* t : d_.txns->ActiveTxns()) {
       for (const TxnUpdate& e : t->updates) {
         if (!e.is_pointer || closure.count(e.obj_base) == 0) continue;
-        SHEAP_ASSIGN_OR_RETURN(HeapAddr old_r, Resolve(e.old_word));
+        SHEAP_ASSIGN_OR_RETURN(HeapAddr old_r,
+                               d_.volatile_gc->ResolveHusk(e.old_word));
         SHEAP_ASSIGN_OR_RETURN(bool needs, NeedsPromotion(old_r));
         if (needs && closure.count(old_r) == 0) {
           worklist.push_back(old_r);
@@ -77,7 +85,7 @@ StatusOr<uint64_t> Promoter::TranslateWord(
   if (v == kNullAddr) return v;
   auto it = moved.find(v);
   if (it != moved.end()) return it->second;
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr r, Resolve(v));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr r, d_.volatile_gc->ResolveHusk(v));
   if (r != v) {
     auto it2 = moved.find(r);
     return it2 != moved.end() ? it2->second : r;
@@ -95,8 +103,8 @@ Status Promoter::PromoteAtCommit(Txn* txn) {
   const std::vector<RememberedSet::Slot> own_slots =
       d_.remembered->SlotsOf(txn->id);
   for (const auto& s : own_slots) {
-    SHEAP_ASSIGN_OR_RETURN(uint64_t v,
-                           ReadSlotPhys(SlotAddr(s.obj_base, s.slot)));
+    SHEAP_ASSIGN_OR_RETURN(
+        uint64_t v, d_.pending->ReadSlot(d_.mem, SlotAddr(s.obj_base, s.slot)));
     if (v != kNullAddr && d_.volatile_gc->Contains(v)) roots.push_back(v);
   }
   std::vector<HeapAddr> order;
@@ -169,7 +177,6 @@ Status Promoter::PromoteAtCommit(Txn* txn) {
       // value makes the object recoverable in the interim. Reads and
       // writes redirect to the volatile source until the next volatile
       // collection materializes the stable copy.
-      SHEAP_CHECK(d_.pending != nullptr);
       PendingMaterializations::Entry entry;
       entry.volatile_base = vol;
       entry.cls = hdr.class_id;
@@ -250,7 +257,7 @@ Status Promoter::PromoteAtCommit(Txn* txn) {
   // other owners.
   for (const auto& s : d_.remembered->AllSlots()) {
     const HeapAddr slot_addr = SlotAddr(s.obj_base, s.slot);
-    SHEAP_ASSIGN_OR_RETURN(uint64_t v, ReadSlotPhys(slot_addr));
+    SHEAP_ASSIGN_OR_RETURN(uint64_t v, d_.pending->ReadSlot(d_.mem, slot_addr));
     auto it = moved.find(v);
     if (it == moved.end()) continue;
     Txn* owner = d_.txns->Find(s.owner);
@@ -263,17 +270,8 @@ Status Promoter::PromoteAtCommit(Txn* txn) {
     rec.new_word = it->second;
     rec.aux = LogRecord::kFlagPointer;
     const Lsn lsn = d_.txns->AppendChained(owner, &rec);
-    const HeapAddr phys = d_.pending != nullptr
-                              ? d_.pending->Redirect(slot_addr)
-                              : kNullAddr;
-    if (phys != kNullAddr) {
-      // The slot belongs to a pending object: record at the stable address,
-      // physical write at the volatile body.
-      SHEAP_RETURN_IF_ERROR(d_.mem->WriteWordUnlogged(phys, it->second));
-    } else {
-      SHEAP_RETURN_IF_ERROR(
-          d_.mem->WriteWordLogged(slot_addr, it->second, lsn));
-    }
+    SHEAP_RETURN_IF_ERROR(
+        d_.pending->WriteSlot(d_.mem, slot_addr, it->second, lsn));
     // The rewrite joins the owner's undo chain: undoing it restores the
     // husk address, and undoing the original store restores the committed
     // value beneath it.
@@ -297,6 +295,42 @@ Status Promoter::PromoteAtCommit(Txn* txn) {
     if (it != moved.end()) *slot = it->second;
   });
 
+  return Status::OK();
+}
+
+Status Promoter::Materialize() {
+  if (d_.pending->empty()) return Status::OK();
+  std::vector<std::pair<HeapAddr, PendingMaterializations::Entry>> moves;
+  SHEAP_RETURN_IF_ERROR(d_.pending->ForEach(
+      [&](HeapAddr s, const PendingMaterializations::Entry& e) {
+        moves.emplace_back(s, e);
+        return Status::OK();
+      }));
+  for (const auto& [stable_base, entry] : moves) {
+    std::vector<uint8_t> bytes((1 + entry.nslots) * kWordSizeBytes);
+    // Header synthesized (the volatile source's word 0 is the forwarding
+    // word); slots read from the live body, husk pointers resolved.
+    const uint64_t header = EncodeHeader(entry.cls, entry.nslots);
+    std::memcpy(bytes.data(), &header, kWordSizeBytes);
+    for (uint64_t s = 0; s < entry.nslots; ++s) {
+      SHEAP_ASSIGN_OR_RETURN(
+          uint64_t v, d_.mem->ReadWord(SlotAddr(entry.volatile_base, s)));
+      if (d_.types->IsPointerSlot(entry.cls, s)) {
+        SHEAP_ASSIGN_OR_RETURN(v, d_.volatile_gc->ResolveHusk(v));
+      }
+      std::memcpy(bytes.data() + (1 + s) * kWordSizeBytes, &v,
+                  kWordSizeBytes);
+    }
+    // Written under the initial-value record's LSN: if this frame reaches
+    // disk, redo skips the record; if not, redo rebuilds from it.
+    SHEAP_RETURN_IF_ERROR(d_.mem->WriteBytesLogged(
+        stable_base, bytes.data(), bytes.size(), entry.initial_lsn));
+    d_.pending->Erase(stable_base);
+  }
+  // The materialized pages now hold normally logged data; later pending
+  // batches must not share them (their neighbours' pageLSNs would suppress
+  // the batches' initial-value redo).
+  d_.stable_gc->ResetAllocIsolation();
   return Status::OK();
 }
 

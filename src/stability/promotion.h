@@ -27,12 +27,22 @@
 // commit record reaches the stable log, redo reproduces the promotion; if
 // not, T loses, the slot rewrites are undone, and the promoted copies are
 // unreachable garbage in the stable area, reclaimed by a later collection.
+//
+// Who owns a promoted object's address:
+//  * husks (method 1's forwarding words) belong to the volatile collector,
+//    CopyingGc::ResolveHusk;
+//  * pending objects (method 2: logical address stable, body still at the
+//    volatile source) belong to PendingMaterializations below — the one
+//    place a slot address is redirected for a read or a write, and the
+//    source of the checkpoint's truncation floor and logically dirty pages;
+//  * materialization (the deferred physical move) is Promoter::Materialize,
+//    run under the exclusive gate before volatile collections and flips.
 
 #ifndef SHEAP_STABILITY_PROMOTION_H_
 #define SHEAP_STABILITY_PROMOTION_H_
 
-#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -64,7 +74,8 @@ enum class PromotionMethod : uint8_t {
 
 /// Method-2 bookkeeping: reserved-but-unmaterialized stable objects.
 /// Physical state still lives at the volatile source; logical (logged)
-/// state uses the stable address. Owned by core::StableHeap.
+/// state uses the stable address. Owned by core::StableHeap; read on the
+/// shared mutator path, changed only under the exclusive gate.
 class PendingMaterializations {
  public:
   struct Entry {
@@ -105,6 +116,23 @@ class PendingMaterializations {
     return kNullAddr;
   }
 
+  /// Read the word at a slot address, at the volatile source if the slot
+  /// belongs to a pending object.
+  StatusOr<uint64_t> ReadSlot(HeapMemory* mem, HeapAddr slot) const;
+
+  /// Write `v` to a slot address whose update record (if any) was logged
+  /// at `lsn`. A pending object's slot gets an unlogged write at its
+  /// volatile body (the record names the stable address); any other slot
+  /// a logged write under `lsn`, or an unlogged one when `lsn` is
+  /// kInvalidLsn.
+  Status WriteSlot(HeapMemory* mem, HeapAddr slot, uint64_t v,
+                   Lsn lsn) const;
+
+  /// Every page of a pending object, at its kInitialValue LSN: logically
+  /// dirty for the checkpoint's dirty-page table, though the pool holds
+  /// nothing for them until materialization.
+  void AppendDirtyPages(std::vector<std::pair<PageId, Lsn>>* out) const;
+
   /// Oldest kInitialValue LSN still pending (log truncation floor), or
   /// kInvalidLsn when none.
   Lsn OldestLsn() const {
@@ -124,7 +152,6 @@ class PendingMaterializations {
     }
     return Status::OK();
   }
-  void Clear() { by_stable_.clear(); }
 
  private:
   std::map<HeapAddr, Entry> by_stable_;
@@ -155,7 +182,7 @@ class Promoter {
     LikelyStableSet* ls = nullptr;
     SimClock* clock = nullptr;
     PromotionMethod method = PromotionMethod::kAtCommit;
-    PendingMaterializations* pending = nullptr;  // required for method 2
+    PendingMaterializations* pending = nullptr;
   };
 
   explicit Promoter(const Deps& deps) : d_(deps) {}
@@ -165,15 +192,17 @@ class Promoter {
   /// pointers into stable objects.
   Status PromoteAtCommit(Txn* txn);
 
+  /// Method 2: write every pending object's body (read from its volatile
+  /// source, husk pointers resolved) to its reserved stable address, under
+  /// its kInitialValue LSN, and empty the pending set. Runs under the
+  /// exclusive gate before volatile collections and stable flips.
+  Status Materialize();
+
   const PromotionStats& stats() const { return stats_; }
 
  private:
   /// Volatile, unforwarded object? (husks and stable addresses excluded)
   StatusOr<bool> NeedsPromotion(HeapAddr a);
-  /// Slot read honoring method-2 pending redirection.
-  StatusOr<uint64_t> ReadSlotPhys(HeapAddr slot_addr);
-  /// Follow a husk's forwarding word if present.
-  StatusOr<HeapAddr> Resolve(HeapAddr a);
 
   Status ComputeClosure(const std::vector<HeapAddr>& roots,
                         std::vector<HeapAddr>* order);

@@ -10,7 +10,7 @@ namespace sheap {
 Status StabilityTracker::OnPointerWrite(const Txn& txn, HeapAddr dst_base,
                                         HeapAddr value,
                                         bool dst_in_stable_area) {
-  if (value == kNullAddr || !is_volatile(value)) return Status::OK();
+  if (!volatile_gc_->Contains(value)) return Status::OK();
   // Tracking is needed when the destination is stable or likely stable:
   // the store makes `value`'s closure reachable from (likely) stable state.
   if (!dst_in_stable_area && !ls_->Contains(dst_base)) return Status::OK();
@@ -23,8 +23,9 @@ Status StabilityTracker::Track(TxnId txn, HeapAddr v) {
   while (!worklist.empty()) {
     HeapAddr obj = worklist.back();
     worklist.pop_back();
-    if (obj == kNullAddr || !is_volatile(obj)) continue;
-    SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved, resolve(obj));
+    if (!volatile_gc_->Contains(obj)) continue;
+    SHEAP_ASSIGN_OR_RETURN(HeapAddr resolved,
+                           volatile_gc_->ResolveHusk(obj));
     if (resolved != obj) continue;  // already promoted: actually stable
     if (!ls_->Add(obj, txn)) continue;  // already tracked for this txn
     ++stats_.objects_entered_ls;
@@ -35,9 +36,7 @@ Status StabilityTracker::Track(TxnId txn, HeapAddr v) {
       if (!types_->IsPointerSlot(hdr.class_id, i)) continue;
       SHEAP_ASSIGN_OR_RETURN(uint64_t slot_v,
                              mem_->ReadWord(SlotAddr(obj, i)));
-      if (slot_v != kNullAddr && is_volatile(slot_v)) {
-        worklist.push_back(slot_v);
-      }
+      if (volatile_gc_->Contains(slot_v)) worklist.push_back(slot_v);
     }
   }
   return Status::OK();

@@ -15,14 +15,18 @@
 // (AS membership = residency in the stable area, established by the
 // Promoter); when it aborts, it is removed from dependee sets, and objects
 // left with no dependees leave the LS.
+//
+// "Volatile" and "already promoted" are the volatile collector's answers
+// (CopyingGc::Contains, CopyingGc::ResolveHusk): the tracker keeps no
+// address predicates of its own.
 
 #ifndef SHEAP_STABILITY_TRACKER_H_
 #define SHEAP_STABILITY_TRACKER_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "common/status.h"
+#include "gc/copying_gc.h"
 #include "heap/heap_memory.h"
 #include "heap/type_registry.h"
 #include "stability/stable_sets.h"
@@ -40,14 +44,14 @@ struct TrackerStats {
 /// Maintains the LS at update time.
 class StabilityTracker {
  public:
-  StabilityTracker(HeapMemory* mem, TypeRegistry* types, SimClock* clock,
+  StabilityTracker(HeapMemory* mem, TypeRegistry* types,
+                   const CopyingGc* volatile_gc, SimClock* clock,
                    LikelyStableSet* ls)
-      : mem_(mem), types_(types), clock_(clock), ls_(ls) {}
-
-  /// Predicate: is this address in the volatile area? Set by core.
-  std::function<bool(HeapAddr)> is_volatile;
-  /// Follow a promotion forwarding word if present. Set by core.
-  std::function<StatusOr<HeapAddr>(HeapAddr)> resolve;
+      : mem_(mem),
+        types_(types),
+        volatile_gc_(volatile_gc),
+        clock_(clock),
+        ls_(ls) {}
 
   /// `txn` stored a pointer to `value` into `dst_base`. Call for every
   /// pointer write; the tracker decides whether tracking is needed
@@ -62,6 +66,7 @@ class StabilityTracker {
 
   HeapMemory* mem_;
   TypeRegistry* types_;
+  const CopyingGc* volatile_gc_;
   SimClock* clock_;
   LikelyStableSet* ls_;
   TrackerStats stats_;

@@ -1,8 +1,9 @@
 // Stability tracking and promotion tests (paper Chapter 5): the concurrent
 // tracker (LS maintenance, multi-transaction dependee sets, the [38] bug
 // regression), recoverable promotion at commit (V2scopy), closure over
-// uncommitted updates and undo values, husk behaviour, and the remembered
-// set. All tests run on the divided heap.
+// uncommitted updates and undo values, husk behaviour, the remembered set,
+// and method-2 pending objects across checkpoints, aborts and write-back.
+// All tests run on the divided heap.
 
 #include <gtest/gtest.h>
 
@@ -438,6 +439,105 @@ TEST_P(StabilityTest, StableGarbageFromAbortedPromotionIsCollected) {
   ASSERT_TRUE(heap_->CollectStableFully().ok());
   // The 2001-word array must not have been copied.
   EXPECT_LT(heap_->stable_gc_stats().words_copied - copied_before, 2000u);
+}
+
+TEST_P(StabilityTest, CheckpointKeepsPendingInitialValues) {
+  // Under method 2 a promoted object stays pending until the next volatile
+  // collection, and its kInitialValue record is its only durable image.
+  // Two flush checkpoints would truncate the log past that record unless
+  // the pending set holds the floor; a crash with no page write-back must
+  // still rebuild the object from it.
+  auto txn = heap_->Begin();
+  auto v = heap_->Allocate(*txn, cls_.id, cls_.nslots);
+  ASSERT_TRUE(v.ok());
+  ASSERT_TRUE(heap_->WriteScalar(*txn, *v, 0, 4242).ok());
+  ASSERT_TRUE(heap_->SetRoot(*txn, 0, *v).ok());
+  ASSERT_TRUE(heap_->Commit(*txn).ok());
+  ASSERT_TRUE(heap_->CheckpointWithWriteback().ok());
+  ASSERT_TRUE(heap_->CheckpointWithWriteback().ok());
+
+  Reopen(CrashOptions{0.0, 7, 0});
+  auto t = heap_->Begin();
+  auto root = heap_->GetRoot(*t, 0);
+  ASSERT_TRUE(root.ok());
+  ASSERT_NE(*root, kNullRef);
+  auto got = heap_->ReadScalar(*t, *root, 0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, 4242u);
+  ASSERT_TRUE(heap_->Commit(*t).ok());
+}
+
+TEST_P(StabilityTest, AbortRestoresUpdateToPromotedObject) {
+  // An update to a just-promoted object is logged at its stable address.
+  // Under method 2 its body is still the volatile source, so the abort's
+  // CLR must restore that body: before materialization, after it, and
+  // after a crash.
+  auto txn = heap_->Begin();
+  auto v = heap_->Allocate(*txn, cls_.id, cls_.nslots);
+  ASSERT_TRUE(v.ok());
+  ASSERT_TRUE(heap_->WriteScalar(*txn, *v, 0, 7).ok());
+  ASSERT_TRUE(heap_->SetRoot(*txn, 0, *v).ok());
+  ASSERT_TRUE(heap_->Commit(*txn).ok());
+
+  auto t2 = heap_->Begin();
+  auto r2 = heap_->GetRoot(*t2, 0);
+  ASSERT_TRUE(r2.ok());
+  ASSERT_TRUE(heap_->WriteScalar(*t2, *r2, 0, 99).ok());
+  ASSERT_TRUE(heap_->Abort(*t2).ok());
+
+  auto read_back = [&]() {
+    auto t = heap_->Begin();
+    auto r = heap_->GetRoot(*t, 0);
+    ASSERT_TRUE(r.ok());
+    auto got = heap_->ReadScalar(*t, *r, 0);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, 7u);
+    ASSERT_TRUE(heap_->Commit(*t).ok());
+  };
+  read_back();
+  ASSERT_TRUE(heap_->CollectVolatile().ok());  // materializes pending objects
+  read_back();
+  Reopen(CrashOptions{0.0, 9, 0});
+  read_back();
+}
+
+TEST_P(StabilityTest, LinkIntoPromotedObjectSurvivesWriteBackAndCrash) {
+  // T1 promotes a; T2 stores a fresh volatile b into a and commits, so the
+  // promotion of b rewrites a's slot. Under method 2 a is still pending:
+  // T2's store and the rewrite belong at a's volatile body. Were either
+  // written to a's reserved stable page, write-back would give that page
+  // a pageLSN past a's kInitialValue record and redo would skip the record.
+  auto t1 = heap_->Begin();
+  auto a = heap_->Allocate(*t1, cls_.id, cls_.nslots);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(heap_->WriteScalar(*t1, *a, 0, 11).ok());
+  ASSERT_TRUE(heap_->SetRoot(*t1, 0, *a).ok());
+  ASSERT_TRUE(heap_->Commit(*t1).ok());
+
+  auto t2 = heap_->Begin();
+  auto ra = heap_->GetRoot(*t2, 0);
+  auto b = heap_->Allocate(*t2, cls_.id, cls_.nslots);
+  ASSERT_TRUE(ra.ok() && b.ok());
+  ASSERT_TRUE(heap_->WriteScalar(*t2, *b, 0, 22).ok());
+  ASSERT_TRUE(heap_->WriteRef(*t2, *ra, 1, *b).ok());
+  ASSERT_TRUE(heap_->Commit(*t2).ok());
+  ASSERT_TRUE(heap_->WriteBackPages(1.0, 3).ok());
+
+  Reopen(CrashOptions{0.0, 5, 0});
+  auto t = heap_->Begin();
+  auto root = heap_->GetRoot(*t, 0);
+  ASSERT_TRUE(root.ok());
+  ASSERT_NE(*root, kNullRef);
+  auto got_a = heap_->ReadScalar(*t, *root, 0);
+  ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+  EXPECT_EQ(*got_a, 11u);
+  auto rb = heap_->ReadRef(*t, *root, 1);
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  ASSERT_NE(*rb, kNullRef);
+  auto got_b = heap_->ReadScalar(*t, *rb, 0);
+  ASSERT_TRUE(got_b.ok()) << got_b.status().ToString();
+  EXPECT_EQ(*got_b, 22u);
+  ASSERT_TRUE(heap_->Commit(*t).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
