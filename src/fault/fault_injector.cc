@@ -1,5 +1,7 @@
 #include "fault/fault_injector.h"
 
+#include <algorithm>
+
 #include "storage/env.h"
 #include "util/sim_clock.h"
 
@@ -20,23 +22,31 @@ uint64_t FaultInjector::Count(
 }
 
 Status FaultInjector::OnPoint(const char* point) {
-  MutexLock lock(&mu_);
-  ++stats_.points_hit;
-  const uint64_t hit = Count(point, &point_counts_, &point_order_);
-  if (tracing_) return Status::OK();
-  for (Armed& a : armed_) {
-    if (a.consumed || a.spec.kind != FaultKind::kCrash) continue;
-    if (a.spec.point != point || hit < a.spec.hit) continue;
-    a.consumed = true;
+  // The crash is decided under mu_, but the tail is torn after releasing
+  // it: TearTail takes the device's own lock, and mu_ stays a leaf.
+  LogDevice* tear_device = nullptr;
+  uint64_t tear_bytes = 0;
+  {
+    MutexLock lock(&mu_);
+    ++stats_.points_hit;
+    const uint64_t hit = Count(point, &point_counts_, &point_order_);
+    if (tracing_) return Status::OK();
+    auto it = std::find_if(armed_.begin(), armed_.end(), [&](const Armed& a) {
+      return !a.consumed && a.spec.kind == FaultKind::kCrash &&
+             a.spec.point == point && hit >= a.spec.hit;
+    });
+    if (it == armed_.end()) return Status::OK();
+    it->consumed = true;
     ++stats_.fired;
     crash_fired_ = true;
     crash_point_ = point;
-    if (a.spec.tear_tail_bytes > 0 && log_device_ != nullptr) {
-      log_device_->TearTail(a.spec.tear_tail_bytes);
+    if (it->spec.tear_tail_bytes > 0) {
+      tear_device = log_device_;
+      tear_bytes = it->spec.tear_tail_bytes;
     }
-    return Status::Crashed(std::string("fault-injected crash at ") + point);
   }
-  return Status::OK();
+  if (tear_device != nullptr) tear_device->TearTail(tear_bytes);
+  return Status::Crashed(std::string("fault-injected crash at ") + point);
 }
 
 Status FaultInjector::OnIo(const char* site, uint64_t page) {

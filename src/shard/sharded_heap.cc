@@ -34,8 +34,6 @@ void AddHeapStats(HeapStats* total, const HeapStats& s) {
   total->disk.page_writes += s.disk.page_writes;
   total->disk.fresh_reads += s.disk.fresh_reads;
   total->disk.crc_failures += s.disk.crc_failures;
-  total->disk.run_writes += s.disk.run_writes;
-  total->disk.run_pages += s.disk.run_pages;
 
   total->log_device.appends += s.log_device.appends;
   total->log_device.bytes_appended += s.log_device.bytes_appended;

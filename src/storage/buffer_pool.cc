@@ -210,40 +210,6 @@ void BufferPool::MarkDirtyUnlogged(PageId pid) {
   }
 }
 
-Status BufferPool::WriteBackFrame(Frame* frame) {
-  // WAL constraint (I2): the stable log must contain every record whose
-  // redo is reflected in this image before the image reaches disk.
-  if (frame->image.page_lsn != kInvalidLsn) {
-    SHEAP_CHECK(hooks_.flush_log_to != nullptr);
-    SHEAP_RETURN_IF_ERROR(hooks_.flush_log_to(frame->image.page_lsn));
-  }
-  // Crash window: WAL satisfied, page image not yet on disk.
-  FaultInjector* faults = disk_->faults();
-  SHEAP_FAULT_POINT(faults, "pool.writeback.before");
-  for (uint32_t attempt = 0;; ++attempt) {
-    Status s = disk_->WritePage(frame->pid, frame->image);
-    if (s.ok()) break;
-    if (!s.IsIOError()) return s;
-    if (attempt >= kMaxIoRetries) {
-      if (faults != nullptr) faults->NoteExhausted();
-      return s;
-    }
-    if (faults != nullptr) faults->BackoffBeforeRetry(attempt);
-  }
-  // Crash window: page on disk, end-write notification not yet spooled.
-  SHEAP_FAULT_POINT(faults, "pool.writeback.after");
-  BumpStat(&BufferPoolStats::write_backs);
-  {
-    Shard& shard = ShardFor(frame->pid);
-    MutexLock lock(&shard.mu);
-    DirtyErase(&shard, *frame);
-  }
-  frame->dirty = false;
-  frame->rec_lsn = kInvalidLsn;
-  if (hooks_.on_end_write) hooks_.on_end_write(frame->pid);
-  return Status::OK();
-}
-
 Status BufferPool::WriteBack(PageId pid) {
   uint32_t idx;
   {
@@ -255,25 +221,128 @@ Status BufferPool::WriteBack(PageId pid) {
     }
     idx = it->second;
   }
-  Frame& frame = *FramePtr(idx);
+  const Frame& frame = *FramePtr(idx);
   if (frame.pin_count > 0) return Status::Busy("page pinned");
   if (!frame.dirty) return Status::OK();
-  return WriteBackFrame(&frame);
+  return WritePages({Candidate{pid, idx}}, 1);
 }
 
-Status BufferPool::WriteFlushRun(const FlushRun& run) {
+Status BufferPool::FlushAll() {
+  return WritePages(DirtyCandidates(), flush_writers_);
+}
+
+Status BufferPool::WriteBackRandomSubset(Rng* rng, double fraction) {
+  std::vector<Candidate> chosen;
+  for (const Candidate& c : DirtyCandidates()) {
+    if (rng->Bernoulli(fraction)) chosen.push_back(c);
+  }
+  return WritePages(chosen, 1);
+}
+
+std::vector<BufferPool::Candidate> BufferPool::DirtyCandidates() {
+  std::vector<Candidate> dirty;
+  for (Shard& shard : shards_) {
+    MutexLock lock(&shard.mu);
+    for (const auto& [pid, rec_lsn] : shard.dirty) {
+      dirty.push_back(Candidate{pid, shard.page_to_frame.at(pid)});
+    }
+  }
+  BumpStat(&BufferPoolStats::dirty_scan_steps, dirty.size());
+  std::sort(dirty.begin(), dirty.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.pid < b.pid;
+            });
+  std::erase_if(dirty, [this](const Candidate& c) {
+    return FramePtr(c.idx)->pin_count > 0;
+  });
+  return dirty;
+}
+
+Status BufferPool::WritePages(const std::vector<Candidate>& pages,
+                              uint32_t lanes) {
+  if (pages.empty()) return Status::OK();
+
+  // WAL constraint (I2), once for the whole batch and on the calling thread
+  // (the log writer is not driven from the lanes): after this the stable
+  // log holds every record reflected in any of the images.
+  Lsn max_lsn = kInvalidLsn;  // the smallest Lsn: unlogged pages add none
+  for (const Candidate& c : pages) {
+    max_lsn = std::max(max_lsn, FramePtr(c.idx)->image.page_lsn);
+  }
+  if (max_lsn != kInvalidLsn) {
+    SHEAP_CHECK(hooks_.flush_log_to != nullptr);
+    SHEAP_RETURN_IF_ERROR(hooks_.flush_log_to(max_lsn));
+  }
+
+  // Coalesce page-adjacent pages into runs: one seek per run. A run is
+  // (index of its first page in `pages`, page count).
+  std::vector<std::pair<size_t, size_t>> runs;
+  for (size_t i = 0; i < pages.size(); ++i) {
+    if (i == 0 || pages[i - 1].pid + 1 != pages[i].pid) {
+      runs.emplace_back(i, 0);
+    }
+    ++runs.back().second;
+  }
+
+  // A lane stops at its first failed run; the runs it never reached stay
+  // unwritten.
+  std::vector<Status> run_status(runs.size(), Status::OK());
+  std::vector<uint8_t> written(runs.size(), 0);
+  lanes = static_cast<uint32_t>(std::min<size_t>(lanes, runs.size()));
+  auto write_lane = [&](uint32_t lane) {
+    for (size_t r = lane; r < runs.size(); r += lanes) {
+      run_status[r] = WriteRun(&pages[runs[r].first], runs[r].second);
+      if (!run_status[r].ok()) return;
+      written[r] = 1;
+    }
+  };
+  if (lanes <= 1) {
+    write_lane(0);
+  } else {
+    // Strided assignment keeps which-lane-writes-what deterministic; the
+    // busiest lane's simulated time is what the write-back costs (parallel
+    // hardware), folded in after the join.
+    SimClock* clock = disk_->clock();
+    std::vector<uint64_t> lane_ns(lanes, 0);
+    std::vector<std::thread> pool;
+    pool.reserve(lanes);
+    for (uint32_t w = 0; w < lanes; ++w) {
+      pool.emplace_back([&write_lane, clock, &lane_ns, w]() {
+        SimClock::ThreadChargeScope charge(clock, &lane_ns[w]);
+        write_lane(w);
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    clock->Advance(*std::max_element(lane_ns.begin(), lane_ns.end()));
+  }
+
+  // End-write notifications are log appends: spool them serially, after
+  // every lane is done, in ascending page order — the log contents do not
+  // depend on the lane count or on lane interleaving.
+  Status result = Status::OK();
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (result.ok() && !run_status[r].ok()) result = run_status[r];
+    if (!written[r] || !hooks_.on_end_write) continue;
+    for (size_t i = 0; i < runs[r].second; ++i) {
+      hooks_.on_end_write(pages[runs[r].first + i].pid);
+    }
+  }
+  return result;
+}
+
+Status BufferPool::WriteRun(const Candidate* pages, size_t n) {
   FaultInjector* faults = disk_->faults();
-  // Crash window: WAL satisfied for every page in the run (FlushTo ran
-  // before run formation), none of the images on disk yet. Distinct point
-  // name from the single-page path so the crash matrix exercises both.
-  SHEAP_FAULT_POINT(faults, "pool.flushrun.before");
+  // Crash window: WAL satisfied, no image of the run on disk yet.
+  SHEAP_FAULT_POINT(faults, "pool.writeback.before");
   std::vector<const PageImage*> images;
-  images.reserve(run.frames.size());
-  for (uint32_t idx : run.frames) images.push_back(&FramePtr(idx)->image);
+  images.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    images.push_back(&FramePtr(pages[i].idx)->image);
+  }
   for (uint32_t attempt = 0;; ++attempt) {
-    // Rewriting a run is idempotent: on a transient mid-run fault, retry
-    // the whole run.
-    Status s = disk_->WritePageRun(run.first, images.data(), images.size());
+    // Rewriting a run is idempotent: after a transient fault part-way
+    // through, retry the whole run.
+    Status s = disk_->WritePageRun(pages[0].pid, images.data(), n);
     if (s.ok()) break;
     if (!s.IsIOError()) return s;
     if (attempt >= kMaxIoRetries) {
@@ -282,158 +351,18 @@ Status BufferPool::WriteFlushRun(const FlushRun& run) {
     }
     if (faults != nullptr) faults->BackoffBeforeRetry(attempt);
   }
-  // Crash window: the whole run on disk, dirty bookkeeping not yet updated.
-  SHEAP_FAULT_POINT(faults, "pool.flushrun.after");
-  BumpStat(&BufferPoolStats::write_backs, run.frames.size());
+  // Crash window: the run is on disk, its pages still dirty and no
+  // end-write spooled.
+  SHEAP_FAULT_POINT(faults, "pool.writeback.after");
+  BumpStat(&BufferPoolStats::write_backs, n);
   BumpStat(&BufferPoolStats::flush_runs);
-  for (uint32_t idx : run.frames) {
-    Frame& frame = *FramePtr(idx);
-    Shard& shard = ShardFor(frame.pid);
+  for (size_t i = 0; i < n; ++i) {
+    Frame& frame = *FramePtr(pages[i].idx);
+    Shard& shard = ShardFor(pages[i].pid);
     MutexLock lock(&shard.mu);
     DirtyErase(&shard, frame);
     frame.dirty = false;
     frame.rec_lsn = kInvalidLsn;
-  }
-  return Status::OK();
-}
-
-Status BufferPool::FlushAll() {
-  // Snapshot the dirty set in page order; O(dirty), not O(frames).
-  std::vector<PageId> dirty_pages;
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    for (const auto& [pid, rec_lsn] : shard.dirty) {
-      dirty_pages.push_back(pid);
-    }
-  }
-  std::sort(dirty_pages.begin(), dirty_pages.end());
-  BumpStat(&BufferPoolStats::dirty_scan_steps, dirty_pages.size());
-
-  // Flush candidates: dirty unpinned frames. Compute the WAL horizon (max
-  // page LSN) while collecting.
-  std::vector<std::pair<PageId, uint32_t>> candidates;
-  Lsn max_lsn = kInvalidLsn;
-  for (PageId pid : dirty_pages) {
-    uint32_t idx;
-    {
-      Shard& shard = ShardFor(pid);
-      MutexLock lock(&shard.mu);
-      auto it = shard.page_to_frame.find(pid);
-      SHEAP_CHECK(it != shard.page_to_frame.end());
-      idx = it->second;
-    }
-    Frame& frame = *FramePtr(idx);
-    if (frame.pin_count > 0) continue;
-    candidates.emplace_back(pid, idx);
-    if (frame.image.page_lsn != kInvalidLsn &&
-        (max_lsn == kInvalidLsn || frame.image.page_lsn > max_lsn)) {
-      max_lsn = frame.image.page_lsn;
-    }
-  }
-  if (candidates.empty()) return Status::OK();
-
-  // WAL constraint (I2) for the whole batch, once, on the calling thread
-  // (the log writer is not thread-safe): after this the stable log covers
-  // every record reflected in any candidate image.
-  if (max_lsn != kInvalidLsn) {
-    SHEAP_CHECK(hooks_.flush_log_to != nullptr);
-    SHEAP_RETURN_IF_ERROR(hooks_.flush_log_to(max_lsn));
-  }
-
-  // Coalesce page-adjacent candidates into runs: one seek per run.
-  std::vector<FlushRun> runs;
-  for (const auto& [pid, idx] : candidates) {
-    if (runs.empty() ||
-        runs.back().first + runs.back().frames.size() != pid) {
-      runs.push_back(FlushRun{pid, {}});
-    }
-    runs.back().frames.push_back(idx);
-  }
-
-  const uint32_t writers = static_cast<uint32_t>(
-      std::min<size_t>(flush_writers_, runs.size()));
-  std::vector<Status> run_status(runs.size(), Status::OK());
-  if (writers <= 1) {
-    for (size_t r = 0; r < runs.size(); ++r) {
-      run_status[r] = WriteFlushRun(runs[r]);
-      if (!run_status[r].ok()) break;
-    }
-  } else {
-    // Strided assignment keeps which-writer-writes-what deterministic; the
-    // busiest lane's simulated time is what the flush costs (parallel
-    // hardware), folded in after the join.
-    SimClock* clock = disk_->clock();
-    std::vector<uint64_t> lane_ns(writers, 0);
-    std::vector<std::thread> pool;
-    pool.reserve(writers);
-    for (uint32_t w = 0; w < writers; ++w) {
-      pool.emplace_back([this, w, writers, clock, &runs, &run_status,
-                         &lane_ns]() {
-        SimClock::ThreadChargeScope charge(clock, &lane_ns[w]);
-        for (size_t r = w; r < runs.size(); r += writers) {
-          run_status[r] = WriteFlushRun(runs[r]);
-          if (!run_status[r].ok()) break;
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    clock->Advance(*std::max_element(lane_ns.begin(), lane_ns.end()));
-  }
-
-  // End-write notifications are log appends: emit them serially, after the
-  // writers are done, in ascending page order — deterministic log contents
-  // regardless of writer interleaving.
-  Status result = Status::OK();
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (!run_status[r].ok()) {
-      if (result.ok()) result = run_status[r];
-      continue;
-    }
-    if (hooks_.on_end_write) {
-      for (size_t i = 0; i < runs[r].frames.size(); ++i) {
-        hooks_.on_end_write(runs[r].first + i);
-      }
-    }
-  }
-  return result;
-}
-
-Status BufferPool::WriteBackRandomSubset(Rng* rng, double fraction) {
-  // Candidates are the dirty unpinned frames in page order (no sort per
-  // shard; shards merge into a global page order); the RNG is consumed
-  // once per candidate, exactly as before.
-  std::vector<PageId> dirty_pages;
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    for (const auto& [pid, rec_lsn] : shard.dirty) {
-      dirty_pages.push_back(pid);
-    }
-  }
-  std::sort(dirty_pages.begin(), dirty_pages.end());
-  std::vector<PageId> candidates;
-  candidates.reserve(dirty_pages.size());
-  for (PageId pid : dirty_pages) {
-    BumpStat(&BufferPoolStats::dirty_scan_steps);
-    uint32_t idx;
-    {
-      Shard& shard = ShardFor(pid);
-      MutexLock lock(&shard.mu);
-      idx = shard.page_to_frame.at(pid);
-    }
-    if (FramePtr(idx)->pin_count == 0) {
-      candidates.push_back(pid);
-    }
-  }
-  for (PageId pid : candidates) {
-    if (rng->Bernoulli(fraction)) {
-      uint32_t idx;
-      {
-        Shard& shard = ShardFor(pid);
-        MutexLock lock(&shard.mu);
-        idx = shard.page_to_frame.at(pid);
-      }
-      SHEAP_RETURN_IF_ERROR(WriteBackFrame(FramePtr(idx)));
-    }
   }
   return Status::OK();
 }
@@ -596,7 +525,7 @@ Status BufferPool::MaybeEvict() {
   BumpStat(&BufferPoolStats::evict_probe_steps);
   Frame& frame = *FramePtr(idx);
   if (frame.dirty) {
-    SHEAP_RETURN_IF_ERROR(WriteBackFrame(&frame));
+    SHEAP_RETURN_IF_ERROR(WritePages({Candidate{pid, idx}}, 1));
   }
   BumpStat(&BufferPoolStats::evictions);
   {

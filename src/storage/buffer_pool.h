@@ -10,6 +10,16 @@
 //  * page-fetch / end-write notifications so the recovery system can log
 //    them and later deduce a superset of the dirty pages (§2.2.4, opt. 1).
 //
+// Write-back: every dirty page reaches disk through one pipeline, whoever
+// asks — eviction, WriteBack(pid), WriteBackRandomSubset, FlushAll. It
+// forces the log once through the largest page LSN of the chosen pages,
+// coalesces them into page-adjacent runs, writes each run as one
+// sequential device I/O (one retry loop, one `pool.writeback.before/after`
+// crash-point pair), marks the run's pages clean under their shard lock,
+// and finally spools the end-write notifications in ascending page order.
+// Callers differ only in which pages they choose and in how many writer
+// lanes the runs are spread over.
+//
 // Hot-path complexity: frames live in a stable-address store with a free
 // list; an intrusive doubly-linked LRU holds ONLY unpinned frames, so
 // eviction pops its head in O(1) with no pinned-frame skipping; a dirty
@@ -29,8 +39,8 @@
 //    page partition; eviction is disabled so no worker ever writes back (or
 //    steals) another partition's frame, and the pool may transiently grow
 //    past capacity exactly as it already does when every frame is pinned;
-//  * parallel flush (FlushAll): a small writer pool pushes page-adjacent
-//    dirty runs to disk as coalesced sequential I/Os.
+//  * parallel flush (FlushAll): the write-back pipeline spreads its runs
+//    over a small pool of writer lanes.
 // Outside those regimes the pool is used single-threaded as before.
 
 #ifndef SHEAP_STORAGE_BUFFER_POOL_H_
@@ -69,7 +79,8 @@ struct BufferPoolStats {
   /// WriteBackRandomSubset). Bounded by the number of DIRTY frames per
   /// call, not by residency — asserted in storage_test.
   uint64_t dirty_scan_steps = 0;
-  /// Page-adjacent runs FlushAll coalesced into single sequential I/Os.
+  /// Page-adjacent runs written back, each as one sequential device I/O
+  /// (`write_backs` counts their pages).
   uint64_t flush_runs = 0;
 };
 
@@ -121,19 +132,15 @@ class BufferPool {
   /// OK and no-op if clean.
   Status WriteBack(PageId pid);
 
-  /// Write back every dirty unpinned frame. Dirty pages are coalesced into
-  /// page-adjacent runs, each run written as one sequential device I/O, and
-  /// the runs are spread over a small writer pool (set_flush_writers);
-  /// simulated time advances by the busiest writer's lane, so a flush of N
-  /// scattered pages costs ~N/writers seeks instead of N. The WAL flush
-  /// covering every dirty page happens once, up front, on the calling
-  /// thread, and end-write notifications are emitted after the last writer
-  /// joins, in ascending page order — so the log contents are identical to
-  /// the serial flush's.
+  /// Write back every dirty unpinned frame, spreading the runs over
+  /// flush_writers() lanes; simulated time advances by the busiest lane, so
+  /// a flush of N scattered pages costs ~N/writers seeks instead of N. The
+  /// log contents are those of a one-lane flush.
   Status FlushAll();
 
-  /// Background-writer simulation: write back each dirty unpinned frame
-  /// independently with probability `fraction`. Used for crash-state
+  /// Background-writer simulation: choose each dirty unpinned frame
+  /// independently with probability `fraction` (one RNG draw per frame, in
+  /// page order), then write the chosen frames back. Used for crash-state
   /// diversification and steady-state cleaning.
   Status WriteBackRandomSubset(Rng* rng, double fraction);
 
@@ -165,8 +172,8 @@ class BufferPool {
   void BeginConcurrent();
   void EndConcurrent();
 
-  /// Number of writer threads FlushAll fans coalesced runs across
-  /// (1 = inline serial flush). Default 4.
+  /// Number of writer lanes FlushAll spreads its runs over (1 = inline
+  /// serial flush). Default 4.
   void set_flush_writers(uint32_t n) { flush_writers_ = n == 0 ? 1 : n; }
   uint32_t flush_writers() const { return flush_writers_; }
 
@@ -246,14 +253,26 @@ class BufferPool {
   /// past capacity rather than fail. Serial contexts only.
   Status MaybeEvict();
 
-  Status WriteBackFrame(Frame* frame);
-
-  /// A maximal run of page-adjacent flush candidates.
-  struct FlushRun {
-    PageId first = 0;
-    std::vector<uint32_t> frames;  // frame indexes, ascending pages
+  /// A dirty, unpinned frame chosen for write-back.
+  struct Candidate {
+    PageId pid = 0;
+    uint32_t idx = kNoFrame;
   };
-  Status WriteFlushRun(const FlushRun& run);
+
+  /// The dirty, unpinned frames in ascending page order — the one scan of
+  /// the dirty set behind FlushAll and WriteBackRandomSubset. O(dirty).
+  std::vector<Candidate> DirtyCandidates();
+
+  /// The write-back pipeline (see file comment). `pages` are dirty,
+  /// unpinned and in ascending page order; their runs are spread over up
+  /// to `lanes` writer threads. On failure the pages of every run not
+  /// written stay dirty and get no end-write; the first error in page
+  /// order is returned.
+  Status WritePages(const std::vector<Candidate>& pages, uint32_t lanes);
+
+  /// Write the page-adjacent run pages[0..n) to disk and mark it clean.
+  /// The log already covers it (WritePages forced it).
+  Status WriteRun(const Candidate* pages, size_t n);
 
   Disk* disk_;
   size_t capacity_;

@@ -45,8 +45,6 @@ struct DiskStats {
   uint64_t page_writes = 0;
   uint64_t fresh_reads = 0;    // no backing image: logically zero-filled
   uint64_t crc_failures = 0;   // reads that failed CRC32C verification
-  uint64_t run_writes = 0;     // coalesced WritePageRun calls
-  uint64_t run_pages = 0;      // pages written through coalesced runs
   // Real backend only (zero on the simulator).
   uint64_t direct_io_writes = 0;  // O_DIRECT page writes issued
   uint64_t buffered_fallbacks = 0;  // ops served buffered after O_DIRECT
@@ -75,15 +73,22 @@ class Disk {
   /// Corruption when the stored image fails CRC32C verification.
   virtual Status ReadPage(PageId pid, PageImage* out) = 0;
 
-  /// Atomically write a full page image (stored with a fresh CRC32C).
-  virtual Status WritePage(PageId pid, const PageImage& image) = 0;
-
   /// Write `n` page-adjacent images (pages first..first+n-1) as one
-  /// sequential device operation. Each page still counts as one page_write;
-  /// on a transient fault, pages before the failing one remain written
-  /// (rewriting a run is idempotent, so callers simply retry the run).
+  /// sequential device operation: one seek, then per-page transfer. Each
+  /// page is written atomically with a fresh CRC32C and counts as one
+  /// page_write. On a transient fault some pages of the run may already be
+  /// written; rewriting a run is idempotent, so callers retry the whole
+  /// run. This is the only write a backend implements: the buffer pool's
+  /// write-back pipeline writes every dirty page through it.
   virtual Status WritePageRun(PageId first, const PageImage* const* images,
                               size_t n) = 0;
+
+  /// Atomically write one page image: a one-page run. Virtual only so a
+  /// decorating Disk can observe direct single-page writes.
+  virtual Status WritePage(PageId pid, const PageImage& image) {
+    const PageImage* one = &image;
+    return WritePageRun(pid, &one, 1);
+  }
 
   /// Drop a page (space deallocation). Subsequent reads return zeroes.
   virtual void DropPage(PageId pid) = 0;

@@ -191,27 +191,6 @@ Status RealDisk::ReadPage(PageId pid, PageImage* out) {
   return Status::OK();
 }
 
-Status RealDisk::WritePage(PageId pid, const PageImage& image) {
-#if SHEAP_FAULT_INJECTION
-  if (faults_ != nullptr) {
-    SHEAP_RETURN_IF_ERROR(faults_->OnIo("disk.write", pid));
-  }
-#endif
-  AlignedBuf slot(kSlotBytes);
-  if (slot.get() == nullptr) return Status::IOError("posix_memalign failed");
-  EncodeSlot(image, slot.get());
-  SHEAP_RETURN_IF_ERROR(PwriteAll(slot.get(), kSlotBytes, pid * kSlotBytes));
-  MutexLock lock(&mu_);
-  ++stats_.page_writes;
-  if (direct_io_) {
-    ++stats_.direct_io_writes;
-  } else if (direct_requested_) {
-    ++stats_.buffered_fallbacks;
-  }
-  live_.insert(pid);
-  return Status::OK();
-}
-
 Status RealDisk::WritePageRun(PageId first, const PageImage* const* images,
                               size_t n) {
   if (n == 0) return Status::OK();
@@ -230,7 +209,6 @@ Status RealDisk::WritePageRun(PageId first, const PageImage* const* images,
   MutexLock lock(&mu_);
   for (size_t i = 0; i < n; ++i) {
     ++stats_.page_writes;
-    ++stats_.run_pages;
     if (direct_io_) {
       ++stats_.direct_io_writes;
     } else if (direct_requested_) {
@@ -238,7 +216,6 @@ Status RealDisk::WritePageRun(PageId first, const PageImage* const* images,
     }
     live_.insert(first + i);
   }
-  ++stats_.run_writes;
   return Status::OK();
 }
 

@@ -57,8 +57,6 @@ class RealDisk final : public Disk {
   RealDisk& operator=(const RealDisk&) = delete;
 
   Status ReadPage(PageId pid, PageImage* out) override SHEAP_EXCLUDES(mu_);
-  Status WritePage(PageId pid, const PageImage& image) override
-      SHEAP_EXCLUDES(mu_);
   Status WritePageRun(PageId first, const PageImage* const* images,
                       size_t n) override SHEAP_EXCLUDES(mu_);
   void DropPage(PageId pid) override SHEAP_EXCLUDES(mu_);

@@ -44,26 +44,9 @@ Status SimDisk::ReadPage(PageId pid, PageImage* out) {
   return Status::OK();
 }
 
-Status SimDisk::WritePage(PageId pid, const PageImage& image) {
-#if SHEAP_FAULT_INJECTION
-  if (faults_ != nullptr) {
-    SHEAP_RETURN_IF_ERROR(faults_->OnIo("disk.write", pid));
-  }
-#endif
-  MutexLock lock(&mu_);
-  clock_->ChargeRandomIo(kPageSizeBytes);
-  ++stats_.page_writes;
-  pages_[pid] = StoredPage{image, PageCrc(image)};
-  return Status::OK();
-}
-
 Status SimDisk::WritePageRun(PageId first, const PageImage* const* images,
                              size_t n) {
-  if (n == 0) return Status::OK();
-  // One seek positions the head; each page then pays only transfer cost.
-  clock_->Advance(clock_->model().disk_seek_ns +
-                  clock_->model().disk_transfer_ns_per_kib *
-                      ((n * kPageSizeBytes + 1023) / 1024));
+  const CostModel& model = clock_->model();
   for (size_t i = 0; i < n; ++i) {
     const PageId pid = first + i;
 #if SHEAP_FAULT_INJECTION
@@ -71,13 +54,13 @@ Status SimDisk::WritePageRun(PageId first, const PageImage* const* images,
       SHEAP_RETURN_IF_ERROR(faults_->OnIo("disk.write", pid));
     }
 #endif
+    // One seek positions the head; each page then pays only its transfer.
+    clock_->Advance((i == 0 ? model.disk_seek_ns : 0) +
+                    model.disk_transfer_ns_per_kib * (kPageSizeBytes / 1024));
     MutexLock lock(&mu_);
     ++stats_.page_writes;
-    ++stats_.run_pages;
     pages_[pid] = StoredPage{*images[i], PageCrc(*images[i])};
   }
-  MutexLock lock(&mu_);
-  ++stats_.run_writes;
   return Status::OK();
 }
 

@@ -44,17 +44,13 @@ class SimDisk final : public Disk {
   /// CRC32C verification (bit rot).
   Status ReadPage(PageId pid, PageImage* out) override SHEAP_EXCLUDES(mu_);
 
-  /// Atomically write a full page image (stored with a fresh CRC32C).
-  Status WritePage(PageId pid, const PageImage& image) override
-      SHEAP_EXCLUDES(mu_);
-
   /// Write `n` page-adjacent images (pages first..first+n-1) as one
-  /// sequential device operation: a single seek plus per-page transfer,
-  /// instead of n random I/Os. This is the coalescing win the parallel
-  /// flush path exploits. Each page still counts as one page_write, fires
-  /// its own "disk.write" fault site, and is stored with a fresh CRC32C;
-  /// on a transient fault, pages before the failing one remain written
-  /// (rewriting a run is idempotent, so callers simply retry the run).
+  /// sequential device operation: the first page pays a seek plus its
+  /// transfer, each further page only its transfer, so a one-page run costs
+  /// exactly one random I/O. Each page fires its own "disk.write" fault
+  /// site before it is charged or stored; on a transient fault, pages
+  /// before the failing one remain written (rewriting a run is idempotent,
+  /// so callers simply retry the run).
   Status WritePageRun(PageId first, const PageImage* const* images,
                       size_t n) override SHEAP_EXCLUDES(mu_);
 

@@ -13,6 +13,7 @@ Status SimLogDevice::Append(const uint8_t* data, size_t n) {
   }
 #endif
   clock_->ChargeLogAppend(n);
+  MutexLock lock(&mu_);
   ++stats_.appends;
   stats_.bytes_appended += n;
   bytes_.insert(bytes_.end(), data, data + n);
@@ -25,6 +26,7 @@ Status SimLogDevice::AppendAsync(const uint8_t* data, size_t n) {
     SHEAP_RETURN_IF_ERROR(faults_->OnIo("log.append"));
   }
 #endif
+  MutexLock lock(&mu_);
   ++stats_.appends;
   stats_.bytes_appended += n;
   bytes_.insert(bytes_.end(), data, data + n);
@@ -32,6 +34,7 @@ Status SimLogDevice::AppendAsync(const uint8_t* data, size_t n) {
 }
 
 Status SimLogDevice::ReadAt(uint64_t offset, size_t n, uint8_t* out) const {
+  MutexLock lock(&mu_);
   if (offset < truncated_prefix_) {
     return Status::Corruption("log read before truncation point");
   }

@@ -37,8 +37,6 @@ inline constexpr const char* kScriptedWorkloadPoints[] = {
     "gc.scan.worker_claim",
     "gc.step.begin",
     "gc.utr.logged",
-    "pool.flushrun.after",
-    "pool.flushrun.before",
     "pool.writeback.after",
     "pool.writeback.before",
     "promote.utr.logged",

@@ -57,7 +57,8 @@ StableHeapOptions MatrixOptions(uint32_t recovery_threads = 1,
   opts.gc_threads = gc_threads;
   // One flush writer keeps the parallel-writeback checkpoint (phase 7)
   // fully deterministic: runs are written in page order on the calling
-  // thread, so flushrun crash points fire in the same order every run.
+  // thread, so the write-back crash points fire in the same order every
+  // run.
   opts.flush_writer_threads = 1;
   return opts;
 }
@@ -155,9 +156,11 @@ Status RunScriptedWorkload(SimEnv* env,
   SHEAP_RETURN_IF_ERROR(bank.Transfer(3, 4, 11));
   SHEAP_RETURN_IF_ERROR(heap->ForceLog());
 
-  // Phase 7: parallel-writeback checkpoint — exercises the run-coalescing
-  // flush path (pool.flushrun.*, ckpt.flush.begin) the plain checkpoint
-  // never reaches — then one more transfer over the clean pool.
+  // Phase 7: writeback checkpoint — FlushAll writes every dirty page
+  // through the pool's write-back pipeline (pool.writeback.*, which phase
+  // 6's WriteBackPages reaches too) behind ckpt.flush.begin, which the
+  // plain checkpoint never reaches — then one more transfer over the clean
+  // pool.
   SHEAP_RETURN_IF_ERROR(heap->CheckpointWithWriteback());
   SHEAP_RETURN_IF_ERROR(bank.Transfer(9, 10, 5));
   SHEAP_RETURN_IF_ERROR(heap->ForceLog());

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "core/stable_heap.h"
 #include "fault/fault_injector.h"
@@ -142,6 +144,31 @@ TEST(FaultInjectorTest, PageFilterRestrictsFault) {
   PageImage image;
   EXPECT_TRUE(env.disk()->WritePage(41, image).ok());
   EXPECT_TRUE(env.disk()->WritePage(42, image).IsIOError());
+}
+
+TEST(FaultInjectorTest, CrashTearIsSafeAgainstAConcurrentAppend) {
+  // A crash fired on one thread tears the log tail while another thread
+  // is still appending to the device (a mutator's commit force). The tear
+  // runs under the device's lock, not the injector's, so the two are
+  // ordered; a ThreadSanitizer build reports any unordered access.
+  SimEnv env;
+  FaultSpec spec = CrashFault("test.tear.point");
+  spec.tear_tail_bytes = 16;
+  env.faults()->Arm(spec);
+  std::atomic<bool> started{false};
+  std::thread appender([&env, &started] {
+    const uint8_t bytes[8] = {};
+    for (int i = 0; i < 20000; ++i) {
+      SHEAP_CHECK_OK(env.log()->Append(bytes, sizeof(bytes)));
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) {
+  }
+  EXPECT_TRUE(env.faults()->OnPoint("test.tear.point").IsCrashed());
+  appender.join();
+  EXPECT_TRUE(env.faults()->crash_fired());
+  EXPECT_LE(env.log()->size(), 20000u * 8);
 }
 
 // ----------------------------------------------------------- heap level

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/rng.h"
+#include "fault/fault_injector.h"
 #include "storage/buffer_pool.h"
 #include "storage/sim_disk.h"
 #include "storage/sim_env.h"
@@ -53,6 +57,25 @@ TEST(SimDiskTest, ChargesSimulatedTime) {
   ASSERT_TRUE(disk.WritePage(0, img).ok());
   EXPECT_GT(clock.now_ns(), 0u);
   EXPECT_EQ(disk.stats().page_writes, 1u);
+}
+
+TEST(SimDiskTest, OnePageRunChargesOneRandomIo) {
+  SimClock clock;
+  SimDisk disk(&clock);
+  const CostModel& model = clock.model();
+  const uint64_t transfer =
+      model.disk_transfer_ns_per_kib * (kPageSizeBytes / 1024);
+  PageImage img;
+  const PageImage* one = &img;
+  ASSERT_TRUE(disk.WritePageRun(4, &one, 1).ok());
+  EXPECT_EQ(clock.now_ns(), model.disk_seek_ns + transfer);
+  ASSERT_TRUE(disk.WritePage(5, img).ok());
+  EXPECT_EQ(clock.now_ns(), 2 * (model.disk_seek_ns + transfer));
+  // A longer run pays the seek once.
+  const PageImage* three[] = {&img, &img, &img};
+  ASSERT_TRUE(disk.WritePageRun(6, three, 3).ok());
+  EXPECT_EQ(clock.now_ns(), 3 * model.disk_seek_ns + 5 * transfer);
+  EXPECT_EQ(disk.stats().page_writes, 5u);
 }
 
 TEST(SimLogDeviceTest, AppendAndReadAt) {
@@ -385,6 +408,174 @@ TEST_F(BufferPoolTest, EvictedFramesAreReused) {
   EXPECT_EQ(pool.ResidentCount(), 2u);
   EXPECT_EQ(pool.stats().evictions, 4u);
   EXPECT_LE(pool.FreeFrameCount(), 1u);
+}
+
+// Two page-adjacent runs and two isolated pages.
+constexpr PageId kDirtySet[] = {2, 3, 4, 7, 11, 12};
+constexpr size_t kDirtyCount = std::size(kDirtySet);
+
+// Every entry point into the pool's write-back pipeline.
+enum class Entry { kFlushAll, kRandomSubset, kWriteBack, kEviction };
+
+// A pool whose frames hold kDirtySet dirty and unpinned, made dirty (and
+// so LRU-ordered) in ascending page order. Capacity is exactly the dirty
+// set, so each fault on a new page evicts the oldest dirty page.
+struct DirtyPool {
+  DirtyPool() : pool(env.disk(), kDirtyCount, Hooks(&end_writes)) {
+    pool.set_flush_writers(4);
+    for (PageId p : kDirtySet) {
+      auto frame = pool.Pin(p);
+      SHEAP_CHECK(frame.ok());
+      (*frame)->WriteWord(0, 7 * p + 1);
+      (*frame)->WriteWord(kWordsPerPage - 1, p);
+      pool.MarkDirty(p, 10 + p);
+      pool.Unpin(p);
+    }
+  }
+
+  static BufferPool::Hooks Hooks(std::vector<PageId>* end_writes) {
+    BufferPool::Hooks hooks;
+    hooks.flush_log_to = [](Lsn) { return Status::OK(); };
+    hooks.on_end_write = [end_writes](PageId p) { end_writes->push_back(p); };
+    return hooks;
+  }
+
+  SimEnv env;
+  std::vector<PageId> end_writes;
+  BufferPool pool;
+};
+
+// Write the whole dirty set back through `entry`.
+Status WriteBackThrough(BufferPool* pool, Entry entry) {
+  switch (entry) {
+    case Entry::kFlushAll:
+      return pool->FlushAll();
+    case Entry::kRandomSubset: {
+      Rng rng(1);
+      return pool->WriteBackRandomSubset(&rng, 1.0);
+    }
+    case Entry::kWriteBack:
+      for (PageId p : kDirtySet) SHEAP_RETURN_IF_ERROR(pool->WriteBack(p));
+      return Status::OK();
+    case Entry::kEviction:
+      for (PageId p = 100; p < 100 + kDirtyCount; ++p) {
+        auto frame = pool->Pin(p);
+        if (!frame.ok()) return frame.status();
+        pool->Unpin(p);
+      }
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+std::map<PageId, PageImage> DiskImages(SimEnv* env) {
+  std::map<PageId, PageImage> images;
+  for (PageId p : kDirtySet) {
+    SHEAP_CHECK(env->disk()->ReadPage(p, &images[p]).ok());
+  }
+  return images;
+}
+
+TEST(WriteBackPipelineTest, EveryEntryPointWritesTheSameImages) {
+  DirtyPool reference;
+  ASSERT_TRUE(WriteBackThrough(&reference.pool, Entry::kFlushAll).ok());
+  const std::map<PageId, PageImage> expected = DiskImages(&reference.env);
+  const std::vector<PageId> ascending(std::begin(kDirtySet),
+                                      std::end(kDirtySet));
+  // FlushAll and the background writer coalesce the set into three runs;
+  // eviction writes its victims one page at a time.
+  for (const auto& [entry, runs] :
+       std::vector<std::pair<Entry, uint64_t>>{{Entry::kFlushAll, 3},
+                                               {Entry::kRandomSubset, 3},
+                                               {Entry::kEviction, 6}}) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    DirtyPool rig;
+    SimEnv& env = rig.env;
+    BufferPool& pool = rig.pool;
+    ASSERT_TRUE(WriteBackThrough(&pool, entry).ok());
+    EXPECT_TRUE(pool.DirtyPages().empty());
+    EXPECT_EQ(rig.end_writes, ascending);
+    EXPECT_EQ(pool.stats().write_backs, kDirtyCount);
+    EXPECT_EQ(pool.stats().flush_runs, runs);
+    EXPECT_EQ(env.disk()->PageCount(), kDirtyCount);
+    const std::map<PageId, PageImage> images = DiskImages(&env);
+    for (PageId p : kDirtySet) {
+      EXPECT_EQ(images.at(p).data, expected.at(p).data) << "page " << p;
+      EXPECT_EQ(images.at(p).page_lsn, 10 + p) << "page " << p;
+    }
+  }
+}
+
+TEST(WriteBackPipelineTest, TransientFaultMidRunRetriesTheWholeRun) {
+  for (Entry entry : {Entry::kFlushAll, Entry::kRandomSubset,
+                      Entry::kWriteBack, Entry::kEviction}) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    DirtyPool rig;
+    SimEnv& env = rig.env;
+    BufferPool& pool = rig.pool;
+    // The first write of page 3, in the middle of the run {2, 3, 4}, fails.
+    // I/O hits are counted per site across lanes, so one lane keeps the
+    // hit that page 3's first write lands on fixed.
+    pool.set_flush_writers(1);
+    FaultSpec spec;
+    spec.point = "disk.write";
+    spec.kind = FaultKind::kTransientError;
+    spec.hit = 1;
+    spec.count = 2;
+    spec.page = 3;
+    env.faults()->Arm(spec);
+    ASSERT_TRUE(WriteBackThrough(&pool, entry).ok());
+    EXPECT_TRUE(pool.DirtyPages().empty());
+    EXPECT_EQ(env.faults()->stats().retried, 1u);
+    EXPECT_EQ(env.faults()->stats().exhausted, 0u);
+    // A multi-page run is rewritten from its first page: page 2 reaches
+    // disk twice. A one-page run retries only page 3.
+    const bool coalesced =
+        entry == Entry::kFlushAll || entry == Entry::kRandomSubset;
+    EXPECT_EQ(env.disk()->stats().page_writes,
+              kDirtyCount + (coalesced ? 1 : 0));
+  }
+}
+
+TEST(WriteBackPipelineTest, ExhaustedRetriesLeaveTheRunDirty) {
+  // (entry point, FlushAll lanes): one lane stops at the failed run and
+  // never reaches the two after it.
+  for (const auto& [entry, lanes] : std::vector<std::pair<Entry, uint32_t>>{
+           {Entry::kFlushAll, 1},
+           {Entry::kFlushAll, 4},
+           {Entry::kRandomSubset, 4},
+           {Entry::kWriteBack, 4},
+           {Entry::kEviction, 4}}) {
+    SCOPED_TRACE(std::to_string(static_cast<int>(entry)) + " lanes " +
+                 std::to_string(lanes));
+    DirtyPool rig;
+    SimEnv& env = rig.env;
+    BufferPool& pool = rig.pool;
+    pool.set_flush_writers(lanes);
+    // Every write of page 3 fails.
+    FaultSpec spec;
+    spec.point = "disk.write";
+    spec.kind = FaultKind::kTransientError;
+    spec.hit = 1;
+    spec.count = 1000;
+    spec.page = 3;
+    env.faults()->Arm(spec);
+    EXPECT_TRUE(WriteBackThrough(&pool, entry).IsIOError());
+    EXPECT_EQ(env.faults()->stats().retried, kMaxIoRetries);
+    EXPECT_EQ(env.faults()->stats().exhausted, 1u);
+    // Page 3 never reached disk and stays dirty; so does the rest of its
+    // run when the run is coalesced (page-at-a-time entry points stop
+    // before page 4). No end-write names a dirty page.
+    const bool coalesced =
+        entry == Entry::kFlushAll || entry == Entry::kRandomSubset;
+    EXPECT_TRUE(pool.IsDirty(3));
+    EXPECT_EQ(pool.IsDirty(2), coalesced);
+    EXPECT_TRUE(pool.IsDirty(4));
+    for (PageId p : rig.end_writes) EXPECT_FALSE(pool.IsDirty(p)) << p;
+    PageImage img;
+    ASSERT_TRUE(env.disk()->ReadPage(3, &img).ok());
+    EXPECT_EQ(img.ReadWord(0), 0u);
+  }
 }
 
 }  // namespace
