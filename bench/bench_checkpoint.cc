@@ -61,13 +61,17 @@ FlushResult RunFlushCompare(bool with_writeback) {
   }
   BENCH_OK(heap->Commit(txn));
 
+  // The pool's counters are whole-run totals (the setup's write-back is in
+  // them); the checkpoint's own work is the delta across it.
+  const BufferPoolStats pool_before = heap->stats().pool;
   const uint64_t before = env->clock()->now_ns();
   BENCH_OK(with_writeback ? heap->CheckpointWithWriteback()
                           : heap->Checkpoint());
   FlushResult r;
   r.pause_ms = Ms(env->clock()->now_ns() - before);
-  r.flush_runs = heap->stats().pool.flush_runs;
-  r.write_backs = heap->stats().pool.write_backs;
+  const BufferPoolStats pool_after = heap->stats().pool;
+  r.flush_runs = pool_after.flush_runs - pool_before.flush_runs;
+  r.write_backs = pool_after.write_backs - pool_before.write_backs;
 
   BENCH_OK(heap->SimulateCrash(CrashOptions{0.0, 17, 0}));
   heap.reset();

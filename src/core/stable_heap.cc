@@ -16,6 +16,15 @@ uint32_t ResolveThreads(uint32_t requested, uint32_t max_threads) {
   return std::min(n, max_threads);
 }
 
+// The state an action needs its transaction in: kActive, or kPrepared (in
+// doubt) for the coordinator's CommitPrepared/AbortPrepared.
+Status CheckTxnState(const Txn* txn, bool prepared) {
+  const TxnState want = prepared ? TxnState::kPrepared : TxnState::kActive;
+  if (txn != nullptr && txn->state == want) return Status::OK();
+  return Status::Aborted(prepared ? "transaction is not in doubt"
+                                  : "transaction is not active");
+}
+
 constexpr uint32_t kFormatMagic = 0x53484650;  // "SHFP"
 
 void EncodeFormatPayload(const StableHeapOptions& opts,
@@ -408,14 +417,9 @@ StatusOr<ClassId> StableHeap::RegisterClass(
 
 StatusOr<TxnId> StableHeap::Begin() {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
-  if (!concurrent()) {
-    SHEAP_RETURN_IF_ERROR(StepInstantDrain());
-    Txn* txn = txns_->Begin();
-    return txn->id;
-  }
-  // Concurrent mode: the instant-recovery backlog was drained at open, so
-  // no drain stepping here. Begin is a shared action: txn-id allocation is
-  // a fetch_add and the manager's shards take their own mutexes.
+  SHEAP_RETURN_IF_ERROR(StepInstantDrain());
+  // A shared action: txn-id allocation is a fetch_add and the manager's
+  // shards take their own mutexes.
   MutatorGate::SharedSection shared(&gate_);
   Txn* txn = txns_->Begin();
   return txn->id;
@@ -423,76 +427,66 @@ StatusOr<TxnId> StableHeap::Begin() {
 
 StatusOr<Txn*> StableHeap::FindActive(TxnId txn_id) {
   Txn* txn = txns_->Find(txn_id);
-  if (txn == nullptr || txn->state != TxnState::kActive) {
-    return Status::Aborted("transaction is not active");
-  }
+  SHEAP_RETURN_IF_ERROR(CheckTxnState(txn, /*prepared=*/false));
   return txn;
 }
 
 Status StableHeap::Commit(TxnId txn_id) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
-  if (!concurrent()) {
-    SHEAP_RETURN_IF_ERROR(StepInstantDrain());
-    return CommitImpl(txn_id);
-  }
-  // Concurrent commit. The common case — no promotion work — runs entirely
-  // inside a shared section: the commit record is appended under the log's
-  // own mutex and the transaction joins the group-commit batch under the
-  // queue's. Only a commit that must move newly stable objects (divided
-  // heap, non-empty remembered slots) takes the gate exclusively, because
-  // promotion rewrites heap pages and collector state.
+  // The drain touches exclusive-only state, so it runs outside any gate
+  // section; under concurrent mutators it is a no-op (open drained it).
+  SHEAP_RETURN_IF_ERROR(StepInstantDrain());
+  Txn* txn;
   {
+    // The common case — no promotion work — is a shared action: the
+    // commit record is appended under the log's own mutex and the
+    // transaction joins the group-commit batch under the queue's.
     MutatorGate::SharedSection shared(&gate_);
-    if (Txn* waiter = GroupCommitWaiter(txn_id)) {
-      return CommitTail(waiter, /*retry=*/true);
-    }
-    bool needs_promotion = false;
-    if (options_.divided_heap) {
+    txn = txns_->Find(txn_id);
+    bool promote = false;
+    if (options_.divided_heap && txn != nullptr &&
+        txn->state == TxnState::kActive) {
       MutexLock side(&side_mu_);
-      needs_promotion = !remembered_.SlotsOf(txn_id).empty();
+      promote = !remembered_.SlotsOf(txn_id).empty();
     }
-    if (!needs_promotion) {
-      SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-      txn->state = TxnState::kCommitting;
-      LogRecord rec;
-      rec.type = RecordType::kCommit;
-      txns_->AppendChained(txn, &rec);
-      // Crash window: commit spooled but not forced (concurrent fast path;
-      // the single-thread path's window is "txn.commit.logged").
-      SHEAP_FAULT_POINT(env_->faults(), "txn.mtcommit.logged");
-      if (!options_.group_commit && options_.force_on_commit) {
-        SHEAP_RETURN_IF_ERROR(log_->Force());
-        SHEAP_FAULT_POINT(env_->faults(), "txn.mtcommit.forced");
-      }
-      return CommitTail(txn, /*retry=*/false);
-    }
+    if (!promote) return CommitBody(txn, /*prepared=*/false);
   }
+  // Newly stable objects move to the stable area before the commit record
+  // (§5.2): if the commit record survives, so does the promotion. Promotion
+  // rewrites heap pages and collector state, so it takes the gate
+  // exclusively. Only an active transaction promotes, so a Busy retry
+  // never promotes again.
   MutatorGate::ExclusiveSection exclusive(&gate_);
-  return CommitImpl(txn_id);
+  SHEAP_RETURN_IF_ERROR(Promote(txn));
+  return CommitBody(txn, /*prepared=*/false);
 }
 
-Status StableHeap::CommitImpl(TxnId txn_id) {
-  if (Txn* waiter = GroupCommitWaiter(txn_id)) {
-    return CommitTail(waiter, /*retry=*/true);
+Status StableHeap::CommitBody(Txn* txn, bool prepared) {
+  // A Busy retry: under group commit a kCommitting transaction is one an
+  // earlier call left waiting on its commit record's durability. Without
+  // group commit it is one whose force failed; the state check refuses it.
+  if (options_.group_commit && txn != nullptr &&
+      txn->state == TxnState::kCommitting) {
+    return CommitTail(txn, /*retry=*/true);
   }
-  SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-
-  // Newly stable objects move to the stable area before the commit record
-  // (§5.2): if the commit record survives, so does the promotion.
-  if (options_.divided_heap) {
-    SHEAP_RETURN_IF_ERROR(Promote(txn));
+  SHEAP_RETURN_IF_ERROR(CheckTxnState(txn, prepared));
+  if (!prepared && options_.divided_heap) {
     // Crash window: promotion copies spooled, commit record not.
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.promoted");
   }
-
   txn->state = TxnState::kCommitting;
   LogRecord rec;
   rec.type = RecordType::kCommit;
   txns_->AppendChained(txn, &rec);
   // Crash window: commit spooled but not forced — the transaction must
-  // abort at recovery unless a later flush happened to carry it out.
+  // abort at recovery (or, prepared, stay in doubt) unless a later flush
+  // happened to carry it out.
   SHEAP_FAULT_POINT(env_->faults(), "txn.commit.logged");
-  if (!options_.group_commit && options_.force_on_commit) {
+  // A 2PC decision is forced unless group commit carries it: the commit
+  // record joins the open batch and is forced by the next batch leader (or
+  // an unrelated barrier), so a cross-shard commit costs at most one forced
+  // batch per participant.
+  if (!options_.group_commit && (prepared || options_.force_on_commit)) {
     SHEAP_RETURN_IF_ERROR(log_->Force());
     // Crash window: commit durable, end record and lock release lost.
     SHEAP_FAULT_POINT(env_->faults(), "txn.commit.forced");
@@ -509,15 +503,6 @@ Status StableHeap::Promote(Txn* txn) {
     promoted = promoter_->PromoteAtCommit(txn);
   }
   return promoted;
-}
-
-Txn* StableHeap::GroupCommitWaiter(TxnId txn_id) {
-  // Without group commit a kCommitting transaction is one whose force
-  // failed, not one waiting on a batch.
-  if (!options_.group_commit) return nullptr;
-  Txn* txn = txns_->Find(txn_id);
-  return txn != nullptr && txn->state == TxnState::kCommitting ? txn
-                                                                : nullptr;
 }
 
 Status StableHeap::CommitTail(Txn* txn, bool retry) {
@@ -600,22 +585,22 @@ Status StableHeap::Abort(TxnId txn_id) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   // Undo writes only touch slots this transaction still write-locks.
   MutatorGate::SharedSection shared(&gate_);
-  Txn* txn = txns_->Find(txn_id);
-  if (txn == nullptr) return Status::Aborted("unknown transaction");
-  if (txn->state != TxnState::kActive) {
-    return Status::Aborted("transaction is not active");
-  }
-  txn->state = TxnState::kAborting;
+  return AbortBody(txns_->Find(txn_id), /*prepared=*/false);
+}
 
+Status StableHeap::AbortBody(Txn* txn, bool prepared) {
+  SHEAP_RETURN_IF_ERROR(CheckTxnState(txn, prepared));
+  txn->state = TxnState::kAborting;
   LogRecord rec;
   rec.type = RecordType::kAbortTxn;
   txns_->AppendChained(txn, &rec);
   // Crash window: abort noted in the (volatile) log, no CLR written yet —
-  // recovery undoes the whole transaction itself.
+  // recovery undoes the whole transaction itself (or, prepared, restores
+  // it in doubt).
   SHEAP_FAULT_POINT(env_->faults(), "txn.abort.logged");
   SHEAP_RETURN_IF_ERROR(UndoTxn(txn));
   txn->state = TxnState::kAborted;
-  return FinishTxn(txn_id);
+  return FinishTxn(txn->id);
 }
 
 Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
@@ -652,42 +637,13 @@ Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
 Status StableHeap::CommitPrepared(TxnId txn_id) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::ExclusiveSection exclusive(&gate_);
-  // Same Busy retry protocol as Commit: a prepared transaction whose
-  // earlier CommitPrepared returned Busy calls again.
-  if (Txn* waiter = GroupCommitWaiter(txn_id)) {
-    return CommitTail(waiter, /*retry=*/true);
-  }
-  Txn* txn = txns_->Find(txn_id);
-  if (txn == nullptr || txn->state != TxnState::kPrepared) {
-    return Status::Aborted("transaction is not in doubt");
-  }
-  txn->state = TxnState::kCommitting;
-  LogRecord rec;
-  rec.type = RecordType::kCommit;
-  txns_->AppendChained(txn, &rec);
-  // 2PC decision application piggybacks on group commit: the commit record
-  // joins the open batch and is forced by the next batch leader (or an
-  // unrelated barrier), so a cross-shard commit costs at most one forced
-  // batch per participant. Crash before the force leaves the transaction
-  // in doubt; the coordinator's decision log re-commits it on reopen.
-  if (!options_.group_commit) SHEAP_RETURN_IF_ERROR(log_->Force());
-  return CommitTail(txn, /*retry=*/false);
+  return CommitBody(txns_->Find(txn_id), /*prepared=*/true);
 }
 
 Status StableHeap::AbortPrepared(TxnId txn_id) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::ExclusiveSection exclusive(&gate_);
-  Txn* txn = txns_->Find(txn_id);
-  if (txn == nullptr || txn->state != TxnState::kPrepared) {
-    return Status::Aborted("transaction is not in doubt");
-  }
-  txn->state = TxnState::kAborting;
-  LogRecord rec;
-  rec.type = RecordType::kAbortTxn;
-  txns_->AppendChained(txn, &rec);
-  SHEAP_RETURN_IF_ERROR(UndoTxn(txn));
-  txn->state = TxnState::kAborted;
-  return FinishTxn(txn_id);
+  return AbortBody(txns_->Find(txn_id), /*prepared=*/true);
 }
 
 std::vector<std::pair<TxnId, uint64_t>> StableHeap::InDoubtTransactions()
@@ -813,7 +769,11 @@ bool StableHeap::InStableArea(HeapAddr a) const {
   return sp != nullptr && sp->area == Area::kStable;
 }
 
-Status StableHeap::GcEnsureAccess(HeapAddr a) {
+Status StableHeap::GcBarrier(HeapAddr a, bool slot, bool is_pointer) {
+  const auto trap = [&] {
+    return slot ? stable_gc_->EnsureSlotAccess(a, is_pointer)
+                : stable_gc_->EnsureAccess(a);
+  };
   // Read-barrier traps mutate collector state (scan bitmap, copy frontier,
   // barrier cache) and must be serialized across mutator threads. The
   // unlocked collecting() read is stable inside a shared section:
@@ -821,22 +781,14 @@ Status StableHeap::GcEnsureAccess(HeapAddr a) {
   // trap path never completes a collection (Complete runs only from Step).
   if (concurrent() && stable_gc_->collecting()) {
     MutexLock gc(&gc_mu_);
-    return stable_gc_->EnsureAccess(a);
+    return trap();
   }
-  return stable_gc_->EnsureAccess(a);
-}
-
-Status StableHeap::GcEnsureSlotAccess(HeapAddr slot_addr, bool is_pointer) {
-  if (concurrent() && stable_gc_->collecting()) {
-    MutexLock gc(&gc_mu_);
-    return stable_gc_->EnsureSlotAccess(slot_addr, is_pointer);
-  }
-  return stable_gc_->EnsureSlotAccess(slot_addr, is_pointer);
+  return trap();
 }
 
 StatusOr<ObjectHeader> StableHeap::CheckedHeader(HeapAddr base,
                                                  uint64_t slot) {
-  SHEAP_RETURN_IF_ERROR(GcEnsureAccess(base));
+  SHEAP_RETURN_IF_ERROR(GcBarrier(base, /*slot=*/false));
   ObjectHeader hdr;
   if (const auto* entry = pending_.Lookup(base)) {
     // Method-2 promotion: the header is synthesized until materialization.
@@ -862,7 +814,7 @@ StatusOr<uint64_t> StableHeap::ReadSlotInternal(Txn* txn, HeapAddr base,
                                        : "slot holds a pointer, not a scalar");
   }
   const HeapAddr slot_addr = SlotAddr(base, slot);
-  SHEAP_RETURN_IF_ERROR(GcEnsureSlotAccess(slot_addr, want_pointer));
+  SHEAP_RETURN_IF_ERROR(GcBarrier(slot_addr, /*slot=*/true, want_pointer));
   SHEAP_ASSIGN_OR_RETURN(uint64_t v, pending_.ReadSlot(mem_.get(), slot_addr));
   env_->clock()->ChargeAccess();
   return v;
@@ -876,7 +828,7 @@ Status StableHeap::WriteSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
     return Status::InvalidArgument("slot kind mismatch");
   }
   const HeapAddr slot_addr = SlotAddr(base, slot);
-  SHEAP_RETURN_IF_ERROR(GcEnsureSlotAccess(slot_addr, is_pointer));
+  SHEAP_RETURN_IF_ERROR(GcBarrier(slot_addr, /*slot=*/true, is_pointer));
   SHEAP_ASSIGN_OR_RETURN(uint64_t old,
                          pending_.ReadSlot(mem_.get(), slot_addr));
 

@@ -331,8 +331,9 @@ class StableHeap {
   BufferPool::Hooks PoolHooks(bool log_page_events);
   void WireGcHooks();
   /// Cooperative instant-recovery drain: redo up to instant_drain_pages
-  /// pending pages. Called at action boundaries (Begin/Commit), the
-  /// MaybeStepCollector idiom.
+  /// pending pages. Called at action boundaries (Begin/Commit), outside
+  /// any gate section, the MaybeStepCollector idiom. A no-op under
+  /// concurrent mutators, whose open drains the whole backlog.
   Status StepInstantDrain();
   /// Fold the instant gate's counters and terminal outcome into
   /// recovery_stats_ (no-op for offline recovery).
@@ -341,21 +342,26 @@ class StableHeap {
   Status CheckUsable() const;
   /// True in the concurrent-mutator regime (mutator_threads > 1).
   bool concurrent() const { return options_.mutator_threads > 1; }
-  /// The full commit protocol (promotion, commit record, force / group
-  /// commit, FinishTxn). Single-mutator callers run it directly; the
-  /// concurrent path runs it under the exclusive gate when the transaction
-  /// needs promotion, and inlines the promotion-free tail under a shared
-  /// section otherwise.
-  Status CommitImpl(TxnId txn_id);
-  /// Promote what `txn`'s commit makes stable (divided heap; CommitImpl
-  /// and Prepare). On OutOfSpace with auto_collect, collect the stable area
+  /// The one commit body (Commit and CommitPrepared, both regimes): the
+  /// Busy-retry check, the entry-state check (kActive, or kPrepared when
+  /// `prepared`), the kCommit record, a force unless group commit carries
+  /// it, then CommitTail. Runs in a shared section under concurrent
+  /// mutators, so it never promotes: Commit does that first.
+  Status CommitBody(Txn* txn, bool prepared);
+  /// The one abort body (Abort and AbortPrepared): kAbortTxn, undo from
+  /// the in-memory undo information, FinishTxn.
+  Status AbortBody(Txn* txn, bool prepared);
+  /// Promote what `txn`'s commit makes stable (divided heap; Commit and
+  /// Prepare). On OutOfSpace with auto_collect, collect the stable area
   /// fully and retry once: promotion is all-or-nothing.
   Status Promote(Txn* txn);
-  /// Read-barrier wrappers: under concurrent mutators an Ellis trap scans
-  /// a page (copies objects, writes log records), so barrier evaluation
-  /// during an active collection serializes on gc_mu_.
-  Status GcEnsureAccess(HeapAddr a);
-  Status GcEnsureSlotAccess(HeapAddr slot_addr, bool is_pointer);
+  /// The stable collector's read barrier for one access: the object header
+  /// at `a` (AtomicGc::EnsureAccess), or the slot at `a` holding a pointer
+  /// iff `is_pointer` (AtomicGc::EnsureSlotAccess). Under concurrent
+  /// mutators an Ellis trap scans a page (copies objects, writes log
+  /// records), so evaluation during an active collection serializes on
+  /// gc_mu_.
+  Status GcBarrier(HeapAddr a, bool slot, bool is_pointer = false);
   StatusOr<Txn*> FindActive(TxnId txn);
   StatusOr<HeapAddr> ResolveRef(TxnId txn, Ref ref) const;
   /// The address a pointer store writes: null for kNullRef, else
@@ -373,18 +379,14 @@ class StableHeap {
                            uint64_t value, bool is_pointer);
   StatusOr<ObjectHeader> CheckedHeader(HeapAddr base, uint64_t slot);
   Status UndoTxn(Txn* txn);
-  /// Shared tail of Commit/CommitPrepared/Abort/AbortPrepared: release
-  /// locks and per-transaction side state, log kEnd, drop the table entry.
+  /// Shared tail of CommitBody and AbortBody: release locks and
+  /// per-transaction side state, log kEnd, drop the table entry.
   Status FinishTxn(TxnId txn_id);
-  /// Group commit's retry check, shared by Commit and CommitPrepared:
-  /// the transaction if an earlier call left it waiting on its commit
-  /// record's durability (kCommitting), else null.
-  Txn* GroupCommitWaiter(TxnId txn_id);
-  /// Durability tail of every commit entry point, once the commit record
-  /// is spooled (and forced, if the caller forces): under group commit,
-  /// join the open batch (first call) or charge a poll (retry), lead it if
-  /// it must close, and return Busy until the record is durable. Then
-  /// kCommitting -> kCommitted and the FinishTxn tail.
+  /// Durability tail of CommitBody, once the commit record is spooled (and
+  /// forced, if the body forces): under group commit, join the open batch
+  /// (first call) or charge a poll (retry), lead it if it must close, and
+  /// return Busy until the record is durable. Then kCommitting ->
+  /// kCommitted and the FinishTxn tail.
   Status CommitTail(Txn* txn, bool retry);
   /// Step the incremental stable collector by gc_step_pages before an
   /// allocation (Baker-style pacing).

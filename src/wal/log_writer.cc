@@ -58,7 +58,16 @@ Status LogWriter::FlushTo(Lsn lsn) {
   SHEAP_FAULT_POINT(faults(), "wal.walflush.barrier");
   // The WAL dependency makes everything up to `lsn` un-tearable, including
   // bytes that reached the device via background drain.
+  return RaiseBarrierLocked();
+}
+
+Status LogWriter::RaiseBarrierLocked() {
   device_->MarkDurableBarrier();
+  // A device whose sync failed leaves its barrier below the flushed bytes:
+  // nothing new is durable, so nothing may be acknowledged as durable.
+  if (device_->durable_barrier() < base_offset_) {
+    return Status::IOError("log sync failed: durable barrier not raised");
+  }
   if (flushed_lsn_ != kInvalidLsn) durable_lsn_ = flushed_lsn_;
   return Status::OK();
 }
@@ -99,8 +108,7 @@ Status LogWriter::Force() {
   // Crash window: the device acknowledged the force but the barrier (our
   // model of the acknowledgement reaching the commit path) is not raised.
   SHEAP_FAULT_POINT(faults(), "wal.force.before_barrier");
-  device_->MarkDurableBarrier();
-  if (flushed_lsn_ != kInvalidLsn) durable_lsn_ = flushed_lsn_;
+  SHEAP_RETURN_IF_ERROR(RaiseBarrierLocked());
   SHEAP_FAULT_POINT(faults(), "wal.force.after_barrier");
   return Status::OK();
 }

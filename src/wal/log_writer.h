@@ -79,7 +79,8 @@ class LogWriter {
   static constexpr size_t kAutoFlushBytes = 64 * 1024;
 
   /// Ensure every record with LSN <= lsn is on the stable device. Used by
-  /// the buffer pool's WAL constraint; raises the durable barrier.
+  /// the buffer pool's WAL constraint; raises the durable barrier. IOError
+  /// if the device could not make the flushed bytes durable.
   Status FlushTo(Lsn lsn) SHEAP_EXCLUDES(mu_);
 
   /// Flush the entire buffer without forcing the device (background/group
@@ -89,6 +90,7 @@ class LogWriter {
 
   /// Force: flush everything, wait for the device, raise the barrier.
   /// This is the only synchronous log operation (commit-time, §2.2.1).
+  /// IOError, with durable_lsn() unchanged, if the barrier did not rise.
   Status Force() SHEAP_EXCLUDES(mu_);
 
   /// The machine's fault injector (may be null outside the simulator).
@@ -138,6 +140,10 @@ class LogWriter {
     return 1 + base_offset_ + buffer_.size();
   }
   Status FlushLocked() SHEAP_REQUIRES(mu_);
+  /// Raise the device's durable barrier over every flushed byte and advance
+  /// durable_lsn_ to match; IOError, durable_lsn_ unchanged, if the device
+  /// could not (a failed fdatasync leaves RealLogDevice's barrier low).
+  Status RaiseBarrierLocked() SHEAP_REQUIRES(mu_);
 
   LogDevice* device_;
   /// Leaf lock: one Append/Flush/Force is one atomic transition of the

@@ -331,10 +331,10 @@ TEST(ConcurrentTortureTest, CrashAtRandomConcurrentCommitRecoversAtomically) {
     ASSERT_TRUE(CommitRetry(heap.get(), *txn).ok());
   }
 
-  // Crash at a "random" (fixed-seed) dynamic hit of the concurrent commit
-  // fast path, somewhere in the middle of the run.
+  // Crash at a "random" (fixed-seed) dynamic hit of the commit window
+  // (record spooled, not forced), somewhere in the middle of the run.
   FaultSpec crash;
-  crash.point = "txn.mtcommit.logged";
+  crash.point = "txn.commit.logged";
   crash.kind = FaultKind::kCrash;
   crash.hit = 37;
   crash.tear_tail_bytes = 1500;

@@ -12,7 +12,10 @@
 //
 // So: adding a crash point means adding it here AND making a workload reach
 // it, in the same change. Names follow `subsystem.component.event`
-// (three dot-separated lower_snake segments), also lint-enforced.
+// (three dot-separated lower_snake segments), also lint-enforced. Each
+// window has one site and one name in both mutator regimes: the
+// concurrent commit path crashes at txn.commit.* too
+// (concurrent_torture_test).
 
 #ifndef SHEAP_TESTS_CRASH_MATRIX_POINTS_H_
 #define SHEAP_TESTS_CRASH_MATRIX_POINTS_H_
@@ -78,17 +81,6 @@ inline constexpr const char* kInstantRecoveryPoints[] = {
 inline constexpr const char* kGroupCommitPoints[] = {
     "wal.group.leader_force",
     "wal.group.batch_durable",
-};
-
-/// Concurrent-commit fast-path points (StableHeapOptions::mutator_threads
-/// > 1): the crash windows after a commit record is spooled / forced from
-/// inside a shared gate section. Mirrors of txn.commit.logged/forced,
-/// split out because the fault-point lint requires one site per name and
-/// the single-thread crash matrix pins the originals. Exercised by
-/// concurrent_torture_test (crash at a random commit, reopen, verify).
-inline constexpr const char* kConcurrentCommitPoints[] = {
-    "txn.mtcommit.forced",
-    "txn.mtcommit.logged",
 };
 
 /// 2PC coordinator points (src/dtx/two_phase.cc). These fire on the

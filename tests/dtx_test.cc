@@ -271,6 +271,35 @@ TEST_F(DtxTest, PreparedPromotionCommitsAcrossCrash) {
   ASSERT_TRUE(a_.heap->Commit(t).ok());
 }
 
+#if SHEAP_FAULT_INJECTION
+TEST_F(DtxTest, CrashInAbortPreparedLeavesTransactionInDoubt) {
+  TxnId ta = a_.StartTransfer(0, 1, 250);
+  const Gtid gtid = coord_->NewGtid();
+  auto voted = coord_->PrepareAll(gtid, {{a_.heap.get(), ta}});
+  ASSERT_TRUE(voted.ok() && *voted);
+
+  // Crash in AbortPrepared's window between the spooled abort record and
+  // the first CLR (the one txn.abort.logged site, shared with Abort).
+  FaultSpec crash;
+  crash.point = "txn.abort.logged";
+  crash.kind = FaultKind::kCrash;
+  a_.env->faults()->Arm(crash);
+  EXPECT_TRUE(a_.heap->AbortPrepared(ta).IsCrashed());
+  a_.Crash(0.5, 37);
+
+  // The vote was durable and the abort was not: in doubt again, with its
+  // gtid, until resolution (presumed abort) rolls it back.
+  auto in_doubt = a_.heap->InDoubtTransactions();
+  ASSERT_EQ(in_doubt.size(), 1u);
+  EXPECT_EQ(in_doubt[0].second, gtid);
+  ASSERT_TRUE(coord_->Resolve(a_.heap.get()).ok());
+  EXPECT_TRUE(a_.heap->InDoubtTransactions().empty());
+  EXPECT_EQ(*a_.bank.BalanceOf(0), 1000u);
+  EXPECT_EQ(*a_.bank.BalanceOf(1), 1000u);
+  EXPECT_EQ(*a_.bank.TotalBalance(), 64u * 1000);
+}
+#endif  // SHEAP_FAULT_INJECTION
+
 TEST_F(DtxTest, ResolvedAbortReleasesLocks) {
   TxnId ta = a_.StartTransfer(0, 1, 100);
   const Gtid gtid = coord_->NewGtid();

@@ -26,6 +26,32 @@ namespace {
 using workload::Op;
 using workload::Scheduler;
 
+/// Commit, piggybacking on an explicit ForceLog if queued. Unlike
+/// CommitSync this does not have to poll out a long deadline, so it is
+/// safe in tests that set max_delay_ns very high.
+void CommitViaForce(StableHeap* heap, TxnId txn) {
+  Status st = heap->Commit(txn);
+  if (st.IsBusy()) {
+    SHEAP_CHECK_OK(heap->ForceLog());
+    st = heap->Commit(txn);
+  }
+  SHEAP_CHECK_OK(st);
+}
+
+/// Commit `n` stable scalar arrays of `slots` slots under roots 0..n-1,
+/// so up to `n` transactions that each touch their own array can wait in
+/// the same batch without lock conflicts. Object handles are
+/// per-transaction, so callers re-fetch an array with GetRoot inside
+/// their own transactions.
+void SetupArrays(StableHeap* heap, uint64_t n, uint64_t slots = 4) {
+  TxnId txn = *heap->Begin();
+  for (uint64_t i = 0; i < n; ++i) {
+    Ref arr = *heap->AllocateStable(txn, kClassDataArray, slots);
+    SHEAP_CHECK_OK(heap->SetRoot(txn, i, arr));
+  }
+  CommitViaForce(heap, txn);
+}
+
 class GroupCommitTest : public ::testing::Test {
  protected:
   void Open(uint32_t max_batch = 16, uint64_t max_delay_ns = 2'000'000) {
@@ -41,32 +67,6 @@ class GroupCommitTest : public ::testing::Test {
     heap_ = std::move(*heap);
   }
 
-  /// Commit, piggybacking on an explicit ForceLog if queued. Unlike
-  /// CommitSync this does not have to poll out a long deadline, so it is
-  /// safe in tests that set max_delay_ns very high.
-  void CommitViaForce(TxnId txn) {
-    Status st = heap_->Commit(txn);
-    if (st.IsBusy()) {
-      SHEAP_CHECK_OK(heap_->ForceLog());
-      st = heap_->Commit(txn);
-    }
-    SHEAP_CHECK_OK(st);
-  }
-
-  /// Commit `n` stable scalar arrays of `slots` slots under roots 0..n-1,
-  /// so up to `n` transactions that each touch their own array can wait in
-  /// the same batch without lock conflicts. Object handles are
-  /// per-transaction, so callers re-fetch an array with GetRoot inside
-  /// their own transactions.
-  void SetupArrays(uint64_t n, uint64_t slots = 4) {
-    TxnId txn = *heap_->Begin();
-    for (uint64_t i = 0; i < n; ++i) {
-      Ref arr = *heap_->AllocateStable(txn, kClassDataArray, slots);
-      SHEAP_CHECK_OK(heap_->SetRoot(txn, i, arr));
-    }
-    CommitViaForce(txn);
-  }
-
   std::unique_ptr<SimEnv> env_;
   std::unique_ptr<StableHeap> heap_;
 };
@@ -76,7 +76,7 @@ class GroupCommitTest : public ::testing::Test {
 TEST_F(GroupCommitTest, BatchClosesAtMaxBatchWithOneForce) {
   Open(/*max_batch=*/4, /*max_delay_ns=*/3'600'000'000'000ull);
   // Distinct objects so all four committers can be queued at once.
-  SetupArrays(4, 2);
+  SetupArrays(heap_.get(), 4, 2);
 
   std::vector<TxnId> txns;
   for (uint64_t i = 0; i < 3; ++i) {
@@ -108,7 +108,7 @@ TEST_F(GroupCommitTest, BatchClosesAtMaxBatchWithOneForce) {
 // becomes its own batch leader.
 TEST_F(GroupCommitTest, LoneCommitterClosesAtDeadline) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/2'000'000);
-  SetupArrays(1);
+  SetupArrays(heap_.get(), 1);
 
   TxnId t = *heap_->Begin();
   Ref arr = *heap_->GetRoot(t, 0);
@@ -133,7 +133,7 @@ TEST_F(GroupCommitTest, LoneCommitterClosesAtDeadline) {
 // queued waiters without a leader force: piggybacking.
 TEST_F(GroupCommitTest, WaitersPiggybackOnUnrelatedForce) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/3'600'000'000'000ull);
-  SetupArrays(1);
+  SetupArrays(heap_.get(), 1);
   const uint64_t batches_before = heap_->group_commit_stats().batches;
 
   TxnId t = *heap_->Begin();
@@ -153,7 +153,7 @@ TEST_F(GroupCommitTest, WaitersPiggybackOnUnrelatedForce) {
 // it a second time.
 TEST_F(GroupCommitTest, LeaderNeverForcesAnAlreadyDurableBatch) {
   Open(/*max_batch=*/3, /*max_delay_ns=*/2'000'000);
-  SetupArrays(2);
+  SetupArrays(heap_.get(), 2);
 
   std::vector<TxnId> waiters;
   for (uint64_t i = 0; i < 2; ++i) {
@@ -183,7 +183,7 @@ TEST_F(GroupCommitTest, LeaderNeverForcesAnAlreadyDurableBatch) {
 // after its commit record is durable, not by the force itself.
 TEST_F(GroupCommitTest, QueuedCommitHoldsLocksUntilDurable) {
   Open(/*max_batch=*/64, /*max_delay_ns=*/3'600'000'000'000ull);
-  SetupArrays(1);
+  SetupArrays(heap_.get(), 1);
 
   TxnId t1 = *heap_->Begin();
   Ref arr1 = *heap_->GetRoot(t1, 0);
@@ -198,7 +198,7 @@ TEST_F(GroupCommitTest, QueuedCommitHoldsLocksUntilDurable) {
   EXPECT_TRUE(heap_->WriteScalar(t2, arr2, 0, 2).IsBusy());  // still held
   EXPECT_TRUE(heap_->Commit(t1).ok());  // t1 finishes: locks released
   EXPECT_TRUE(heap_->WriteScalar(t2, arr2, 0, 2).ok());
-  CommitViaForce(t2);
+  CommitViaForce(heap_.get(), t2);
 }
 
 // Durability contract under crash: every transaction whose Commit returned
@@ -207,7 +207,7 @@ TEST_F(GroupCommitTest, CommittedBatchesSurviveCrash) {
   Open(/*max_batch=*/4, /*max_delay_ns=*/2'000'000);
   // One array per queue position: the 4 transactions of a wave touch
   // distinct objects, so they can all sit in the same batch.
-  SetupArrays(4);
+  SetupArrays(heap_.get(), 4);
 
   // Waves of 4 fill batches exactly; each wave is one leader force.
   for (uint64_t wave = 0; wave < 4; ++wave) {
@@ -249,7 +249,7 @@ TEST_F(GroupCommitTest, CommittedBatchesSurviveCrash) {
 // closes; everything still serializes.
 TEST_F(GroupCommitTest, SchedulerInterleavesQueuedCommits) {
   Open(/*max_batch=*/8, /*max_delay_ns=*/2'000'000);
-  SetupArrays(1, 8);
+  SetupArrays(heap_.get(), 1, 8);
 
   Scheduler sched(heap_.get(), /*seed=*/1234);
   constexpr uint64_t kClients = 4;
@@ -433,6 +433,184 @@ TEST(GroupCommitConcurrentTest, OkCommitsAreBehindTheDurableBarrier) {
     }
   }
   EXPECT_GT(heap->group_commit_stats().batches, 0u);
+}
+
+// A concurrent (mutator_threads = 2) group commit that must promote does so
+// exactly once: Commit promotes the active transaction under the exclusive
+// gate (one handshake), and each Busy retry of the now-committing
+// transaction skips the promotion step and its exclusive section, going
+// straight to the commit body's retry check in a shared section.
+TEST(GroupCommitConcurrentTest, PromotingCommitPromotesOnceAcrossRetries) {
+  SimEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 256;
+  opts.volatile_space_pages = 128;
+  opts.mutator_threads = 2;
+  opts.group_commit = true;
+  opts.group_commit_options.max_delay_ns = 3'600'000'000'000ull;
+  opts.group_commit_options.close_after_polls = 4;
+  auto heap_or = StableHeap::Open(&env, opts);
+  ASSERT_TRUE(heap_or.ok()) << heap_or.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*heap_or);
+  auto cls = heap->RegisterClass({false});
+  ASSERT_TRUE(cls.ok());
+
+  // A new (volatile) object published through a stable root slot: the
+  // remembered slot makes this commit promote.
+  TxnId txn = *heap->Begin();
+  Ref obj = *heap->Allocate(txn, *cls, 1);
+  ASSERT_TRUE(heap->WriteScalar(txn, obj, 0, 42).ok());
+  ASSERT_TRUE(heap->SetRoot(txn, 0, obj).ok());
+  const uint64_t promoted_before =
+      heap->promotion_stats().commits_with_promotion;
+  const uint64_t handshakes_before = heap->gate_stats().handshakes;
+  int busy = 0;
+  Status st = heap->Commit(txn);
+  while (st.IsBusy()) {
+    ASSERT_LT(++busy, 100) << "commit never completed";
+    st = heap->Commit(txn);
+  }
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GE(busy, 1);  // the batch closed on a retry's poll budget
+  EXPECT_EQ(heap->promotion_stats().commits_with_promotion,
+            promoted_before + 1);
+  EXPECT_EQ(heap->gate_stats().handshakes, handshakes_before + 1);
+
+  // The object moved to the stable area with its contents.
+  TxnId reader = *heap->Begin();
+  Ref root = *heap->GetRoot(reader, 0);
+  EXPECT_EQ(*heap->ReadScalar(reader, root, 0), 42u);
+  auto addr = heap->DebugAddrOf(root);
+  ASSERT_TRUE(addr.ok());
+  EXPECT_FALSE(heap->volatile_gc()->Contains(*addr));
+  ASSERT_TRUE(heap->Abort(reader).ok());
+}
+
+// ------------------------------------------------------ failed log syncs
+
+/// A log device whose sync can be made to fail: with `fail_sync` set,
+/// MarkDurableBarrier leaves the barrier where it was, as RealLogDevice
+/// does when fdatasync fails. Everything else forwards to a SimLogDevice.
+class FailingSyncLog final : public LogDevice {
+ public:
+  explicit FailingSyncLog(SimLogDevice* in) : in_(in) {}
+
+  Status Append(const uint8_t* data, size_t n) override {
+    return in_->Append(data, n);
+  }
+  Status AppendAsync(const uint8_t* data, size_t n) override {
+    return in_->AppendAsync(data, n);
+  }
+  void Force() override { in_->Force(); }
+  uint64_t size() const override { return in_->size(); }
+  Status ReadAt(uint64_t offset, size_t n, uint8_t* out) const override {
+    return in_->ReadAt(offset, n, out);
+  }
+  void SetMasterLsn(Lsn lsn) override { in_->SetMasterLsn(lsn); }
+  Lsn master_lsn() const override { return in_->master_lsn(); }
+  void TruncatePrefix(uint64_t offset) override { in_->TruncatePrefix(offset); }
+  uint64_t truncated_prefix() const override {
+    return in_->truncated_prefix();
+  }
+  void MarkDurableBarrier() override {
+    if (!fail_sync) in_->MarkDurableBarrier();
+  }
+  uint64_t durable_barrier() const override {
+    return in_->durable_barrier();
+  }
+  void TearTail(size_t n) override { in_->TearTail(n); }
+  FaultInjector* faults() const override { return in_->faults(); }
+  LogDeviceStats stats() const override { return in_->stats(); }
+  void ResetStats() override { in_->ResetStats(); }
+
+  bool fail_sync = false;
+
+ private:
+  SimLogDevice* in_;
+};
+
+/// A SimEnv whose log is a FailingSyncLog.
+class FailingSyncEnv final : public Env {
+ public:
+  SimClock* clock() override { return sim_.clock(); }
+  Disk* disk() override { return sim_.disk(); }
+  LogDevice* log() override { return &log_; }
+  FaultInjector* faults() override { return sim_.faults(); }
+  const char* backend_name() const override { return "sim"; }
+
+  FailingSyncLog* failing_log() { return &log_; }
+
+ private:
+  SimEnv sim_;
+  FailingSyncLog log_{sim_.log()};
+};
+
+/// A transaction that has written `value` into slot 0 of root `root`'s
+/// array and is ready to commit.
+TxnId WriteOneSlot(StableHeap* heap, uint64_t root, uint64_t value) {
+  TxnId txn = *heap->Begin();
+  Ref arr = *heap->GetRoot(txn, root);
+  SHEAP_CHECK_OK(heap->WriteScalar(txn, arr, 0, value));
+  return txn;
+}
+
+// Force-on-commit: a commit whose force could not make the record durable
+// is not acknowledged, and the log does not claim it durable.
+TEST(LogSyncFailureTest, ForcedCommitReturnsIoError) {
+  FailingSyncEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 256;
+  opts.volatile_space_pages = 128;
+  auto heap_or = StableHeap::Open(&env, opts);
+  ASSERT_TRUE(heap_or.ok()) << heap_or.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*heap_or);
+  SetupArrays(heap.get(), 1);  // while syncs still work
+
+  TxnId txn = WriteOneSlot(heap.get(), 0, 7);
+  const Lsn durable_before = heap->log_writer()->durable_lsn();
+  env.failing_log()->fail_sync = true;
+  Status st = heap->Commit(txn);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(heap->log_writer()->durable_lsn(), durable_before);
+  const Txn* unacked = heap->txn_manager()->Find(txn);
+  ASSERT_NE(unacked, nullptr) << "transaction finished without durability";
+  EXPECT_LT(heap->log_writer()->durable_lsn(), unacked->last_lsn);
+}
+
+// Group commit: the leader whose batch force fails gets the error, and the
+// batch stays open — once syncs work again, a retry leads it to
+// durability and every member commits.
+TEST(LogSyncFailureTest, GroupLeaderReturnsIoErrorAndBatchStaysOpen) {
+  FailingSyncEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 256;
+  opts.volatile_space_pages = 128;
+  opts.group_commit = true;
+  opts.group_commit_options.max_batch = 2;
+  opts.group_commit_options.max_delay_ns = 3'600'000'000'000ull;
+  auto heap_or = StableHeap::Open(&env, opts);
+  ASSERT_TRUE(heap_or.ok()) << heap_or.status().ToString();
+  std::unique_ptr<StableHeap> heap = std::move(*heap_or);
+  SetupArrays(heap.get(), 2);  // while syncs still work
+  const uint64_t batches_before = heap->group_commit_stats().batches;
+
+  TxnId waiter = WriteOneSlot(heap.get(), 0, 7);
+  TxnId leader = WriteOneSlot(heap.get(), 1, 8);
+  const Lsn durable_before = heap->log_writer()->durable_lsn();
+  env.failing_log()->fail_sync = true;
+  ASSERT_TRUE(heap->Commit(waiter).IsBusy());
+  Status st = heap->Commit(leader);  // fills the batch: leads its force
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(heap->log_writer()->durable_lsn(), durable_before);
+  EXPECT_EQ(heap->group_commit_stats().batches, batches_before);
+  EXPECT_TRUE(heap->Commit(waiter).IsIOError());  // still open: leads again
+
+  env.failing_log()->fail_sync = false;
+  ASSERT_TRUE(heap->Commit(waiter).ok());
+  ASSERT_TRUE(heap->Commit(leader).ok());
+  EXPECT_EQ(heap->group_commit_stats().batches, batches_before + 1);
+  EXPECT_EQ(heap->txn_manager()->Find(waiter), nullptr);
+  EXPECT_EQ(heap->txn_manager()->Find(leader), nullptr);
 }
 
 }  // namespace
