@@ -330,9 +330,6 @@ std::unique_ptr<InstantRedoManager> StableHeap::NewRedoGate() {
 Status StableHeap::RecoverHeap() {
   RecoveryManager::Deps deps;
   deps.device = env_->log();
-  deps.log = log_.get();
-  deps.pool = pool_.get();
-  deps.mem = mem_.get();
   deps.spaces = spaces_.get();
   deps.types = &types_;
   deps.utt = &utt_;
@@ -345,6 +342,8 @@ Status StableHeap::RecoverHeap() {
   if (!instant_) offline_gate = NewRedoGate();
   deps.redo = instant_ ? instant_.get() : offline_gate.get();
   deps.instant = instant_ != nullptr;
+  deps.rollback = [this](Txn* txn) { return RollbackTail(txn); };
+  deps.finish = [this](TxnId txn_id) { return FinishTxn(txn_id); };
   RecoveryManager recovery(deps);
   // Pessimistic terminal stamp: any failure from here to the end of the
   // open path (an injected crash between recovery passes, a GC-resume or
@@ -549,10 +548,11 @@ Status StableHeap::FinishTxn(TxnId txn_id) {
   return Status::OK();
 }
 
-Status StableHeap::UndoTxn(Txn* txn) {
+Status StableHeap::RollbackTail(Txn* txn) {
   // Walk the in-memory undo information backwards (§2.2.3). Entries were
-  // rewritten in place by every flip and promotion, so no translation is
-  // needed here — that is the point of treating undo info as GC roots.
+  // rewritten in place by every flip and promotion (recovery translated a
+  // restored loser's through the UTT), so no translation is needed here —
+  // that is the point of treating undo info as GC roots.
   std::vector<Lsn> logged_lsns;
   for (const TxnUpdate& e : txn->updates) {
     if (e.logged) logged_lsns.push_back(e.lsn);
@@ -577,8 +577,14 @@ Status StableHeap::UndoTxn(Txn* txn) {
     }
     SHEAP_RETURN_IF_ERROR(
         pending_.WriteSlot(mem_.get(), slot_addr, e.old_word, lsn));
+    if (e.logged) {
+      // Crash window between two CLRs: recovery's rollback skips what the
+      // surviving CLRs compensated and writes the rest.
+      SHEAP_FAULT_POINT(env_->faults(), "txn.undo.clr_logged");
+    }
   }
-  return Status::OK();
+  txn->state = TxnState::kAborted;
+  return FinishTxn(txn->id);
 }
 
 Status StableHeap::Abort(TxnId txn_id) {
@@ -598,9 +604,7 @@ Status StableHeap::AbortBody(Txn* txn, bool prepared) {
   // recovery undoes the whole transaction itself (or, prepared, restores
   // it in doubt).
   SHEAP_FAULT_POINT(env_->faults(), "txn.abort.logged");
-  SHEAP_RETURN_IF_ERROR(UndoTxn(txn));
-  txn->state = TxnState::kAborted;
-  return FinishTxn(txn->id);
+  return RollbackTail(txn);
 }
 
 Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {

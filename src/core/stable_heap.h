@@ -348,8 +348,8 @@ class StableHeap {
   /// it, then CommitTail. Runs in a shared section under concurrent
   /// mutators, so it never promotes: Commit does that first.
   Status CommitBody(Txn* txn, bool prepared);
-  /// The one abort body (Abort and AbortPrepared): kAbortTxn, undo from
-  /// the in-memory undo information, FinishTxn.
+  /// The one abort body (Abort and AbortPrepared): the entry-state check,
+  /// the kAbortTxn record, then RollbackTail.
   Status AbortBody(Txn* txn, bool prepared);
   /// Promote what `txn`'s commit makes stable (divided heap; Commit and
   /// Prepare). On OutOfSpace with auto_collect, collect the stable area
@@ -378,9 +378,13 @@ class StableHeap {
   Status WriteSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
                            uint64_t value, bool is_pointer);
   StatusOr<ObjectHeader> CheckedHeader(HeapAddr base, uint64_t slot);
-  Status UndoTxn(Txn* txn);
-  /// Shared tail of CommitBody and AbortBody: release locks and
-  /// per-transaction side state, log kEnd, drop the table entry.
+  /// Rollback tail of AbortBody and of recovery's losers: undo from the
+  /// in-memory undo information newest-first, one CLR per logged update,
+  /// then kAborted and the FinishTxn tail.
+  Status RollbackTail(Txn* txn);
+  /// Shared tail of CommitTail and RollbackTail, and recovery's end for a
+  /// committed winner: release locks and per-transaction side state, log
+  /// kEnd, drop the table entry.
   Status FinishTxn(TxnId txn_id);
   /// Durability tail of CommitBody, once the commit record is spooled (and
   /// forced, if the body forces): under group commit, join the open batch

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "common/check.h"
 #include "fault/fault_injector.h"
@@ -95,24 +94,16 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   } else {
     std::atomic<size_t> next{0};
     std::vector<uint64_t> steals(nworkers, 0);
-    std::vector<uint64_t> lane_ns(nworkers, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(nworkers);
-    for (uint32_t w = 0; w < nworkers; ++w) {
-      workers.emplace_back([&, w]() {
-        // Workers make no clock charges today; the scope is defensive so a
-        // future charge inside the walk lands in a lane, not the shared
-        // clock (which is not thread-safe to Advance concurrently).
-        SimClock::ThreadChargeScope charge(gc_->ctx_.clock, &lane_ns[w]);
-        while (true) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= tasks.size()) break;
-          if (i % nworkers != w) ++steals[w];
-          walk(&tasks[i]);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
+    // Workers make no clock charges (the charge below is analytic); the
+    // lanes only keep a future charge inside the walk off the shared clock.
+    gc_->ctx_.clock->RunLanes(nworkers, [&](uint32_t w) {
+      while (true) {
+        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= tasks.size()) break;
+        if (i % nworkers != w) ++steals[w];
+        walk(&tasks[i]);
+      }
+    });
     for (uint64_t s : steals) gc_->stats_.scan_page_steals += s;
   }
   unpin_all();

@@ -1,7 +1,6 @@
 #include "recovery/instant_redo.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/check.h"
 
@@ -197,24 +196,16 @@ Status InstantRedoManager::DrainStep(uint64_t max_pages) {
     // one worker, per-worker clock lanes, and a deterministic busiest-lane
     // + merge-term charge.
     d_.pool->BeginConcurrent();
-    std::vector<uint64_t> lane_ns(nthreads, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(nthreads);
-    for (uint32_t p = 0; p < nthreads; ++p) {
-      workers.emplace_back([this, p, nthreads, &jobs, &lane_ns]() {
-        SimClock::ThreadChargeScope charge(d_.clock, &lane_ns[p]);
-        for (Job& job : jobs) {
-          if (RedoExecutor::PartitionOf(pages_[job.idx].pid, nthreads) != p) {
-            continue;
-          }
-          job.status = ApplyPage(job.idx, &job.applied);
+    const uint64_t busiest = d_.clock->RunLanes(nthreads, [&](uint32_t p) {
+      for (Job& job : jobs) {
+        if (RedoExecutor::PartitionOf(pages_[job.idx].pid, nthreads) != p) {
+          continue;
         }
-      });
-    }
-    for (std::thread& t : workers) t.join();
+        job.status = ApplyPage(job.idx, &job.applied);
+      }
+    });
     d_.pool->EndConcurrent();
-    d_.clock->Advance(*std::max_element(lane_ns.begin(), lane_ns.end()) +
-                      d_.clock->model().scan_word_ns * jobs.size());
+    d_.clock->Advance(busiest + d_.clock->model().scan_word_ns * jobs.size());
   }
 
   // Deterministic merge in ascending page order (the claim order above).

@@ -9,6 +9,19 @@
 
 namespace sheap {
 
+namespace {
+
+// The transactions a UTT batch translates undo information for: every one
+// in the active-transaction table at that point of the analysis scan.
+std::vector<TxnId> ActiveIds(const ActiveTxnTable& att) {
+  std::vector<TxnId> ids;
+  ids.reserve(att.size());
+  for (const auto& [id, entry] : att) ids.push_back(id);
+  return ids;
+}
+
+}  // namespace
+
 Status RecoveryManager::FindStartingCheckpoint(CheckpointData* data,
                                                Lsn* start_lsn,
                                                bool* have_checkpoint,
@@ -185,11 +198,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         // (log-suffix loss), and undo must still find the moved objects.
         // Then the copy frontier and, per object, the Last Object Table
         // (same rule as AtomicGc::UpdateLot).
-        {
-          std::vector<TxnId> active;
-          for (const auto& [id, e] : data->att) active.push_back(id);
-          d_.utt->AddBatch(rec.utr_entries, active);
-        }
+        d_.utt->AddBatch(rec.utr_entries, ActiveIds(data->att));
         gc.sem.copy_ptr =
             std::max(gc.sem.copy_ptr, rec.addr2 + rec.count * kWordSizeBytes);
         for (const UtrEntry& e : rec.utr_entries) {
@@ -212,9 +221,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         gc.root_object = rec.addr;
         break;
       case RecordType::kUtr: {
-        std::vector<TxnId> active;
-        for (const auto& [id, e] : data->att) active.push_back(id);
-        d_.utt->AddBatch(rec.utr_entries, active);
+        d_.utt->AddBatch(rec.utr_entries, ActiveIds(data->att));
         break;
       }
       case RecordType::kAlloc: {
@@ -231,9 +238,8 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         }
         // Promotions translate undo information too (their kUtr record may
         // be lost with the log suffix).
-        std::vector<TxnId> active;
-        for (const auto& [id, e] : data->att) active.push_back(id);
-        d_.utt->AddBatch({UtrEntry{rec.addr, rec.addr2, rec.count}}, active);
+        d_.utt->AddBatch({UtrEntry{rec.addr, rec.addr2, rec.count}},
+                         ActiveIds(data->att));
         break;
       }
       case RecordType::kInitialValue: {
@@ -243,9 +249,8 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         if (cur != nullptr && cur->Contains(rec.addr)) {
           gc.sem.alloc_ptr = std::min(gc.sem.alloc_ptr, rec.addr);
         }
-        std::vector<TxnId> active;
-        for (const auto& [id, e] : data->att) active.push_back(id);
-        d_.utt->AddBatch({UtrEntry{rec.addr2, rec.addr, rec.count}}, active);
+        d_.utt->AddBatch({UtrEntry{rec.addr2, rec.addr, rec.count}},
+                         ActiveIds(data->att));
         break;
       }
       // Exhaustive (lint-enforced): the lifecycle records maintain the ATT
@@ -355,144 +360,111 @@ Status RecoveryManager::Redo(const CheckpointData& data,
 }
 
 Status RecoveryManager::Undo(CheckpointData* data, Result* result) {
+  if (data->att.empty()) return Status::OK();
   LogReader reader(d_.device);
-  for (auto& [txn_id, entry] : data->att) {
-    if (entry.status == AttStatus::kPrepared) {
-      // In doubt (2PC): neither redone away nor undone; restored with its
-      // locks and in-memory undo info until the coordinator decides.
-      SHEAP_RETURN_IF_ERROR(RestorePrepared(txn_id, entry, result));
-      continue;
+  for (const auto& [txn_id, entry] : data->att) {
+    SHEAP_ASSIGN_OR_RETURN(Txn * txn,
+                           RestoreTxn(txn_id, entry, &reader, result));
+    switch (txn->state) {
+      case TxnState::kPrepared:
+        // In doubt (2PC): neither redone away nor undone; it keeps its
+        // locks and undo information until the coordinator decides.
+        ++result->stats.prepared_restored;
+        break;
+      case TxnState::kCommitted:
+        // A winner missing only its end record.
+        SHEAP_RETURN_IF_ERROR(d_.finish(txn_id));
+        ++result->stats.winners_closed;
+        break;
+      default:
+        // A loser: repeating history makes restart undo exactly the normal
+        // abort algorithm (§2.2.3), so it runs Abort's own rollback tail,
+        // one CLR per restored update.
+        result->stats.clrs_written += txn->updates.size();
+        SHEAP_RETURN_IF_ERROR(d_.rollback(txn));
+        ++result->stats.losers_aborted;
+        break;
     }
-    if (entry.status == AttStatus::kCommitted) {
-      // Winner missing only its end record.
-      LogRecord end;
-      end.type = RecordType::kEnd;
-      end.txn_id = txn_id;
-      d_.log->Append(&end);
-      d_.utt->OnTxnEnd(txn_id);
-      ++result->stats.winners_closed;
-      continue;
-    }
-
-    // Loser: walk the chain backwards, writing CLRs (repeating history
-    // makes this exactly the normal abort algorithm, §2.2.3).
-    Lsn chain_head = entry.last_lsn;
-    Lsn cur = entry.last_lsn;
-    while (cur != kInvalidLsn) {
-      LogRecord rec;
-      SHEAP_RETURN_IF_ERROR(reader.ReadAt(cur, &rec));
-      ++result->stats.undo_records;
-      switch (rec.type) {
-        case RecordType::kUpdate: {
-          const HeapAddr target = d_.utt->Translate(rec.addr);
-          uint64_t value = rec.old_word;
-          if ((rec.aux & LogRecord::kFlagPointer) != 0 &&
-              value != kNullAddr) {
-            value = d_.utt->Translate(value);
-          }
-          LogRecord clr;
-          clr.type = RecordType::kClr;
-          clr.txn_id = txn_id;
-          clr.prev_lsn = chain_head;
-          clr.undo_next_lsn = rec.prev_lsn;
-          clr.addr = target;
-          clr.new_word = value;
-          clr.aux = rec.aux;
-          const Lsn clr_lsn = d_.log->Append(&clr);
-          chain_head = clr_lsn;
-          SHEAP_RETURN_IF_ERROR(
-              d_.mem->WriteWordLogged(target, value, clr_lsn));
-          ++result->stats.clrs_written;
-          cur = rec.prev_lsn;
-          break;
-        }
-        case RecordType::kClr:
-          cur = rec.undo_next_lsn;
-          break;
-        case RecordType::kBegin:
-          cur = kInvalidLsn;
-          break;
-        case RecordType::kCommit:
-          return Status::Corruption("commit record in loser chain");
-        default:
-          // kAlloc / kV2sCopy / kInitialValue / kAbortTxn: logical no-ops
-          // (the objects become unreachable once pointer stores are undone).
-          cur = rec.prev_lsn;
-          break;
-      }
-    }
-    LogRecord end;
-    end.type = RecordType::kEnd;
-    end.txn_id = txn_id;
-    d_.log->Append(&end);
-    d_.utt->OnTxnEnd(txn_id);
-    ++result->stats.losers_aborted;
   }
   data->att.clear();
   return Status::OK();
 }
 
-Status RecoveryManager::RestorePrepared(TxnId txn_id, const AttEntry& entry,
-                                        Result* result) {
+StatusOr<Txn*> RecoveryManager::RestoreTxn(TxnId txn_id,
+                                           const AttEntry& entry,
+                                           LogReader* reader,
+                                           Result* result) {
   auto txn = std::make_unique<Txn>();
   txn->id = txn_id;
-  txn->state = TxnState::kPrepared;
+  txn->state = entry.status == AttStatus::kPrepared    ? TxnState::kPrepared
+               : entry.status == AttStatus::kCommitted ? TxnState::kCommitted
+                                                       : TxnState::kAborting;
   txn->first_lsn = entry.first_lsn;
   txn->last_lsn = entry.last_lsn;
+  const bool in_doubt = txn->state == TxnState::kPrepared;
+  // Only an in-doubt transaction outlives recovery; a loser is rolled back
+  // before anything else runs, so it needs no locks.
+  auto lock = [&](HeapAddr obj) {
+    return in_doubt ? d_.locks->AcquireWrite(txn_id, obj) : Status::OK();
+  };
 
-  LogReader reader(d_.device);
   std::vector<TxnUpdate> updates;  // collected newest-first
-  Lsn cur = entry.last_lsn;
+  Lsn cur =
+      txn->state == TxnState::kCommitted ? kInvalidLsn : entry.last_lsn;
   while (cur != kInvalidLsn) {
     LogRecord rec;
-    SHEAP_RETURN_IF_ERROR(reader.ReadAt(cur, &rec));
+    SHEAP_RETURN_IF_ERROR(reader->ReadAt(cur, &rec));
+    if (!in_doubt) ++result->stats.undo_records;
+    cur = rec.prev_lsn;
     switch (rec.type) {
       case RecordType::kUpdate: {
         TxnUpdate e;
         e.obj_base = d_.utt->Translate(rec.addr2);
-        const HeapAddr slot_addr = d_.utt->Translate(rec.addr);
-        e.slot = SlotIndex(e.obj_base, slot_addr);
+        e.slot = SlotIndex(e.obj_base, d_.utt->Translate(rec.addr));
         e.is_pointer = (rec.aux & LogRecord::kFlagPointer) != 0;
-        e.old_word = e.is_pointer && rec.old_word != kNullAddr
-                         ? d_.utt->Translate(rec.old_word)
-                         : rec.old_word;
-        e.new_word = e.is_pointer && rec.new_word != kNullAddr
-                         ? d_.utt->Translate(rec.new_word)
-                         : rec.new_word;
+        auto word = [&](uint64_t w) {
+          return e.is_pointer && w != kNullAddr ? d_.utt->Translate(w) : w;
+        };
+        e.old_word = word(rec.old_word);
+        e.new_word = word(rec.new_word);
         e.logged = true;
         e.lsn = rec.lsn;
         updates.push_back(e);
-        SHEAP_RETURN_IF_ERROR(d_.locks->AcquireWrite(txn_id, e.obj_base));
-        break;
-      }
-      case RecordType::kAlloc: {
-        const HeapAddr base = d_.utt->Translate(rec.addr);
-        txn->allocs.push_back(TxnAlloc{base, /*stable_area=*/true});
-        SHEAP_RETURN_IF_ERROR(d_.locks->AcquireWrite(txn_id, base));
-        break;
-      }
-      case RecordType::kV2sCopy:
-      case RecordType::kInitialValue: {
-        // The promoted copy belongs to the prepared transaction.
-        const HeapAddr base = d_.utt->Translate(
-            rec.type == RecordType::kV2sCopy ? rec.addr2 : rec.addr);
-        SHEAP_RETURN_IF_ERROR(d_.locks->AcquireWrite(txn_id, base));
+        SHEAP_RETURN_IF_ERROR(lock(e.obj_base));
         break;
       }
       case RecordType::kClr:
-        return Status::Corruption("CLR in a prepared transaction's chain");
+        if (in_doubt) {
+          return Status::Corruption("CLR in a prepared transaction's chain");
+        }
+        // Every update between here and undo_next_lsn is compensated.
+        cur = rec.undo_next_lsn;
+        break;
+      case RecordType::kCommit:
+        return Status::Corruption("commit record in loser chain");
+      case RecordType::kAlloc: {
+        const HeapAddr base = d_.utt->Translate(rec.addr);
+        txn->allocs.push_back(TxnAlloc{base, /*stable_area=*/true});
+        SHEAP_RETURN_IF_ERROR(lock(base));
+        break;
+      }
+      case RecordType::kV2sCopy:
+      case RecordType::kInitialValue:
+        // The promoted copy belongs to the transaction.
+        SHEAP_RETURN_IF_ERROR(lock(d_.utt->Translate(
+            rec.type == RecordType::kV2sCopy ? rec.addr2 : rec.addr)));
+        break;
       case RecordType::kPrepare:
         txn->gtid = rec.aux;
         break;
       default:
-        break;  // kBegin
+        break;  // kBegin, kAbortTxn
     }
-    cur = rec.prev_lsn;
   }
   txn->updates.assign(updates.rbegin(), updates.rend());
+  Txn* restored = txn.get();
   d_.txns->Restore(std::move(txn));
-  ++result->stats.prepared_restored;
-  return Status::OK();
+  return restored;
 }
 
 StatusOr<RecoveryManager::Result> RecoveryManager::Recover() {

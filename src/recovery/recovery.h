@@ -13,10 +13,14 @@
 //              page by the page LSN, starting at the oldest recovery LSN.
 //              GC copy and scan steps redo exactly like updates; after this
 //              pass the repeating-history invariant (2.1) holds again.
-//  Undo      — abort the losers: walk each loser's record chain backwards,
-//              writing CLRs; undo addresses and undo pointer values are
-//              translated through the UTT (§4.2.2). Committed-but-unended
-//              transactions just get their kEnd record.
+//  Undo      — restore every unfinished transaction from its record chain
+//              with one decoder (RestoreTxn: undo addresses and undo pointer
+//              values translated through the UTT, §4.2.2; updates a CLR
+//              already compensated skipped), then end it through the
+//              runtime's own tails: a loser is rolled back exactly as an
+//              Abort rolls back, a committed-but-unended winner finished
+//              as a Commit finishes, and an in-doubt 2PC transaction stays
+//              live for its coordinator.
 //
 // Total work is O(log read since checkpoint) + O(loser undo): independent
 // of heap size, even if the crash interrupted a collection — the
@@ -27,12 +31,12 @@
 #define SHEAP_RECOVERY_RECOVERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
 #include "common/statusor.h"
 #include "gc/atomic_gc.h"
-#include "heap/heap_memory.h"
 #include "recovery/checkpoint.h"
 #include "heap/space_manager.h"
 #include "heap/type_registry.h"
@@ -40,12 +44,10 @@
 #include "recovery/redo_executor.h"
 #include "recovery/tables.h"
 #include "recovery/utt.h"
-#include "storage/buffer_pool.h"
 #include "storage/env.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
 #include "wal/log_reader.h"
-#include "wal/log_writer.h"
 
 namespace sheap {
 
@@ -116,9 +118,6 @@ class RecoveryManager {
  public:
   struct Deps {
     LogDevice* device = nullptr;
-    LogWriter* log = nullptr;  // for CLRs / end records written during undo
-    BufferPool* pool = nullptr;
-    HeapMemory* mem = nullptr;
     SpaceManager* spaces = nullptr;
     TypeRegistry* types = nullptr;
     UndoTranslationTable* utt = nullptr;
@@ -132,6 +131,11 @@ class RecoveryManager {
     /// the gate, its pages redone lazily after Open. False = offline: the
     /// whole plan is drained before undo.
     bool instant = false;
+    /// The runtime's transaction-end tails (StableHeap::RollbackTail and
+    /// StableHeap::FinishTxn). Undo ends every restored loser and winner
+    /// through them, so recovery writes no CLR or end record of its own.
+    std::function<Status(Txn*)> rollback;
+    std::function<Status(TxnId)> finish;
   };
 
   struct Result {
@@ -166,11 +170,15 @@ class RecoveryManager {
   Status Redo(const CheckpointData& data, Lsn analysis_start_lsn,
               RedoPlan* plan, Result* result);
   Status Undo(CheckpointData* data, Result* result);
-  /// Rebuild an in-doubt (prepared) transaction: in-memory undo info from
-  /// its log chain (addresses translated through the UTT) and its write
-  /// locks, so it can be committed or aborted by the coordinator later.
-  Status RestorePrepared(TxnId txn_id, const AttEntry& entry,
-                         Result* result);
+  /// The one decoder of a transaction's record chain: reinstall an
+  /// unfinished transaction in the transaction table with the undo
+  /// information a live one of its state holds (addresses translated
+  /// through the UTT). On a CLR the walk jumps to its undo_next_lsn, so
+  /// updates already compensated are skipped. An in-doubt transaction
+  /// also gets its write locks back; a winner lacks only its end record,
+  /// so its chain is not read.
+  StatusOr<Txn*> RestoreTxn(TxnId txn_id, const AttEntry& entry,
+                            LogReader* reader, Result* result);
 
   Deps d_;
 };

@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/check.h"
 #include "fault/fault_injector.h"
@@ -303,17 +302,7 @@ Status BufferPool::WritePages(const std::vector<Candidate>& pages,
     // busiest lane's simulated time is what the write-back costs (parallel
     // hardware), folded in after the join.
     SimClock* clock = disk_->clock();
-    std::vector<uint64_t> lane_ns(lanes, 0);
-    std::vector<std::thread> pool;
-    pool.reserve(lanes);
-    for (uint32_t w = 0; w < lanes; ++w) {
-      pool.emplace_back([&write_lane, clock, &lane_ns, w]() {
-        SimClock::ThreadChargeScope charge(clock, &lane_ns[w]);
-        write_lane(w);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    clock->Advance(*std::max_element(lane_ns.begin(), lane_ns.end()));
+    clock->Advance(clock->RunLanes(lanes, write_lane));
   }
 
   // End-write notifications are log appends: spool them serially, after

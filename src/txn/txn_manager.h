@@ -54,7 +54,7 @@ class TxnManager {
   /// Remove a finished transaction from the table.
   void Remove(TxnId id);
 
-  /// Reinstall a transaction rebuilt by recovery (in-doubt 2PC).
+  /// Reinstall a transaction rebuilt by recovery from its log chain.
   void Restore(std::unique_ptr<Txn> txn);
 
   /// All transactions currently in the table (any state), in id order

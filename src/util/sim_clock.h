@@ -21,8 +21,11 @@
 #ifndef SHEAP_UTIL_SIM_CLOCK_H_
 #define SHEAP_UTIL_SIM_CLOCK_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 namespace sheap {
 
@@ -93,6 +96,26 @@ class SimClock {
    private:
     SimClock* clock_;
   };
+
+  /// Run fn(lane) for every lane in [0, lanes) (lanes >= 1), each on a
+  /// thread of its own inside a ThreadChargeScope, join them, and return
+  /// the busiest lane's simulated time. Nothing is charged here: each
+  /// caller folds the result in with its own cost formula (parallel
+  /// hardware).
+  template <typename Fn>
+  uint64_t RunLanes(uint32_t lanes, const Fn& fn) {
+    std::vector<uint64_t> lane_ns(lanes, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(lanes);
+    for (uint32_t lane = 0; lane < lanes; ++lane) {
+      threads.emplace_back([this, &fn, &lane_ns, lane]() {
+        ThreadChargeScope charge(this, &lane_ns[lane]);
+        fn(lane);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    return *std::max_element(lane_ns.begin(), lane_ns.end());
+  }
 
   // Charging helpers used by the storage layer and collectors.
   void ChargeRandomIo(uint64_t bytes) {

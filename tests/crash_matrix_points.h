@@ -24,7 +24,7 @@ namespace sheap {
 namespace crash_matrix {
 
 /// Reached by the scripted workload (RunScriptedWorkload): commits, an
-/// abort, checkpoints (plain and writeback), a full GC cycle, a 2PC
+/// abort (whose rollback tail recovery's losers share), checkpoints (plain and writeback), a full GC cycle, a 2PC
 /// prepare, background write-back. The matrix crashes at the first,
 /// middle, and last dynamic hit of each.
 inline constexpr const char* kScriptedWorkloadPoints[] = {
@@ -48,6 +48,7 @@ inline constexpr const char* kScriptedWorkloadPoints[] = {
     "txn.commit.logged",
     "txn.commit.promoted",
     "txn.prepare.forced",
+    "txn.undo.clr_logged",
     "wal.flush.begin",
     "wal.flush.mid",
     "wal.force.after_barrier",

@@ -350,6 +350,8 @@ TEST_P(CrashMatrixThreadsTest, RecoveryItselfIsCrashSafe) {
       std::begin(crash_matrix::kRecoveryPoints),
       std::end(crash_matrix::kRecoveryPoints));
   recovery_points.push_back("recovery.drain.step");
+  // The losers' rollback tail, between two of recovery's CLRs.
+  recovery_points.push_back("txn.undo.clr_logged");
   for (const char* recovery_point : recovery_points) {
     SCOPED_TRACE(recovery_point);
     auto env = std::make_unique<SimEnv>();
@@ -393,6 +395,44 @@ TEST_P(CrashMatrixThreadsTest, RecoveryItselfIsCrashSafe) {
                         recovery_point,
                     threads, gc_threads);
   }
+}
+
+TEST(CrashMatrixTest, RollbackPointServesAbortAndRestartUndo) {
+  // One rollback tail serves Abort and recovery's losers. The workload's
+  // aborted transfer reaches txn.undo.clr_logged once per CLR; cut it
+  // after the first, and recovery writes the second through the same
+  // tail, reaching the point again.
+  uint64_t abort_hits = 0;
+  for (const auto& [point, hits] : TraceWorkloadPoints()) {
+    if (point == "txn.undo.clr_logged") abort_hits = hits;
+  }
+  ASSERT_EQ(abort_hits, 2u);
+
+  auto env = std::make_unique<SimEnv>();
+  FaultSpec spec;
+  spec.point = "txn.undo.clr_logged";
+  spec.kind = FaultKind::kCrash;
+  spec.hit = 1;
+  env->faults()->Arm(spec);
+  std::unique_ptr<StableHeap> heap;
+  ASSERT_TRUE(RunScriptedWorkload(env.get(), &heap).IsCrashed());
+  // Writing back every dirty page flushes the log through the first CLR.
+  CrashOptions crash;
+  crash.writeback_fraction = 1.0;
+  ASSERT_TRUE(heap->SimulateCrash(crash).ok());
+  heap.reset();
+
+  auto reopened = StableHeap::Open(env.get(), MatrixOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_stats().losers_aborted, 1u);
+  EXPECT_EQ((*reopened)->recovery_stats().clrs_written, 1u);
+  uint64_t total_hits = 0;
+  for (const auto& [point, hits] : env->faults()->Points()) {
+    if (point == "txn.undo.clr_logged") total_hits = hits;
+  }
+  EXPECT_EQ(total_hits, 2u);  // the cut Abort's first CLR, then recovery's
+  reopened->reset();
+  VerifyRecovered(env.get(), "after a rollback cut between its CLRs");
 }
 
 TEST(CrashMatrixTest, TornTailDeepensTheCrashState) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/stable_heap.h"
 #include "workload/graph_gen.h"
@@ -458,6 +460,144 @@ TEST(RecoveryRedoTest, BatchedForwardingWordsOnOnePageAllRedo) {
   }
   ASSERT_TRUE(heap->Commit(t).ok());
 }
+
+// ------------------------------------------------------------ rollback
+
+// Restart undo runs Abort's own rollback tail on the transaction recovery
+// restored from its log chain. So a transaction rolled back by Abort and
+// the same transaction rolled back by crash and reopen leave the same
+// slots, in the divided heap and in the all-stable one.
+constexpr uint64_t kRollbackUpdates = 6;
+
+class RollbackTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void Open() {
+    env_ = std::make_unique<SimEnv>();
+    auto heap = StableHeap::Open(env_.get(), TestOptions(GetParam()));
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    heap_ = std::move(*heap);
+  }
+
+  /// Reopen on the same environment, after a crash that writes back every
+  /// dirty page (and so, by the WAL rule, flushes the log through the
+  /// newest record that dirtied one), or after a clean close.
+  void Reopen(bool crash) {
+    if (crash) {
+      CrashOptions c;
+      c.writeback_fraction = 1.0;
+      ASSERT_TRUE(heap_->SimulateCrash(c).ok());
+    }
+    heap_.reset();
+    auto heap = StableHeap::Open(env_.get(), TestOptions(GetParam()));
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    heap_ = std::move(*heap);
+  }
+
+  /// Commit a data array (root 0) and a pointer array (root 1) into the
+  /// stable area, then begin a transaction that logs kRollbackUpdates
+  /// updates over them: four scalar stores (one slot twice) and two
+  /// pointer stores. Returns the transaction; *committed gets the slots
+  /// it must roll back to.
+  TxnId CommitThenUpdate(std::vector<uint64_t>* committed) {
+    TxnId t = *heap_->Begin();
+    Ref data = *heap_->AllocateStable(t, kClassDataArray, 4);
+    Ref other = *heap_->AllocateStable(t, kClassDataArray, 1);
+    Ref ptrs = *heap_->AllocateStable(t, kClassPtrArray, 3);
+    for (uint64_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(heap_->WriteScalar(t, data, i, 10 * (i + 1)).ok());
+    }
+    EXPECT_TRUE(heap_->WriteRef(t, ptrs, 0, data).ok());
+    EXPECT_TRUE(heap_->WriteRef(t, ptrs, 2, other).ok());
+    EXPECT_TRUE(heap_->SetRoot(t, 0, data).ok());
+    EXPECT_TRUE(heap_->SetRoot(t, 1, ptrs).ok());
+    EXPECT_TRUE(heap_->Commit(t).ok());
+    *committed = Slots();
+
+    t = *heap_->Begin();
+    data = *heap_->GetRoot(t, 0);
+    ptrs = *heap_->GetRoot(t, 1);
+    other = *heap_->ReadRef(t, ptrs, 2);
+    EXPECT_TRUE(heap_->WriteScalar(t, data, 0, 11).ok());
+    EXPECT_TRUE(heap_->WriteScalar(t, data, 1, 21).ok());
+    EXPECT_TRUE(heap_->WriteScalar(t, data, 0, 12).ok());
+    EXPECT_TRUE(heap_->WriteScalar(t, data, 3, 41).ok());
+    EXPECT_TRUE(heap_->WriteRef(t, ptrs, 0, other).ok());
+    EXPECT_TRUE(heap_->WriteRef(t, ptrs, 1, data).ok());
+    return t;
+  }
+
+  /// Every slot of both arrays; a pointer slot reads as its heap address.
+  std::vector<uint64_t> Slots() {
+    std::vector<uint64_t> out;
+    TxnId t = *heap_->Begin();
+    Ref data = *heap_->GetRoot(t, 0);
+    Ref ptrs = *heap_->GetRoot(t, 1);
+    for (uint64_t i = 0; i < 4; ++i) {
+      out.push_back(*heap_->ReadScalar(t, data, i));
+    }
+    for (uint64_t i = 0; i < 3; ++i) {
+      Ref r = *heap_->ReadRef(t, ptrs, i);
+      out.push_back(r == kNullRef ? kNullAddr : *heap_->DebugAddrOf(r));
+    }
+    EXPECT_TRUE(heap_->Commit(t).ok());
+    return out;
+  }
+
+  std::unique_ptr<SimEnv> env_;
+  std::unique_ptr<StableHeap> heap_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Heaps, RollbackTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "Divided" : "AllStable";
+                         });
+
+TEST_P(RollbackTest, AbortAndRestartUndoLeaveTheSameSlots) {
+  std::vector<uint64_t> committed;
+  Open();
+  ASSERT_TRUE(heap_->Abort(CommitThenUpdate(&committed)).ok());
+  const std::vector<uint64_t> aborted = Slots();
+  EXPECT_EQ(aborted, committed);
+
+  // The same transaction, its updates durable and stolen onto disk, rolled
+  // back by recovery instead.
+  Open();
+  CommitThenUpdate(&committed);
+  ASSERT_TRUE(heap_->ForceLog().ok());
+  Reopen(/*crash=*/true);
+  EXPECT_EQ(Slots(), aborted);
+  const RecoveryStats& rs = heap_->recovery_stats();
+  EXPECT_EQ(rs.losers_aborted, 1u);
+  EXPECT_EQ(rs.clrs_written, kRollbackUpdates);
+}
+
+#if SHEAP_FAULT_INJECTION
+TEST_P(RollbackTest, CutRollbackWritesOnlyTheMissingClrs) {
+  for (uint64_t k = 1; k <= kRollbackUpdates; ++k) {
+    SCOPED_TRACE("cut after CLR " + std::to_string(k));
+    Open();
+    FaultSpec spec;
+    spec.point = "txn.undo.clr_logged";
+    spec.kind = FaultKind::kCrash;
+    spec.hit = k;
+    env_->faults()->Arm(spec);
+    std::vector<uint64_t> committed;
+    const TxnId t = CommitThenUpdate(&committed);
+    ASSERT_TRUE(heap_->Abort(t).IsCrashed());
+
+    // Writing back the page the k-th CLR undid flushes the log through it.
+    Reopen(/*crash=*/true);
+    EXPECT_EQ(Slots(), committed);
+    EXPECT_EQ(heap_->recovery_stats().losers_aborted, 1u);
+    EXPECT_EQ(heap_->recovery_stats().clrs_written, kRollbackUpdates - k);
+
+    Reopen(/*crash=*/false);
+    EXPECT_EQ(Slots(), committed);
+    EXPECT_EQ(heap_->recovery_stats().losers_aborted, 0u);
+    EXPECT_EQ(heap_->recovery_stats().clrs_written, 0u);
+  }
+}
+#endif  // SHEAP_FAULT_INJECTION
 
 }  // namespace
 }  // namespace sheap
