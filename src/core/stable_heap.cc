@@ -273,7 +273,7 @@ BufferPool::Hooks StableHeap::PoolHooks(bool log_page_events) {
   return hooks;
 }
 
-void StableHeap::BuildCollectors(AtomicGc::RecoveredState* recovered) {
+void StableHeap::BuildCollectors(AtomicGc::State* recovered) {
   GcContext ctx;
   ctx.mem = mem_.get();
   ctx.pool = pool_.get();

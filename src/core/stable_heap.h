@@ -324,7 +324,7 @@ class StableHeap {
   /// Build both collectors from options_ (after recovery has decoded the
   /// format payload into it, on an existing heap); `recovered`, when not
   /// null, is the stable collector's state rebuilt by recovery analysis.
-  void BuildCollectors(AtomicGc::RecoveredState* recovered);
+  void BuildCollectors(AtomicGc::State* recovered);
   /// The pool's hooks: the WAL constraint, the instant-recovery gate when
   /// one is armed, and (`log_page_events`) the kPageFetch/kEndWrite records
   /// of normal operation.

@@ -27,24 +27,24 @@ AtomicGc::AtomicGc(const GcContext& ctx, const Options& opts)
 AtomicGc::~AtomicGc() = default;
 
 const Space* AtomicGc::CurrentSpace() const {
-  const Space* sp = ctx_.spaces->Find(sem_.current);
+  const Space* sp = ctx_.spaces->Find(state_.sem.current);
   SHEAP_CHECK(sp != nullptr);
   return sp;
 }
 
 const Space* AtomicGc::FromSpace() const {
-  const Space* sp = ctx_.spaces->Find(sem_.from);
+  const Space* sp = ctx_.spaces->Find(state_.sem.from);
   SHEAP_CHECK(sp != nullptr);
   return sp;
 }
 
 bool AtomicGc::InFromSpace(HeapAddr a) const {
-  if (!sem_.collecting() || a == kNullAddr) return false;
+  if (!state_.sem.collecting() || a == kNullAddr) return false;
   return FromSpace()->Contains(a);
 }
 
 bool AtomicGc::InCurrentSpace(HeapAddr a) const {
-  if (sem_.current == kInvalidSpaceId || a == kNullAddr) return false;
+  if (state_.sem.current == kInvalidSpaceId || a == kNullAddr) return false;
   return CurrentSpace()->Contains(a);
 }
 
@@ -55,25 +55,19 @@ uint64_t AtomicGc::PageIndexOf(HeapAddr a) const {
 }
 
 bool AtomicGc::PageScanned(HeapAddr a) const {
-  if (!sem_.collecting()) return true;
+  if (!state_.sem.collecting()) return true;
   if (!InCurrentSpace(a)) return true;
-  return scanned_.Get(PageIndexOf(a));
+  return state_.scanned.Get(PageIndexOf(a));
 }
 
 Status AtomicGc::Format() {
-  SHEAP_CHECK(sem_.current == kInvalidSpaceId);
+  SHEAP_CHECK(state_.sem.current == kInvalidSpaceId);
   SHEAP_ASSIGN_OR_RETURN(SpaceId id,
                          ctx_.spaces->Allocate(opts_.space_pages,
                                                Area::kStable));
   const Space* sp = ctx_.spaces->Find(id);
-  sem_.current = id;
-  sem_.from = kInvalidSpaceId;
-  sem_.copy_ptr = sp->base();
-  sem_.alloc_ptr = sp->end();
-  scanned_.Resize(sp->npages);
-  scanned_.SetAll();  // no collection active: everything accessible
+  state_.Flip(kInvalidSpaceId, *sp);
   HwUnprotectPages(0, sp->npages);
-  lot_.assign(sp->npages, kNullAddr);
 
   // A degenerate flip record (no from-space) tells recovery analysis which
   // space is current and where its pointers start.
@@ -85,30 +79,20 @@ Status AtomicGc::Format() {
   ctx_.log->Append(&flip);
 
   SHEAP_ASSIGN_OR_RETURN(
-      root_object_,
+      state_.root_object,
       AllocateObject(nullptr, kClassPtrArray, opts_.root_slots));
   LogRecord rec;
   rec.type = RecordType::kRootObject;
-  rec.addr = root_object_;
+  rec.addr = state_.root_object;
   ctx_.log->Append(&rec);
   return Status::OK();
 }
 
 StatusOr<HeapAddr> AtomicGc::AllocateObject(Txn* txn, ClassId cls,
                                             uint64_t nslots) {
-  if (alloc_isolation_) {
-    // Leave the page-isolated region of pending promotions.
-    sem_.alloc_ptr = RoundDownToPage(sem_.alloc_ptr);
-    alloc_isolation_ = false;
-  }
-  const uint64_t nwords = 1 + nslots;
-  const uint64_t nbytes = nwords * kWordSizeBytes;
-  if (nbytes > sem_.alloc_ptr ||
-      RoundDownToPage(sem_.alloc_ptr - nbytes) <
-          RoundUpToPage(sem_.copy_ptr)) {
-    return Status::OutOfSpace("stable area allocation would overrun");
-  }
-  const HeapAddr base = sem_.alloc_ptr - nbytes;
+  const uint64_t nbytes = (1 + nslots) * kWordSizeBytes;
+  SHEAP_ASSIGN_OR_RETURN(const HeapAddr base,
+                         Reserve(nbytes, /*page_isolated=*/false));
 
   LogRecord rec;
   rec.type = RecordType::kAlloc;
@@ -125,22 +109,17 @@ StatusOr<HeapAddr> AtomicGc::AllocateObject(Txn* txn, ClassId cls,
   }
   SHEAP_RETURN_IF_ERROR(
       ctx_.mem->WriteWordLogged(base, EncodeHeader(cls, nslots), lsn));
-  sem_.alloc_ptr = base;
-  // Mutator-allocated pages never contain from-space pointers: born scanned
-  // (Baker layout, Figure 3.3).
-  MarkAllocPagesScanned(base, nbytes);
+  ApplyAllocation(base, nbytes);
   return base;
 }
 
-void AtomicGc::MarkAllocPagesScanned(HeapAddr base, uint64_t nbytes) {
-  uint64_t first = PageIndexOf(base);
-  uint64_t last = PageIndexOf(base + nbytes - 1);
-  for (uint64_t idx = first; idx <= last; ++idx) scanned_.Set(idx);
-  HwUnprotectPages(first, last - first + 1);
+void AtomicGc::ApplyAllocation(HeapAddr base, uint64_t nbytes) {
+  const auto [first, count] = state_.Allocate(*CurrentSpace(), base, nbytes);
+  HwUnprotectPages(first, count);
 }
 
 Status AtomicGc::EnsureAccess(HeapAddr a) {
-  if (!sem_.collecting() || a == kNullAddr) return Status::OK();
+  if (!state_.sem.collecting() || a == kNullAddr) return Status::OK();
   if (opts_.barrier == GcBarrierMode::kPerAccess) {
     // Baker barrier checks values, not pages (see EnsureSlotAccess).
     return Status::OK();
@@ -156,7 +135,7 @@ Status AtomicGc::EnsureAccess(HeapAddr a) {
       return Status::OK();
     }
     ++stats_.read_barrier_fast_misses;
-    if (!scanned_.Get(idx)) {
+    if (!state_.scanned.Get(idx)) {
       // Ellis read-barrier trap: scan the faulted page (§3.2.1). With a
       // hardware mirror the probe takes a real SIGSEGV first — the MMU
       // raises the trap, the handler lifts the page's protection — and
@@ -183,7 +162,7 @@ Status AtomicGc::EnsureAccess(HeapAddr a) {
 }
 
 Status AtomicGc::EnsureSlotAccess(HeapAddr slot_addr, bool is_pointer) {
-  if (!sem_.collecting()) return Status::OK();
+  if (!state_.sem.collecting()) return Status::OK();
   if (opts_.barrier == GcBarrierMode::kPageProtection) {
     return EnsureAccess(slot_addr);
   }
@@ -271,8 +250,8 @@ StatusOr<HeapAddr> AtomicGc::PlanCopy(HeapAddr v) {
     const uint64_t total = DecodeHeader(*w).TotalWords();
     const uint64_t nbytes = total * kWordSizeBytes;
     const size_t off = copy_batch_.contents.size();
-    to = sem_.copy_ptr + off;
-    if (to + nbytes > RoundDownToPage(sem_.alloc_ptr)) {
+    to = state_.sem.copy_ptr + off;
+    if (to + nbytes > RoundDownToPage(state_.sem.alloc_ptr)) {
       return EndCopyBatch(
           Status::OutOfSpace("to-space exhausted during copy"));
     }
@@ -297,7 +276,7 @@ Status AtomicGc::PlanTranslations(SlotUpdates* slots, size_t first) {
 Status AtomicGc::CommitCopies() {
   LogRecord& batch = copy_batch_;
   if (batch.utr_entries.empty()) return EndCopyBatch(Status::OK());
-  const HeapAddr base = sem_.copy_ptr;
+  const HeapAddr base = state_.sem.copy_ptr;
   const uint64_t nbytes = batch.contents.size();
   Status st;
   if (opts_.durability == GcDurability::kWriteAheadLog) {
@@ -326,9 +305,8 @@ Status AtomicGc::CommitCopies() {
     }
   }
   if (!st.ok()) return EndCopyBatch(std::move(st));
-  sem_.copy_ptr = base + nbytes;
+  state_.CommitCopies(*CurrentSpace(), batch.utr_entries);
   for (const UtrEntry& e : batch.utr_entries) {
-    UpdateLot(e.to, e.nwords);
     ++stats_.objects_copied;
     stats_.words_copied += e.nwords;
     ctx_.clock->ChargeCopyWords(e.nwords);
@@ -348,44 +326,34 @@ Status AtomicGc::EndCopyBatch(Status st) {
 }
 
 Status AtomicGc::RelocateRootObject() {
-  SHEAP_ASSIGN_OR_RETURN(root_object_, PlanCopy(root_object_));
+  SHEAP_ASSIGN_OR_RETURN(state_.root_object, PlanCopy(state_.root_object));
   SHEAP_RETURN_IF_ERROR(CommitCopies());
   LogRecord rec;
   rec.type = RecordType::kRootObject;
-  rec.addr = root_object_;
+  rec.addr = state_.root_object;
   ctx_.log->Append(&rec);
   return Status::OK();
 }
 
 StatusOr<HeapAddr> AtomicGc::AllocateForPromotion(uint64_t total_words,
                                                   bool page_isolated) {
-  if (page_isolated != alloc_isolation_) {
-    sem_.alloc_ptr = RoundDownToPage(sem_.alloc_ptr);
-    alloc_isolation_ = page_isolated;
-  }
   const uint64_t nbytes = total_words * kWordSizeBytes;
-  if (nbytes > sem_.alloc_ptr ||
-      RoundDownToPage(sem_.alloc_ptr - nbytes) <
-          RoundUpToPage(sem_.copy_ptr)) {
-    return Status::OutOfSpace("stable area exhausted during promotion");
-  }
-  const HeapAddr base = sem_.alloc_ptr - nbytes;
-  sem_.alloc_ptr = base;
-  MarkAllocPagesScanned(base, nbytes);
+  SHEAP_ASSIGN_OR_RETURN(const HeapAddr base, Reserve(nbytes, page_isolated));
+  ApplyAllocation(base, nbytes);
   return base;
 }
 
-void AtomicGc::UpdateLot(HeapAddr to_base, uint64_t total_words) {
-  const Space* cur = CurrentSpace();
-  const HeapAddr end = to_base + total_words * kWordSizeBytes;
-  // The object covers the first word of every page whose start lies in
-  // [to_base, end); record it as that page's walk anchor.
-  for (HeapAddr p = RoundUpToPage(to_base); p < end; p += kPageSizeBytes) {
-    lot_[(p - cur->base()) / kPageSizeBytes] = to_base;
+StatusOr<HeapAddr> AtomicGc::Reserve(uint64_t nbytes, bool page_isolated) {
+  SemiSpaceState& sem = state_.sem;
+  if (page_isolated != alloc_isolation_) {
+    sem.alloc_ptr = RoundDownToPage(sem.alloc_ptr);
+    alloc_isolation_ = page_isolated;
   }
-  if (to_base % kPageSizeBytes == 0) {
-    lot_[PageIndexOf(to_base)] = to_base;
+  if (nbytes > sem.alloc_ptr ||
+      RoundDownToPage(sem.alloc_ptr - nbytes) < RoundUpToPage(sem.copy_ptr)) {
+    return Status::OutOfSpace("stable area allocation would overrun");
   }
+  return sem.alloc_ptr - nbytes;
 }
 
 void AtomicGc::HwProtectCurrentSpace() {
@@ -412,9 +380,9 @@ void AtomicGc::HwSyncToBitmap() {
   // Runs of equal bits become single mprotect calls.
   uint64_t i = 0;
   while (i < cur->npages) {
-    const bool scanned = scanned_.Get(i);
+    const bool scanned = state_.scanned.Get(i);
     uint64_t j = i + 1;
-    while (j < cur->npages && scanned_.Get(j) == scanned) ++j;
+    while (j < cur->npages && state_.scanned.Get(j) == scanned) ++j;
     if (scanned) {
       ctx_.mapping->Unprotect(base + i, j - i);
     } else {
@@ -456,26 +424,21 @@ HeapAddr AtomicGc::WalkPage(const PageImage& frame, HeapAddr page_base,
 }
 
 Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
-  SHEAP_CHECK(sem_.collecting());
-  SHEAP_CHECK(!scanned_.Get(idx));
+  SHEAP_CHECK(state_.sem.collecting());
+  SHEAP_CHECK(!state_.scanned.Get(idx));
   const Space* cur = CurrentSpace();
   const HeapAddr page_base = cur->base() + idx * kPageSizeBytes;
   const HeapAddr page_end = page_base + kPageSizeBytes;
 
-  bool bumped = false;
-  if (abandon_tail && sem_.copy_ptr > page_base &&
-      sem_.copy_ptr < page_end) {
-    // Trap path: the mutator needs this page now, so copies triggered by
-    // this scan must not land on it — abandon the tail (the AEL waste).
-    stats_.waste_words += (page_end - sem_.copy_ptr) / kWordSizeBytes;
-    sem_.copy_ptr = page_end;
-    bumped = true;
-  }
+  // Trap path: the mutator needs this page now, so copies triggered by
+  // this scan must not land on it — abandon the tail (the AEL waste).
+  const uint64_t wasted = abandon_tail ? state_.AbandonTail(page_base) : 0;
+  stats_.waste_words += wasted;
 
-  const HeapAddr anchor = lot_[idx];
+  const HeapAddr anchor = state_.lot[idx];
   if (anchor == kNullAddr) {
     // No copied data covers this page (empty or allocation region).
-    scanned_.Set(idx);
+    state_.MarkScanned(idx, 1);
     HwUnprotectPages(idx, 1);
     return Status::OK();
   }
@@ -493,13 +456,14 @@ Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
   SlotUpdates& updates = scan_rec_.slot_updates;
   updates.clear();
   auto walk = [&]() -> Status {
+    const HeapAddr& copy_ptr = state_.sem.copy_ptr;  // grows per batch
     HeapAddr obj = anchor;
-    while (obj < page_end && obj < sem_.copy_ptr) {
+    while (obj < page_end && obj < copy_ptr) {
       const size_t first = updates.size();
-      obj = WalkPage(*frame, page_base, obj, header, sem_.copy_ptr, &updates);
+      obj = WalkPage(*frame, page_base, obj, header, copy_ptr, &updates);
       SHEAP_RETURN_IF_ERROR(PlanTranslations(&updates, first));
       SHEAP_RETURN_IF_ERROR(CommitCopies());
-      if (obj < page_end && obj < sem_.copy_ptr) {
+      if (obj < page_end && obj < copy_ptr) {
         header = frame->ReadWord(WordInPage(obj));
       }
     }
@@ -511,10 +475,10 @@ Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
 
   if (opts_.durability == GcDurability::kWriteAheadLog) {
     // Scan step (§3.4.2): log the translations, then apply them under the
-    // record's LSN. Redo re-applies; analysis re-marks the page scanned
-    // (and replays the copy-pointer bump for trap scans).
+    // record's LSN. Redo re-applies; analysis replays the same scan rule
+    // (State::AbandonTail for a trap's bump, then MarkScanned).
     scan_rec_.type = RecordType::kGcScan;
-    scan_rec_.aux = bumped ? LogRecord::kScanBumped : 0;
+    scan_rec_.aux = wasted != 0 ? LogRecord::kScanBumped : 0;
     scan_rec_.page = pid;
     const Lsn lsn = ctx_.log->Append(&scan_rec_);
     for (const auto& [word, value] : updates) {
@@ -530,7 +494,7 @@ Status AtomicGc::ScanPage(uint64_t idx, bool abandon_tail) {
     DetlefsMark(page_base, kPageSizeBytes);
     SHEAP_RETURN_IF_ERROR(DetlefsFlushStep());
   }
-  scanned_.Set(idx);
+  state_.MarkScanned(idx, 1);
   HwUnprotectPages(idx, 1);
   ++stats_.pages_scanned;
   ctx_.clock->ChargeScanWords(kWordsPerPage);
@@ -639,7 +603,7 @@ Status AtomicGc::TranslateRootsAtFlip() {
 Status AtomicGc::Flip() {
   // The flip rewrites every root in place; no mutator may be mid-action.
   SHEAP_DCHECK(gate_ == nullptr || gate_->ExclusiveHeldByCaller());
-  if (sem_.collecting()) {
+  if (state_.sem.collecting()) {
     return Status::InvalidArgument("collection already in progress");
   }
   if (before_flip) {
@@ -657,23 +621,18 @@ Status AtomicGc::Flip() {
   LogRecord rec;
   rec.type = RecordType::kGcFlip;
   rec.aux = static_cast<uint64_t>(Area::kStable);
-  rec.addr = sem_.current;  // becomes from-space
+  rec.addr = state_.sem.current;  // becomes from-space
   rec.addr2 = to_id;
   ctx_.log->Append(&rec);
   // Crash window: the flip record is spooled (possibly lost with the
   // buffer) and no root has been translated yet.
   SHEAP_FAULT_POINT(ctx_.log->faults(), "gc.flip.logged");
 
-  sem_.from = sem_.current;
-  sem_.current = to_id;
-  sem_.copy_ptr = to->base();
-  sem_.alloc_ptr = to->end();
-  scanned_.Resize(to->npages);
-  scanned_.ClearAll();  // every to-space page protected (Figure 3.2)
-  HwProtectCurrentSpace();  // mirror the protection in the MMU
+  // Every to-space page protected (Figure 3.2), in the MMU mirror too.
+  state_.Flip(state_.sem.current, *to);
+  HwProtectCurrentSpace();
   rb_cache_.fill(UINT64_MAX);  // new space: every cached page is stale
   scan_cursor_ = 0;
-  lot_.assign(to->npages, kNullAddr);
 
   // A root translation that fails part-way must not leave a batch open.
   SHEAP_RETURN_IF_ERROR(EndCopyBatch(TranslateRootsAtFlip()));
@@ -688,13 +647,14 @@ uint64_t AtomicGc::NextUnscannedPage() {
   // the partially-filled frontier page only when it is the last unscanned
   // one, so the background scan can finish it Cheney-style without waste.
   const Space* cur = CurrentSpace();
-  const uint64_t full_limit = (sem_.copy_ptr - cur->base()) / kPageSizeBytes;
-  const uint64_t idx = scanned_.FindFirstUnset(scan_cursor_);
+  const HeapAddr copy_ptr = state_.sem.copy_ptr;
+  const uint64_t full_limit = (copy_ptr - cur->base()) / kPageSizeBytes;
+  const uint64_t idx = state_.scanned.FindFirstUnset(scan_cursor_);
   stats_.scan_cursor_steps += (idx >> 6) - (scan_cursor_ >> 6) + 1;
   scan_cursor_ = idx;  // everything below the first unset bit is scanned
   if (idx < full_limit) return idx;
-  if (sem_.copy_ptr % kPageSizeBytes != 0 && !scanned_.Get(full_limit) &&
-      lot_[full_limit] != kNullAddr) {
+  if (copy_ptr % kPageSizeBytes != 0 && !state_.scanned.Get(full_limit) &&
+      state_.lot[full_limit] != kNullAddr) {
     return full_limit;
   }
   return cur->npages;
@@ -703,7 +663,7 @@ uint64_t AtomicGc::NextUnscannedPage() {
 StatusOr<bool> AtomicGc::Step(uint64_t max_pages) {
   // Scan rounds copy objects and rewrite slots; handshake required.
   SHEAP_DCHECK(gate_ == nullptr || gate_->ExclusiveHeldByCaller());
-  if (!sem_.collecting()) return false;
+  if (!state_.sem.collecting()) return false;
   SHEAP_FAULT_POINT(ctx_.log->faults(), "gc.step.begin");
   SimSpan span(ctx_.clock);
   if (opts_.durability == GcDurability::kWriteAheadLog) {
@@ -711,7 +671,7 @@ StatusOr<bool> AtomicGc::Step(uint64_t max_pages) {
     // thread count — including 1 — so the log bytes never depend on the
     // configured parallelism.
     uint64_t remaining = max_pages;
-    while (remaining > 0 && sem_.collecting()) {
+    while (remaining > 0 && state_.sem.collecting()) {
       uint64_t done = 0;
       SHEAP_RETURN_IF_ERROR(executor_->RunRound(remaining, &done));
       if (done == 0) {
@@ -739,30 +699,30 @@ StatusOr<bool> AtomicGc::Step(uint64_t max_pages) {
     }
   }
   stats_.RecordPause(span.elapsed_ns());
-  return sem_.collecting();
+  return state_.sem.collecting();
 }
 
 Status AtomicGc::Complete() {
-  SHEAP_CHECK(sem_.collecting());
+  SHEAP_CHECK(state_.sem.collecting());
   if (before_complete) {
     SHEAP_RETURN_IF_ERROR(before_complete());
   }
   LogRecord rec;
   rec.type = RecordType::kGcComplete;
   rec.aux = static_cast<uint64_t>(Area::kStable);
-  rec.addr = sem_.from;
+  rec.addr = state_.sem.from;
   ctx_.log->Append(&rec);
   // Crash window: completion spooled but from-space not yet freed — losing
   // the record resumes the collection; keeping it must free the space.
   SHEAP_FAULT_POINT(ctx_.log->faults(), "gc.complete.logged");
-  SHEAP_RETURN_IF_ERROR(ctx_.spaces->Free(sem_.from));
-  sem_.from = kInvalidSpaceId;
+  SHEAP_RETURN_IF_ERROR(ctx_.spaces->Free(state_.sem.from));
+  state_.Complete();
   ++stats_.collections_completed;
   return Status::OK();
 }
 
 Status AtomicGc::FinishCollection() {
-  while (sem_.collecting()) {
+  while (state_.sem.collecting()) {
     SHEAP_RETURN_IF_ERROR(Step(16).status());
   }
   return Status::OK();
@@ -771,7 +731,7 @@ Status AtomicGc::FinishCollection() {
 Status AtomicGc::CollectFully() {
   SHEAP_DCHECK(gate_ == nullptr || gate_->ExclusiveHeldByCaller());
   SimSpan span(ctx_.clock);
-  if (!sem_.collecting()) {
+  if (!state_.sem.collecting()) {
     SHEAP_RETURN_IF_ERROR(Flip());
   }
   SHEAP_RETURN_IF_ERROR(FinishCollection());
@@ -779,69 +739,153 @@ Status AtomicGc::CollectFully() {
   return Status::OK();
 }
 
-void AtomicGc::InstallRecovered(RecoveredState rs) {
-  sem_ = rs.sem;
-  root_object_ = rs.root_object;
+void AtomicGc::InstallRecovered(State state) {
+  state_ = std::move(state);
+  // Outside a collection the bitmap means nothing (PageScanned answers
+  // true); a reopened heap starts with every page marked, as a formatted
+  // one does.
+  if (!state_.sem.collecting()) state_.scanned.SetAll();
   rb_cache_.fill(UINT64_MAX);
   scan_cursor_ = 0;
-  const Space* cur = CurrentSpace();
-  scanned_.Resize(cur->npages);
-  if (sem_.collecting()) {
-    for (uint64_t i = 0; i < cur->npages && i < rs.scanned.size(); ++i) {
-      scanned_.Assign(i, rs.scanned[i] != 0);
-    }
-    // Allocation-region pages are born scanned; re-mark them (the scan
-    // bitmap in the log/checkpoint only tracks scan records).
-    for (HeapAddr a = sem_.alloc_ptr; a < cur->end(); a += kPageSizeBytes) {
-      scanned_.Set(PageIndexOf(a));
-    }
-  } else {
-    scanned_.SetAll();
-  }
-  lot_ = std::move(rs.lot);
-  lot_.resize(cur->npages, kNullAddr);
   HwSyncToBitmap();
 }
 
 Status AtomicGc::ResumeAfterRecovery() {
-  if (!sem_.collecting() || !InFromSpace(root_object_)) return Status::OK();
+  if (!collecting() || !InFromSpace(root_object())) return Status::OK();
   return RelocateRootObject();
 }
 
-void AtomicGc::EncodeTo(Encoder* enc) const {
-  enc->PutVarint(sem_.current);
-  enc->PutVarint(sem_.from);
-  enc->PutVarint(sem_.copy_ptr);
-  enc->PutVarint(sem_.alloc_ptr);
-  enc->PutVarint(root_object_);
-  enc->PutVarint(scanned_.size());
-  for (size_t i = 0; i < scanned_.size(); ++i) {
-    enc->PutU8(scanned_.Get(i) ? 1 : 0);
-  }
-  enc->PutVarint(lot_.size());
-  for (HeapAddr a : lot_) enc->PutVarint(a);
+// ------------------------------------------------------------------ State
+
+void AtomicGc::State::Flip(SpaceId from, const Space& to) {
+  sem.from = from;
+  sem.current = to.id;
+  sem.copy_ptr = to.base();
+  sem.alloc_ptr = to.end();
+  scanned.Resize(to.npages);
+  if (!sem.collecting()) scanned.SetAll();
+  lot.assign(to.npages, kNullAddr);
 }
 
-Status AtomicGc::DecodeInto(Decoder* dec, RecoveredState* rs) {
+uint64_t AtomicGc::State::AbandonTail(HeapAddr page_base) {
+  const HeapAddr page_end = page_base + kPageSizeBytes;
+  if (sem.copy_ptr <= page_base || sem.copy_ptr >= page_end) return 0;
+  const uint64_t wasted = (page_end - sem.copy_ptr) / kWordSizeBytes;
+  sem.copy_ptr = page_end;
+  return wasted;
+}
+
+void AtomicGc::State::MarkScanned(uint64_t first, uint64_t count) {
+  for (uint64_t i = first; i < first + count && i < scanned.size(); ++i) {
+    scanned.Set(i);
+  }
+}
+
+void AtomicGc::State::CommitCopies(const Space& cur,
+                                   const std::vector<UtrEntry>& copies) {
+  for (const UtrEntry& e : copies) {
+    // The copy covers the first word of every page whose start lies in
+    // [e.to, end); it is that page's walk anchor.
+    const HeapAddr end = e.to + e.nwords * kWordSizeBytes;
+    for (HeapAddr p = RoundUpToPage(e.to); p < end; p += kPageSizeBytes) {
+      lot[(p - cur.base()) / kPageSizeBytes] = e.to;
+    }
+    sem.copy_ptr = std::max(sem.copy_ptr, end);
+  }
+}
+
+std::pair<uint64_t, uint64_t> AtomicGc::State::Allocate(const Space& cur,
+                                                        HeapAddr base,
+                                                        uint64_t nbytes) {
+  sem.alloc_ptr = std::min(sem.alloc_ptr, base);
+  const uint64_t first = (base - cur.base()) / kPageSizeBytes;
+  const uint64_t count =
+      (base + nbytes - 1 - cur.base()) / kPageSizeBytes - first + 1;
+  MarkScanned(first, count);
+  return {first, count};
+}
+
+void AtomicGc::State::Replay(const LogRecord& rec,
+                             const SpaceManager& spaces) {
+  if (rec.type == RecordType::kGcFlip) {
+    const Space* to = spaces.Find(static_cast<SpaceId>(rec.addr2));
+    SHEAP_CHECK(to != nullptr);
+    Flip(static_cast<SpaceId>(rec.addr), *to);
+    return;
+  }
+  const Space* cur = spaces.Find(sem.current);
+  auto in_cur = [cur](HeapAddr a) {
+    return cur != nullptr && cur->Contains(a);
+  };
+  switch (rec.type) {
+    case RecordType::kGcScan: {
+      const HeapAddr page_base = rec.page * kPageSizeBytes;
+      if (rec.aux == LogRecord::kScanPartial || !in_cur(page_base)) return;
+      if (rec.aux == LogRecord::kScanBumped) AbandonTail(page_base);
+      MarkScanned((page_base - cur->base()) / kPageSizeBytes,
+                  rec.aux == LogRecord::kScanRun ? rec.count : 1);
+      return;
+    }
+    case RecordType::kGcCopyBatch:
+      SHEAP_CHECK(cur != nullptr);
+      CommitCopies(*cur, rec.utr_entries);
+      return;
+    case RecordType::kGcComplete:
+      Complete();
+      return;
+    case RecordType::kRootObject:
+      root_object = rec.addr;
+      return;
+    case RecordType::kAlloc:
+    case RecordType::kV2sCopy:
+    case RecordType::kInitialValue: {
+      // A promoted copy is kV2sCopy's addr2 and a method-2 reservation
+      // kInitialValue's addr; kAlloc counts slots, a promotion words.
+      const HeapAddr base =
+          rec.type == RecordType::kV2sCopy ? rec.addr2 : rec.addr;
+      const uint64_t words =
+          rec.type == RecordType::kAlloc ? 1 + rec.count : rec.count;
+      if (in_cur(base)) Allocate(*cur, base, words * kWordSizeBytes);
+      return;
+    }
+    default:
+      return;
+  }
+}
+
+void AtomicGc::State::EncodeTo(Encoder* enc) const {
+  enc->PutVarint(sem.current);
+  enc->PutVarint(sem.from);
+  enc->PutVarint(sem.copy_ptr);
+  enc->PutVarint(sem.alloc_ptr);
+  enc->PutVarint(root_object);
+  enc->PutVarint(scanned.size());
+  for (size_t i = 0; i < scanned.size(); ++i) {
+    enc->PutU8(scanned.Get(i) ? 1 : 0);
+  }
+  enc->PutVarint(lot.size());
+  for (HeapAddr a : lot) enc->PutVarint(a);
+}
+
+Status AtomicGc::State::DecodeFrom(Decoder* dec) {
   uint64_t current, from, nscanned, nlot;
   if (!dec->GetVarint(&current) || !dec->GetVarint(&from) ||
-      !dec->GetVarint(&rs->sem.copy_ptr) ||
-      !dec->GetVarint(&rs->sem.alloc_ptr) ||
-      !dec->GetVarint(&rs->root_object) || !dec->GetVarint(&nscanned)) {
+      !dec->GetVarint(&sem.copy_ptr) || !dec->GetVarint(&sem.alloc_ptr) ||
+      !dec->GetVarint(&root_object) || !dec->GetVarint(&nscanned)) {
     return Status::Corruption("bad gc state");
   }
-  rs->sem.current = static_cast<SpaceId>(current);
-  rs->sem.from = static_cast<SpaceId>(from);
-  rs->scanned.resize(nscanned);
+  sem.current = static_cast<SpaceId>(current);
+  sem.from = static_cast<SpaceId>(from);
+  scanned.Resize(nscanned);
   for (uint64_t i = 0; i < nscanned; ++i) {
     uint8_t b;
     if (!dec->GetU8(&b)) return Status::Corruption("bad scan bitmap");
-    rs->scanned[i] = b;
+    scanned.Assign(i, b != 0);
   }
   if (!dec->GetVarint(&nlot)) return Status::Corruption("bad lot");
-  rs->lot.resize(nlot);
+  lot.resize(nlot);
   for (uint64_t i = 0; i < nlot; ++i) {
-    if (!dec->GetVarint(&rs->lot[i])) return Status::Corruption("bad lot");
+    if (!dec->GetVarint(&lot[i])) return Status::Corruption("bad lot");
   }
   return Status::OK();
 }

@@ -26,6 +26,9 @@
 //     root array.
 // No step forces the log; the collector never performs a synchronous write
 // (the contrast with Detlefs [15] measured in E7).
+// What recovery rebuilds (semispace pointers, root object, scan bitmap,
+// Last Object Table) is one value, AtomicGc::State, whose transition rules
+// the live steps and recovery analysis (State::Replay) share.
 
 #ifndef SHEAP_GC_ATOMIC_GC_H_
 #define SHEAP_GC_ATOMIC_GC_H_
@@ -128,24 +131,49 @@ class AtomicGc {
   void ResetAllocIsolation() { alloc_isolation_ = false; }
 
   // ------------------------------------------------------------- recovery
-  struct RecoveredState {
+  /// The collector's recoverable state (§3.5.3), with one transition rule
+  /// per GC record kind: each live step applies the rule for the record it
+  /// logs, and recovery analysis replays every record through the same.
+  struct State {
     SemiSpaceState sem;
     HeapAddr root_object = kNullAddr;
-    std::vector<uint8_t> scanned;  // 0/1 per page of the current space
-    std::vector<HeapAddr> lot;     // Last Object Table, per page
+    Bitmap scanned;             // per page of the current space
+    std::vector<HeapAddr> lot;  // object covering each page's first word
+
+    /// kGcFlip; `from` invalid is the format's (every page accessible).
+    void Flip(SpaceId from, const Space& to);
+    /// kGcScan's kScanBumped (a trap): a copy frontier inside the page
+    /// moves to the page end. Returns the words abandoned.
+    uint64_t AbandonTail(HeapAddr page_base);
+    /// kGcScan: pages [first, first + count) are scanned (kScanRun: a run
+    /// of clean pages). kScanPartial changes nothing.
+    void MarkScanned(uint64_t first, uint64_t count);
+    /// kGcCopyBatch: the copy frontier passes each copy, and each copy
+    /// anchors the LOT entries of the pages whose first word it covers.
+    void CommitCopies(const Space& cur, const std::vector<UtrEntry>& copies);
+    void Complete() { sem.from = kInvalidSpaceId; }  // kGcComplete
+    /// kAlloc, kV2sCopy, kInitialValue: the allocation frontier moves down
+    /// to `base`, and the object's pages are born scanned (Figure 3.3).
+    /// Returns the pages marked: {first index, count}.
+    std::pair<uint64_t, uint64_t> Allocate(const Space& cur, HeapAddr base,
+                                           uint64_t nbytes);
+    /// Apply `rec`'s rule, if its kind has one (kRootObject: the root).
+    void Replay(const LogRecord& rec, const SpaceManager& spaces);
+    /// Checkpoint payload; the scan bitmap takes one byte per page.
+    void EncodeTo(Encoder* enc) const;
+    Status DecodeFrom(Decoder* dec);
   };
 
   /// Install state reconstructed by recovery analysis.
-  void InstallRecovered(RecoveredState rs);
+  void InstallRecovered(State state);
 
   /// Resume an interrupted collection after recovery: a crash can retain
   /// the flip record while losing the root-array copy (log-suffix loss);
   /// re-translate the root object if it still names a from-space address.
   Status ResumeAfterRecovery();
 
-  /// Checkpoint payload (matches RecoveredState).
-  void EncodeTo(Encoder* enc) const;
-  static Status DecodeInto(Decoder* dec, RecoveredState* rs);
+  /// Checkpoint payload (State::EncodeTo).
+  void EncodeTo(Encoder* enc) const { state_.EncodeTo(enc); }
 
   // ------------------------------------------------------------ concurrency
   /// Attach the heap's GC<->mutator handshake gate (DESIGN.md §5i). The
@@ -157,10 +185,10 @@ class AtomicGc {
   void AttachGate(const MutatorGate* gate) { gate_ = gate; }
 
   // ---------------------------------------------------------------- queries
-  bool collecting() const { return sem_.collecting(); }
-  const SemiSpaceState& sem() const { return sem_; }
-  HeapAddr root_object() const { return root_object_; }
-  uint64_t free_bytes() const { return sem_.free_bytes(); }
+  bool collecting() const { return state_.sem.collecting(); }
+  const SemiSpaceState& sem() const { return state_.sem; }
+  HeapAddr root_object() const { return state_.root_object; }
+  uint64_t free_bytes() const { return state_.sem.free_bytes(); }
   GcStats& stats() { return stats_; }
   const Options& options() const { return opts_; }
 
@@ -251,14 +279,19 @@ class AtomicGc {
   /// instead of O(npages) each).
   uint64_t NextUnscannedPage();
   uint64_t PageIndexOf(HeapAddr a) const;
-  void UpdateLot(HeapAddr to_base, uint64_t total_words);
-  void MarkAllocPagesScanned(HeapAddr base, uint64_t nbytes);
+  /// The address `nbytes` below the allocation frontier, or OutOfSpace
+  /// when that would reach the copy region's pages. Crossing between
+  /// page-isolated and normal reservations first rounds the frontier down
+  /// to a page boundary (see AllocateForPromotion).
+  StatusOr<HeapAddr> Reserve(uint64_t nbytes, bool page_isolated);
+  /// State::Allocate, then lift the new pages' mirror protection.
+  void ApplyAllocation(HeapAddr base, uint64_t nbytes);
 
   const Space* CurrentSpace() const;
   const Space* FromSpace() const;
 
   // Hardware barrier mirror (ctx_.mapping; all no-ops when null). The
-  // software scanned_ bitmap stays the authority for barrier semantics;
+  // software scan bitmap stays the authority for barrier semantics;
   // the mirror shadows it in the MMU so unscanned-page accesses take a
   // real SIGSEGV. Page indices here are *space-local*; the helpers
   // translate to global PageIds against the current space's base.
@@ -266,7 +299,7 @@ class AtomicGc {
   void HwProtectCurrentSpace();
   /// Lift protection for [first, first+count) space-local pages (scanned).
   void HwUnprotectPages(uint64_t first_idx, uint64_t count);
-  /// Reconcile the mirror with the scanned_ bitmap (recovery install).
+  /// Reconcile the mirror with the scan bitmap (recovery install).
   void HwSyncToBitmap();
 
   /// Asserts (never acquires) exclusive handshake ownership; may be null.
@@ -274,11 +307,8 @@ class AtomicGc {
 
   GcContext ctx_;
   Options opts_;
-  SemiSpaceState sem_;
+  State state_;
   bool alloc_isolation_ = false;  // frontier currently in an isolated page
-  HeapAddr root_object_ = kNullAddr;
-  Bitmap scanned_;             // per page of the current space
-  std::vector<HeapAddr> lot_;  // object covering each page's first word
   /// Read-barrier fast path: direct-mapped cache of pages recently found
   /// scanned (indexed by page_idx & 3). Scan bits are monotonic within a
   /// collection, so a cached positive stays valid until the next flip (or

@@ -15,9 +15,9 @@ ScanExecutor::ScanExecutor(AtomicGc* gc, uint32_t threads)
 
 Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   *pages_done = 0;
-  if (budget == 0 || !gc_->sem_.collecting()) return Status::OK();
+  if (budget == 0 || !gc_->state_.sem.collecting()) return Status::OK();
   const Space* cur = gc_->CurrentSpace();
-  const HeapAddr frontier = gc_->sem_.copy_ptr;
+  const HeapAddr frontier = gc_->state_.sem.copy_ptr;
   const uint64_t full_limit = (frontier - cur->base()) / kPageSizeBytes;
 
   // Gather up to `budget` unscanned fully-copied pages. Monotone cursor +
@@ -28,7 +28,7 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   uint64_t probe = gc_->scan_cursor_;
   bool first_probe = true;
   while (pages.size() < budget) {
-    const uint64_t idx = gc_->scanned_.FindFirstUnset(probe);
+    const uint64_t idx = gc_->state_.scanned.FindFirstUnset(probe);
     gc_->stats_.scan_cursor_steps += (idx >> 6) - (probe >> 6) + 1;
     if (first_probe) {
       gc_->scan_cursor_ = idx;
@@ -57,7 +57,7 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
     pinned.clear();
   };
   for (uint64_t idx : pages) {
-    const HeapAddr anchor = gc_->lot_[idx];
+    const HeapAddr anchor = gc_->state_.lot[idx];
     if (anchor == kNullAddr) continue;
     PageTask t;
     t.index = idx;
@@ -185,7 +185,7 @@ Status ScanExecutor::RunRound(uint64_t budget, uint64_t* pages_done) {
   // replays to a state the serial protocol could also have reached.
   SHEAP_FAULT_POINT(gc_->ctx_.log->faults(), "gc.batch.merged");
 
-  for (uint64_t idx : pages) gc_->scanned_.Set(idx);
+  for (uint64_t idx : pages) gc_->state_.MarkScanned(idx, 1);
   gc_->stats_.pages_scanned += tasks.size();
   ++gc_->stats_.scan_rounds;
   *pages_done = pages.size();

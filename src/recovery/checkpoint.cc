@@ -119,7 +119,7 @@ Status DecodeCheckpointPayload(const std::vector<uint8_t>& payload,
   SHEAP_RETURN_IF_ERROR(spaces->DecodeFrom(&dec));
   SHEAP_RETURN_IF_ERROR(utt->DecodeFrom(&dec));
   SHEAP_RETURN_IF_ERROR(types->DecodeAllFrom(&dec));
-  SHEAP_RETURN_IF_ERROR(AtomicGc::DecodeInto(&dec, &data->gc));
+  SHEAP_RETURN_IF_ERROR(data->gc.DecodeFrom(&dec));
   if (!dec.empty()) return Status::Corruption("trailing checkpoint bytes");
   return Status::OK();
 }

@@ -32,7 +32,7 @@ namespace sheap {
 struct CheckpointData {
   DirtyPageTable dpt;
   ActiveTxnTable att;
-  AtomicGc::RecoveredState gc;
+  AtomicGc::State gc;
   TxnId next_txn_id = 1;
   /// The kHeapFormat payload, carried in every checkpoint so log
   /// truncation can drop the format record itself.

@@ -25,13 +25,13 @@ struct InRedoScope {
 // manifest/lint reconciliation (tests/crash_matrix_points.h) two-sided.
 
 /// Crash window: a page is claimed in-flight, its redo not yet applied.
-Status OndemandCrashWindow(FaultInjector* faults) {
+Status OndemandCrashWindow([[maybe_unused]] FaultInjector* faults) {
   SHEAP_FAULT_POINT(faults, "recovery.ondemand.page_redo");
   return Status::OK();
 }
 
 /// Crash window: a drain batch is claimed, its redo not yet applied.
-Status DrainCrashWindow(FaultInjector* faults) {
+Status DrainCrashWindow([[maybe_unused]] FaultInjector* faults) {
   SHEAP_FAULT_POINT(faults, "recovery.drain.step");
   return Status::OK();
 }

@@ -73,11 +73,6 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
   const uint64_t start_offset = reader.offset();
   LogRecord rec;
   std::vector<PageId> rec_pages;
-  AtomicGc::RecoveredState& gc = data->gc;
-
-  auto current_space = [&]() -> const Space* {
-    return d_.spaces->Find(gc.sem.current);
-  };
 
   while (true) {
     auto more = reader.Next(&rec);
@@ -117,6 +112,11 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       }
     }
 
+    // The collector's state goes through the rule the collector applied
+    // when it logged the record (flip, scan, copy batch, completion, root
+    // object, allocation frontier), without touching the heap.
+    data->gc.Replay(rec, *d_.spaces);
+
     switch (rec.type) {
       case RecordType::kHeapFormat:
         result->format_payload = rec.payload;
@@ -151,115 +151,33 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       case RecordType::kSpaceFree:
         d_.spaces->ApplyFreeRecord(rec);
         break;
-      case RecordType::kGcFlip: {
-        gc.sem.from = static_cast<SpaceId>(rec.addr);
-        gc.sem.current = static_cast<SpaceId>(rec.addr2);
-        const Space* to = current_space();
-        SHEAP_CHECK(to != nullptr);
-        gc.sem.copy_ptr = to->base();
-        gc.sem.alloc_ptr = to->end();
-        gc.scanned.assign(to->npages, 0);
-        gc.lot.assign(to->npages, kNullAddr);
-        break;
-      }
-      case RecordType::kGcScan: {
-        if (rec.aux == LogRecord::kScanPartial) break;  // redo-only record
-        const Space* to = current_space();
-        SHEAP_CHECK(to != nullptr);
-        const HeapAddr page_base = rec.page * kPageSizeBytes;
-        if (rec.aux == LogRecord::kScanRun) {
-          // Run encoding: `count` consecutive clean pages, no bump replay
-          // (the executor never abandons tails).
-          for (uint64_t i = 0; i < rec.count; ++i) {
-            const HeapAddr base = page_base + i * kPageSizeBytes;
-            if (base >= to->base() && base < to->end()) {
-              gc.scanned[(base - to->base()) / kPageSizeBytes] = 1;
-            }
-          }
-          break;
-        }
-        if (page_base >= to->base() && page_base < to->end()) {
-          const uint64_t idx = (page_base - to->base()) / kPageSizeBytes;
-          gc.scanned[idx] = 1;
-          // Replay the trap path's tail abandonment exactly.
-          if (rec.aux == LogRecord::kScanBumped &&
-              gc.sem.copy_ptr > page_base &&
-              gc.sem.copy_ptr < page_base + kPageSizeBytes) {
-            gc.sem.copy_ptr = page_base + kPageSizeBytes;
-          }
-        }
-        break;
-      }
-      case RecordType::kGcCopyBatch: {
-        const Space* to = current_space();
-        SHEAP_CHECK(to != nullptr);
+      case RecordType::kGcCopyBatch:
         // Every copy doubles as an undo-translation entry: a crash can
         // retain a flip's copies while losing the trailing kUtr record
         // (log-suffix loss), and undo must still find the moved objects.
-        // Then the copy frontier and, per object, the Last Object Table
-        // (same rule as AtomicGc::UpdateLot).
-        d_.utt->AddBatch(rec.utr_entries, ActiveIds(data->att));
-        gc.sem.copy_ptr =
-            std::max(gc.sem.copy_ptr, rec.addr2 + rec.count * kWordSizeBytes);
-        for (const UtrEntry& e : rec.utr_entries) {
-          const HeapAddr obj_end = e.to + e.nwords * kWordSizeBytes;
-          for (HeapAddr p =
-                   (e.to + kPageSizeBytes - 1) / kPageSizeBytes * kPageSizeBytes;
-               p < obj_end; p += kPageSizeBytes) {
-            gc.lot[(p - to->base()) / kPageSizeBytes] = e.to;
-          }
-          if (e.to % kPageSizeBytes == 0) {
-            gc.lot[(e.to - to->base()) / kPageSizeBytes] = e.to;
-          }
-        }
-        break;
-      }
-      case RecordType::kGcComplete:
-        gc.sem.from = kInvalidSpaceId;
-        break;
-      case RecordType::kRootObject:
-        gc.root_object = rec.addr;
-        break;
-      case RecordType::kUtr: {
+      case RecordType::kUtr:
         d_.utt->AddBatch(rec.utr_entries, ActiveIds(data->att));
         break;
-      }
-      case RecordType::kAlloc: {
-        const Space* cur = current_space();
-        if (cur != nullptr && cur->Contains(rec.addr)) {
-          gc.sem.alloc_ptr = std::min(gc.sem.alloc_ptr, rec.addr);
-        }
-        break;
-      }
-      case RecordType::kV2sCopy: {
-        const Space* cur = current_space();
-        if (cur != nullptr && cur->Contains(rec.addr2)) {
-          gc.sem.alloc_ptr = std::min(gc.sem.alloc_ptr, rec.addr2);
-        }
-        // Promotions translate undo information too (their kUtr record may
-        // be lost with the log suffix).
-        d_.utt->AddBatch({UtrEntry{rec.addr, rec.addr2, rec.count}},
-                         ActiveIds(data->att));
-        break;
-      }
+      case RecordType::kV2sCopy:
       case RecordType::kInitialValue: {
-        // Method-2 promotion (§5.5): addr = reserved stable address,
-        // addr2 = volatile source. Same frontier/UTT treatment.
-        const Space* cur = current_space();
-        if (cur != nullptr && cur->Contains(rec.addr)) {
-          gc.sem.alloc_ptr = std::min(gc.sem.alloc_ptr, rec.addr);
-        }
-        d_.utt->AddBatch({UtrEntry{rec.addr2, rec.addr, rec.count}},
+        // Promotions translate undo information too (their kUtr record may
+        // be lost with the log suffix). kV2sCopy names {volatile source,
+        // stable copy}; method 2's kInitialValue (§5.5) the reverse.
+        const bool v2s = rec.type == RecordType::kV2sCopy;
+        d_.utt->AddBatch({UtrEntry{v2s ? rec.addr : rec.addr2,
+                                   v2s ? rec.addr2 : rec.addr, rec.count}},
                          ActiveIds(data->att));
         break;
       }
       // Exhaustive (lint-enforced): the lifecycle records maintain the ATT
       // above; kUpdate/kClr contribute only DPT entries (IsRedoable path);
-      // kVolatileFlip describes the volatile area, which does not survive
-      // a crash — analysis has nothing to rebuild from it. The kDtx*
-      // records live only in a 2PC coordinator's decision log (scanned by
-      // TwoPhaseCoordinator::Rescan, not here); shard analysis skips them.
-      // kGcCopy is a retired id that the reader never yields.
+      // the other GC records and kAlloc change only the collector's state
+      // (Replay above); kVolatileFlip describes the volatile area, which
+      // does not survive a crash — analysis has nothing to rebuild from
+      // it. The kDtx* records live only in a 2PC coordinator's decision
+      // log (scanned by TwoPhaseCoordinator::Rescan, not here); shard
+      // analysis skips them. kGcCopy is a retired id that the reader never
+      // yields.
       case RecordType::kBegin:
       case RecordType::kUpdate:
       case RecordType::kClr:
@@ -271,6 +189,11 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       case RecordType::kDtxDecision:
       case RecordType::kDtxEnd:
       case RecordType::kGcCopy:
+      case RecordType::kGcFlip:
+      case RecordType::kGcScan:
+      case RecordType::kGcComplete:
+      case RecordType::kRootObject:
+      case RecordType::kAlloc:
         break;
     }
 

@@ -6,9 +6,10 @@
 //
 //  Analysis  — rebuild the active-transaction table, dirty-page table
 //              (superset, refined by page-fetch / end-write records), space
-//              table, class registry, UTT, and the GC state (from flip /
-//              copy / scan / complete / root records) — *without touching
-//              the heap*.
+//              table, class registry, UTT, and the collector's state —
+//              *without touching the heap*. Every record goes through
+//              AtomicGc::State::Replay, the rules the live collector
+//              applied when it logged it.
 //  Redo      — repeat history: apply every physical redo record, gated per
 //              page by the page LSN, starting at the oldest recovery LSN.
 //              GC copy and scan steps redo exactly like updates; after this
@@ -139,7 +140,7 @@ class RecoveryManager {
   };
 
   struct Result {
-    AtomicGc::RecoveredState gc;
+    AtomicGc::State gc;
     TxnId next_txn_id = 1;
     std::vector<uint8_t> format_payload;  // kHeapFormat contents, if seen
     RecoveryStats stats;

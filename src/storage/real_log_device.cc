@@ -115,15 +115,16 @@ Status RealLogDevice::AppendAsync(const uint8_t* data, size_t n) {
 }
 
 Status RealLogDevice::SyncLocked() {
-  size_t next = 0;
-  while (next < staged_.size()) {
+  // A batch leaves staged_ once it is in the file: after a failed batch
+  // the retry writes only that batch and what follows it.
+  while (!staged_.empty()) {
     struct iovec iov[64];
     int cnt = 0;
     size_t batch_bytes = 0;
-    for (size_t i = next; i < staged_.size() && cnt < 64; ++i, ++cnt) {
-      iov[cnt].iov_base = staged_[i].data();
-      iov[cnt].iov_len = staged_[i].size();
-      batch_bytes += staged_[i].size();
+    for (; cnt < 64 && static_cast<size_t>(cnt) < staged_.size(); ++cnt) {
+      iov[cnt].iov_base = staged_[cnt].data();
+      iov[cnt].iov_len = staged_[cnt].size();
+      batch_bytes += staged_[cnt].size();
     }
     size_t remaining = batch_bytes;
     int idx = 0;
@@ -150,10 +151,9 @@ Status RealLogDevice::SyncLocked() {
       }
     }
     file_size_ += batch_bytes;
-    next += static_cast<size_t>(cnt);
+    staged_bytes_ -= batch_bytes;
+    staged_.erase(staged_.begin(), staged_.begin() + cnt);
   }
-  staged_.clear();
-  staged_bytes_ = 0;
   if (file_size_ > synced_size_) {
     if (fdatasync(log_fd_) != 0) {
       return Status::IOError(prefix_ + ".log: fdatasync: " + strerror(errno));

@@ -17,6 +17,8 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -213,6 +215,59 @@ TEST(RealLogDeviceTest, ForceCountsRealSyncs) {
   // A second force with nothing staged must not sync again.
   (*log)->Force();
   EXPECT_EQ((*log)->stats().fdatasyncs, st.fdatasyncs);
+}
+
+// A sync whose second pwritev batch fails has already put the first batch
+// in the file. The retry must write only what is still staged: the file
+// ends up holding every appended byte exactly once.
+TEST(RealLogDeviceTest, FailedBatchIsNotWrittenTwice) {
+  const std::string dir = TestDir("log-partial-sync");
+  constexpr size_t kChunks = 100;  // two pwritev batches of at most 64
+  constexpr size_t kChunkBytes = 16;
+  constexpr size_t kFirstBatchBytes = 64 * kChunkBytes;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The file-size limit is lowered in this process only; past it a write
+    // fails with EFBIG instead of raising SIGXFSZ.
+    ::signal(SIGXFSZ, SIG_IGN);
+    SimClock clock;
+    FaultInjector faults;
+    auto log = RealLogDevice::Open(dir + "/wal", &clock, &faults);
+    if (!log.ok()) _exit(10);
+    std::vector<uint8_t> expect;
+    for (size_t i = 0; i < kChunks; ++i) {
+      std::vector<uint8_t> chunk(kChunkBytes, static_cast<uint8_t>(i));
+      if (!(*log)->Append(chunk.data(), chunk.size()).ok()) _exit(11);
+      expect.insert(expect.end(), chunk.begin(), chunk.end());
+    }
+    struct rlimit saved;
+    if (::getrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(12);
+    struct rlimit low = saved;
+    low.rlim_cur = kFirstBatchBytes;
+    if (::setrlimit(RLIMIT_FSIZE, &low) != 0) _exit(12);
+    (*log)->Force();  // the first batch lands, the second fails
+    if ((*log)->size() != expect.size()) _exit(13);
+    if (::setrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(12);
+    (*log)->MarkDurableBarrier();
+    if ((*log)->durable_barrier() != (*log)->size()) _exit(14);
+    struct stat st;
+    if (::stat((dir + "/wal.log").c_str(), &st) != 0 ||
+        static_cast<size_t>(st.st_size) != expect.size()) {
+      _exit(15);
+    }
+    std::vector<uint8_t> got(expect.size());
+    if (!(*log)->ReadAt(0, got.size(), got.data()).ok() || got != expect) {
+      _exit(16);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "10 open, 11 append, 12 rlimit, 13 size() after the failed sync, "
+         "14 barrier, 15 file length, 16 file contents";
 }
 
 // ------------------------------------------------------ heap on RealEnv
