@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 
@@ -227,6 +228,10 @@ void StableHeap::WireGcHooks() {
   stable_gc_->before_flip = [this]() { return promoter_->Materialize(); };
   stable_gc_->before_complete = [this]() -> Status {
     if (!options_.divided_heap) return Status::OK();
+    // A method-2 promotion made during the collection still forwards its
+    // husk to an empty reservation; materialize it first, as before_flip
+    // does (Complete runs only from Step, under the exclusive gate).
+    SHEAP_RETURN_IF_ERROR(promoter_->Materialize());
     // Repair or retire promotion husks while from-space is still readable.
     return volatile_gc_->FixHusks(
         [this](HeapAddr target) -> StatusOr<HeapAddr> {
@@ -343,7 +348,7 @@ Status StableHeap::RecoverHeap() {
   deps.redo = instant_ ? instant_.get() : offline_gate.get();
   deps.instant = instant_ != nullptr;
   deps.rollback = [this](Txn* txn) { return RollbackTail(txn); };
-  deps.finish = [this](TxnId txn_id) { return FinishTxn(txn_id); };
+  deps.finish = [this](Txn* txn) { return FinishTxn(txn); };
   RecoveryManager recovery(deps);
   // Pessimistic terminal stamp: any failure from here to the end of the
   // open path (an injected crash between recovery passes, a GC-resume or
@@ -526,12 +531,13 @@ Status StableHeap::CommitTail(Txn* txn, bool retry) {
     }
   }
   txn->state = TxnState::kCommitted;
-  return FinishTxn(txn->id);
+  return FinishTxn(txn);
 }
 
-Status StableHeap::FinishTxn(TxnId txn_id) {
+Status StableHeap::FinishTxn(Txn* txn) {
+  const TxnId txn_id = txn->id;
   locks_.ReleaseAll(txn_id);
-  handles_.ReleaseTxn(txn_id);
+  handles_.ReleaseTxn(txn_id, std::move(txn->handles));
   {
     // Side tables are plain maps shared by every committer.
     MutexLock side(&side_mu_);
@@ -584,7 +590,7 @@ Status StableHeap::RollbackTail(Txn* txn) {
     }
   }
   txn->state = TxnState::kAborted;
-  return FinishTxn(txn->id);
+  return FinishTxn(txn);
 }
 
 Status StableHeap::Abort(TxnId txn_id) {
@@ -632,7 +638,7 @@ Status StableHeap::Prepare(TxnId txn_id, uint64_t gtid) {
 
   // Local references die; the locks and undo information stay until the
   // coordinator decides.
-  handles_.ReleaseTxn(txn_id);
+  handles_.ReleaseTxn(txn_id, std::exchange(txn->handles, {}));
   remembered_.EraseTxn(txn_id);
   ls_.EraseTxn(txn_id);
   return Status::OK();
@@ -734,7 +740,7 @@ StatusOr<Ref> StableHeap::AllocateIn(TxnId txn_id, ClassId cls,
                                 : AllocateVolatileRaw(txn, cls, nslots));
   SHEAP_RETURN_IF_ERROR(locks_.AcquireWrite(txn_id, base));
   env_->clock()->ChargeAccess();
-  return handles_.Create(txn_id, base);
+  return txn->handles.emplace_back(handles_.Create(txn_id, base));
 }
 
 Status StableHeap::MaybeStepCollector() {
@@ -745,27 +751,16 @@ Status StableHeap::MaybeStepCollector() {
   return stable_gc_->Step(options_.gc_step_pages).status();
 }
 
-StatusOr<HeapAddr> StableHeap::ResolveRef(TxnId txn, Ref ref) const {
-  auto addr = handles_.Get(ref);
-  if (!addr.ok()) return addr.status();
-  auto owner = handles_.Owner(ref);
-  if (!owner.ok()) return owner.status();
-  if (*owner != kNoTxn && *owner != txn) {
-    return Status::InvalidArgument("handle owned by another transaction");
-  }
-  return *addr;
-}
-
 StatusOr<HeapAddr> StableHeap::ResolveTarget(TxnId txn, Ref target) const {
   if (target == kNullRef) return kNullAddr;
-  return ResolveRef(txn, target);
+  return handles_.Resolve(target, txn);
 }
 
-StatusOr<Ref> StableHeap::HandleFor(TxnId txn, HeapAddr v) {
+StatusOr<Ref> StableHeap::HandleFor(Txn* txn, HeapAddr v) {
   if (v == kNullAddr) return kNullRef;
   // A slot may still name a promotion husk; hand out the live address.
   SHEAP_ASSIGN_OR_RETURN(HeapAddr live, volatile_gc_->ResolveHusk(v));
-  return handles_.Create(txn, live);
+  return txn->handles.emplace_back(handles_.Create(txn->id, live));
 }
 
 bool StableHeap::InStableArea(HeapAddr a) const {
@@ -886,7 +881,7 @@ StatusOr<uint64_t> StableHeap::ReadScalar(TxnId txn_id, Ref ref,
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, ResolveRef(txn_id, ref));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, handles_.Resolve(ref, txn_id));
   return ReadSlotInternal(txn, base, slot, /*want_pointer=*/false);
 }
 
@@ -894,11 +889,11 @@ StatusOr<Ref> StableHeap::ReadRef(TxnId txn_id, Ref ref, uint64_t slot) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, ResolveRef(txn_id, ref));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, handles_.Resolve(ref, txn_id));
   SHEAP_ASSIGN_OR_RETURN(uint64_t v,
                          ReadSlotInternal(txn, base, slot,
                                           /*want_pointer=*/true));
-  return HandleFor(txn_id, v);
+  return HandleFor(txn, v);
 }
 
 Status StableHeap::WriteScalar(TxnId txn_id, Ref ref, uint64_t slot,
@@ -906,7 +901,7 @@ Status StableHeap::WriteScalar(TxnId txn_id, Ref ref, uint64_t slot,
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, ResolveRef(txn_id, ref));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, handles_.Resolve(ref, txn_id));
   return WriteSlotInternal(txn, base, slot, value, /*is_pointer=*/false);
 }
 
@@ -915,7 +910,7 @@ Status StableHeap::WriteRef(TxnId txn_id, Ref ref, uint64_t slot,
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
   SHEAP_ASSIGN_OR_RETURN(Txn * txn, FindActive(txn_id));
-  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, ResolveRef(txn_id, ref));
+  SHEAP_ASSIGN_OR_RETURN(HeapAddr base, handles_.Resolve(ref, txn_id));
   SHEAP_ASSIGN_OR_RETURN(HeapAddr value, ResolveTarget(txn_id, target));
   return WriteSlotInternal(txn, base, slot, value, /*is_pointer=*/true);
 }
@@ -923,12 +918,7 @@ Status StableHeap::WriteRef(TxnId txn_id, Ref ref, uint64_t slot,
 Status StableHeap::ReleaseRef(TxnId txn_id, Ref ref) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   MutatorGate::SharedSection shared(&gate_);
-  auto owner = handles_.Owner(ref);
-  if (!owner.ok()) return owner.status();
-  if (*owner != txn_id) {
-    return Status::InvalidArgument("handle owned by another transaction");
-  }
-  return handles_.Release(ref);
+  return handles_.Release(ref, txn_id);
 }
 
 // ----------------------------------------------------------------- roots
@@ -949,7 +939,7 @@ StatusOr<Ref> StableHeap::GetRoot(TxnId txn_id, uint64_t index) {
   SHEAP_ASSIGN_OR_RETURN(uint64_t v,
                          ReadSlotInternal(txn, stable_gc_->root_object(),
                                           index, /*want_pointer=*/true));
-  return HandleFor(txn_id, v);
+  return HandleFor(txn, v);
 }
 
 // --------------------------------------------------------------- control

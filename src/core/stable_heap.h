@@ -363,14 +363,13 @@ class StableHeap {
   /// gc_mu_.
   Status GcBarrier(HeapAddr a, bool slot, bool is_pointer = false);
   StatusOr<Txn*> FindActive(TxnId txn);
-  StatusOr<HeapAddr> ResolveRef(TxnId txn, Ref ref) const;
   /// The address a pointer store writes: null for kNullRef, else
-  /// ResolveRef (WriteRef, SetRoot).
+  /// HandleTable::Resolve (WriteRef, SetRoot).
   StatusOr<HeapAddr> ResolveTarget(TxnId txn, Ref target) const;
   /// The handle a pointer read returns: kNullRef for null, else a new
-  /// handle on the live address, past any promotion husk (ReadRef,
-  /// GetRoot).
-  StatusOr<Ref> HandleFor(TxnId txn, HeapAddr v);
+  /// handle on the live address, past any promotion husk, listed in
+  /// `txn`'s handles (ReadRef, GetRoot).
+  StatusOr<Ref> HandleFor(Txn* txn, HeapAddr v);
   bool InStableArea(HeapAddr a) const;
 
   StatusOr<uint64_t> ReadSlotInternal(Txn* txn, HeapAddr base, uint64_t slot,
@@ -383,9 +382,9 @@ class StableHeap {
   /// then kAborted and the FinishTxn tail.
   Status RollbackTail(Txn* txn);
   /// Shared tail of CommitTail and RollbackTail, and recovery's end for a
-  /// committed winner: release locks and per-transaction side state, log
-  /// kEnd, drop the table entry.
-  Status FinishTxn(TxnId txn_id);
+  /// committed winner: release locks, the transaction's own handles and
+  /// per-transaction side state, log kEnd, drop the table entry.
+  Status FinishTxn(Txn* txn);
   /// Durability tail of CommitBody, once the commit record is spooled (and
   /// forced, if the body forces): under group commit, join the open batch
   /// (first call) or charge a poll (retry), lead it if it must close, and

@@ -1,5 +1,8 @@
 #include "heap/handle_table.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/check.h"
 
 namespace sheap {
@@ -27,72 +30,86 @@ Ref HandleTable::Create(TxnId owner, HeapAddr addr) {
   return (static_cast<uint64_t>(e.generation) << kIndexBits) | (index + 1);
 }
 
-const HandleTable::Entry* HandleTable::LookupLocked(const Shard& shard,
-                                                    Ref ref) const {
-  const uint64_t index = (ref & kIndexMask) - 1;
-  const uint64_t local = index / kShards;
+HandleTable::Entry* HandleTable::LookupLocked(Shard& shard, Ref ref) {
+  const uint64_t local = IndexOf(ref) / kShards;
   if (local >= shard.entries.size()) return nullptr;
-  const Entry& e = shard.entries[local];
+  Entry& e = shard.entries[local];
   if (!e.in_use || e.generation != static_cast<uint16_t>(ref >> kIndexBits)) {
     return nullptr;
   }
   return &e;
 }
 
+void HandleTable::FreeLocked(Shard& shard, Ref ref) {
+  const uint32_t local = static_cast<uint32_t>(IndexOf(ref) / kShards);
+  Entry& e = shard.entries[local];
+  e.in_use = false;
+  e.addr = kNullAddr;
+  shard.free_list.push_back(local);
+}
+
 StatusOr<HeapAddr> HandleTable::Get(Ref ref) const {
   if (ref == kNullRef) return Status::InvalidArgument("stale or null handle");
-  const Shard& shard = shards_[((ref & kIndexMask) - 1) % kShards];
+  Shard& shard = ShardOf(ref);
   MutexLock lock(&shard.mu);
   const Entry* e = LookupLocked(shard, ref);
   if (e == nullptr) return Status::InvalidArgument("stale or null handle");
   return e->addr;
 }
 
-Status HandleTable::Set(Ref ref, HeapAddr addr) {
+StatusOr<HeapAddr> HandleTable::Resolve(Ref ref, TxnId txn) const {
   if (ref == kNullRef) return Status::InvalidArgument("stale or null handle");
-  Shard& shard = shards_[((ref & kIndexMask) - 1) % kShards];
+  Shard& shard = ShardOf(ref);
   MutexLock lock(&shard.mu);
   const Entry* e = LookupLocked(shard, ref);
   if (e == nullptr) return Status::InvalidArgument("stale or null handle");
-  const_cast<Entry*>(e)->addr = addr;
+  if (e->owner != kNoTxn && e->owner != txn) {
+    return Status::InvalidArgument("handle owned by another transaction");
+  }
+  return e->addr;
+}
+
+Status HandleTable::Set(Ref ref, HeapAddr addr) {
+  if (ref == kNullRef) return Status::InvalidArgument("stale or null handle");
+  Shard& shard = ShardOf(ref);
+  MutexLock lock(&shard.mu);
+  Entry* e = LookupLocked(shard, ref);
+  if (e == nullptr) return Status::InvalidArgument("stale or null handle");
+  e->addr = addr;
   return Status::OK();
 }
 
-StatusOr<TxnId> HandleTable::Owner(Ref ref) const {
-  if (ref == kNullRef) return Status::InvalidArgument("stale or null handle");
-  const Shard& shard = shards_[((ref & kIndexMask) - 1) % kShards];
-  MutexLock lock(&shard.mu);
-  const Entry* e = LookupLocked(shard, ref);
-  if (e == nullptr) return Status::InvalidArgument("stale or null handle");
-  return e->owner;
-}
-
-void HandleTable::ReleaseTxn(TxnId txn) {
+void HandleTable::ReleaseTxn(TxnId txn, std::vector<Ref> refs) {
   SHEAP_CHECK(txn != kNoTxn);
-  for (Shard& shard : shards_) {
+  // Ascending (shard, slot): the order a scan of every shard would push
+  // the slots on the free lists, and with it every later Ref assignment.
+  const auto order = [](Ref r) {
+    return std::pair(IndexOf(r) % kShards, IndexOf(r) / kShards);
+  };
+  std::sort(refs.begin(), refs.end(),
+            [&](Ref a, Ref b) { return order(a) < order(b); });
+  for (size_t i = 0; i < refs.size();) {
+    Shard& shard = ShardOf(refs[i]);
     MutexLock lock(&shard.mu);
-    for (uint32_t i = 0; i < shard.entries.size(); ++i) {
-      Entry& e = shard.entries[i];
-      if (e.in_use && e.owner == txn) {
-        e.in_use = false;
-        e.addr = kNullAddr;
-        shard.free_list.push_back(i);
-      }
+    for (; i < refs.size() && &ShardOf(refs[i]) == &shard; ++i) {
+      // A stale generation (released, or the slot reused since) or another
+      // owner: not this transaction's to free.
+      const Entry* e = LookupLocked(shard, refs[i]);
+      if (e != nullptr && e->owner == txn) FreeLocked(shard, refs[i]);
     }
   }
 }
 
-Status HandleTable::Release(Ref ref) {
+Status HandleTable::Release(Ref ref, TxnId txn) {
   if (ref == kNullRef) return Status::InvalidArgument("stale or null handle");
-  const uint64_t index = (ref & kIndexMask) - 1;
-  Shard& shard = shards_[index % kShards];
+  Shard& shard = ShardOf(ref);
   MutexLock lock(&shard.mu);
   const Entry* e = LookupLocked(shard, ref);
   if (e == nullptr) return Status::InvalidArgument("stale or null handle");
-  auto* me = const_cast<Entry*>(e);
-  me->in_use = false;
-  me->addr = kNullAddr;
-  shard.free_list.push_back(static_cast<uint32_t>(index / kShards));
+  if (e->owner != txn) {
+    return Status::InvalidArgument("handle owned by another transaction");
+  }
+  FreeLocked(shard, ref);
   return Status::OK();
 }
 

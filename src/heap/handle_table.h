@@ -15,6 +15,12 @@
 // assignment exactly as deterministic as the old single-vector table.
 // ForEachLive (flip-time root translation) runs lock-free and REQUIRES the
 // collector to hold the mutator gate exclusively.
+//
+// Cost model (DESIGN.md §5c): Create, Resolve, Set and Release touch one
+// entry under one shard mutex. Transaction end is O(handles the
+// transaction created): the transaction lists the Refs it was handed
+// (Txn::handles) and ReleaseTxn frees those, never scanning the table, so
+// a commit costs the same after a 20,000-handle transaction as before it.
 
 #ifndef SHEAP_HEAP_HANDLE_TABLE_H_
 #define SHEAP_HEAP_HANDLE_TABLE_H_
@@ -49,20 +55,26 @@ class HandleTable {
   /// Create a handle owned by `owner` (kNoTxn = global) for `addr`.
   Ref Create(TxnId owner, HeapAddr addr);
 
-  /// Resolve a Ref; InvalidArgument for stale/foreign handles.
+  /// Resolve a Ref regardless of its owner; InvalidArgument if stale.
   StatusOr<HeapAddr> Get(Ref ref) const;
+
+  /// Resolve a Ref for `txn`: InvalidArgument if stale, or if another
+  /// transaction owns it (global handles resolve for every transaction).
+  StatusOr<HeapAddr> Resolve(Ref ref, TxnId txn) const;
 
   /// Overwrite the address a live Ref designates.
   Status Set(Ref ref, HeapAddr addr);
 
-  /// Owner of a live Ref (for lock/ownership checks).
-  StatusOr<TxnId> Owner(Ref ref) const;
+  /// Transaction end: drop each of `refs` (the Refs `txn` was handed) that
+  /// is still live and still owned by `txn`. A Ref already dropped by
+  /// Release, or whose slot another transaction now holds, is skipped.
+  /// Slots are freed in ascending (shard, slot) order, so later Creates
+  /// hand out the same Refs a scan of the whole table would.
+  void ReleaseTxn(TxnId txn, std::vector<Ref> refs);
 
-  /// Drop every handle owned by `txn` (transaction end).
-  void ReleaseTxn(TxnId txn);
-
-  /// Drop a single handle.
-  Status Release(Ref ref);
+  /// Drop a single handle owned by `txn`; InvalidArgument if stale or
+  /// owned by another transaction.
+  Status Release(Ref ref, TxnId txn);
 
   /// Visit every live handle's address cell in ascending global-index
   /// order; `f(HeapAddr*)` may rewrite it (root translation at a flip).
@@ -108,9 +120,16 @@ class HandleTable {
     std::vector<uint32_t> free_list SHEAP_GUARDED_BY(mu);
   };
 
+  /// A non-null Ref's global index.
+  static uint64_t IndexOf(Ref ref) { return (ref & kIndexMask) - 1; }
+  Shard& ShardOf(Ref ref) const {
+    return const_cast<Shard&>(shards_[IndexOf(ref) % kShards]);
+  }
+
   /// Resolve a live entry under its shard mutex; nullptr if stale/null.
-  const Entry* LookupLocked(const Shard& shard, Ref ref) const
-      SHEAP_REQUIRES(shard.mu);
+  static Entry* LookupLocked(Shard& shard, Ref ref) SHEAP_REQUIRES(shard.mu);
+  /// Free `ref`'s (live) entry and push its slot on the shard's free list.
+  static void FreeLocked(Shard& shard, Ref ref) SHEAP_REQUIRES(shard.mu);
 
   Shard shards_[kShards];
   std::atomic<uint64_t> round_robin_{0};

@@ -296,7 +296,7 @@ Status RecoveryManager::Undo(CheckpointData* data, Result* result) {
         break;
       case TxnState::kCommitted:
         // A winner missing only its end record.
-        SHEAP_RETURN_IF_ERROR(d_.finish(txn_id));
+        SHEAP_RETURN_IF_ERROR(d_.finish(txn));
         ++result->stats.winners_closed;
         break;
       default:

@@ -136,7 +136,7 @@ class RecoveryManager {
     /// StableHeap::FinishTxn). Undo ends every restored loser and winner
     /// through them, so recovery writes no CLR or end record of its own.
     std::function<Status(Txn*)> rollback;
-    std::function<Status(TxnId)> finish;
+    std::function<Status(Txn*)> finish;
   };
 
   struct Result {

@@ -52,6 +52,7 @@ struct Txn {
   Lsn last_lsn = kInvalidLsn;  // head of the backward record chain
   std::vector<TxnUpdate> updates;  // in execution order
   std::vector<TxnAlloc> allocs;
+  std::vector<Ref> handles;  // every Ref handed out; released at the end
   uint64_t begin_sequence = 0;  // age, used by deadlock victim selection
   uint64_t gtid = 0;            // global id when prepared under 2PC
 };

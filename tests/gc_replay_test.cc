@@ -271,6 +271,49 @@ TEST_P(GcReplayTest, ReopenedCollectorHoldsTheLiveState) {
   }
 }
 
+TEST_P(GcReplayTest, CompletesWithPromotionsStillPending) {
+  // The script up to its promotions, then no CollectVolatile (step 8):
+  // under kInitialValue the promoted list is still pending when the
+  // collection completes, so completion must materialize it first.
+  SimEnv env;
+  auto heap = RunTo(&env, 7);
+  ASSERT_NE(heap, nullptr);
+  ASSERT_TRUE(heap->stable_gc()->collecting());
+  for (int steps = 0; heap->stable_gc()->collecting(); ++steps) {
+    ASSERT_LT(steps, 200) << "collection does not finish";
+    const Status st = heap->StepStableCollection(1);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_TRUE(heap->pending_materializations()->empty());
+  const GcSnapshot live = Capture(heap.get());
+  ASSERT_TRUE(heap->ForceLog().ok());
+  ASSERT_TRUE(heap->SimulateCrash(CrashOptions{}).ok());
+  heap.reset();
+
+  auto reopened = StableHeap::Open(&env, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const GcSnapshot replayed = Capture(reopened->get());
+  EXPECT_FALSE(replayed.collecting);
+  EXPECT_EQ(replayed.sem.current, live.sem.current);
+  EXPECT_EQ(replayed.sem.alloc_ptr, live.sem.alloc_ptr);
+  EXPECT_EQ(replayed.root_object, live.root_object);
+  // The promoted list survived whole: six nodes from the stable root.
+  StableHeap* h = reopened->get();
+  auto txn = h->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto node = h->GetRoot(*txn, kPromotedRoot);
+  size_t length = 0;
+  for (; node.ok() && *node != kNullRef; ++length) {
+    auto payload = h->ReadScalar(*txn, *node, 0);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    EXPECT_EQ(*payload, 1000 + length);
+    node = h->ReadRef(*txn, *node, 1);
+  }
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  EXPECT_EQ(length, 6u);
+  ASSERT_TRUE(h->Commit(*txn).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, GcReplayTest,
     ::testing::Values(

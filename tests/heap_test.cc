@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "heap/handle_table.h"
 #include "heap/heap_memory.h"
 #include "heap/object.h"
@@ -217,14 +221,14 @@ TEST(HandleTableTest, CreateGetSetRelease) {
   EXPECT_EQ(*addr, 4096u);
   ASSERT_TRUE(table.Set(r, 8192).ok());
   EXPECT_EQ(*table.Get(r), 8192u);
-  ASSERT_TRUE(table.Release(r).ok());
+  ASSERT_TRUE(table.Release(r, 1).ok());
   EXPECT_TRUE(table.Get(r).status().IsInvalidArgument());
 }
 
 TEST(HandleTableTest, StaleGenerationsDetected) {
   HandleTable table;
   Ref r1 = table.Create(1, 100);
-  table.ReleaseTxn(1);
+  table.ReleaseTxn(1, {r1});
   Ref r2 = table.Create(2, 200);  // reuses the slot, bumps generation
   EXPECT_TRUE(table.Get(r1).status().IsInvalidArgument());
   EXPECT_EQ(*table.Get(r2), 200u);
@@ -235,7 +239,7 @@ TEST(HandleTableTest, ReleaseTxnOnlyDropsOwned) {
   Ref a = table.Create(1, 10);
   Ref b = table.Create(2, 20);
   Ref global = table.Create(kNoTxn, 30);
-  table.ReleaseTxn(1);
+  table.ReleaseTxn(1, {a, b, global});
   EXPECT_FALSE(table.Get(a).ok());
   EXPECT_TRUE(table.Get(b).ok());
   EXPECT_TRUE(table.Get(global).ok());
@@ -253,6 +257,144 @@ TEST(HandleTableTest, ForEachLiveAllowsRewriting) {
     EXPECT_TRUE(*a == 101 || *a == 201);
   });
   EXPECT_EQ(seen, 2u);
+}
+
+TEST(HandleTableTest, ResolveChecksTheOwner) {
+  HandleTable table;
+  Ref mine = table.Create(1, 10);
+  Ref global = table.Create(kNoTxn, 20);
+  EXPECT_EQ(*table.Resolve(mine, 1), 10u);
+  EXPECT_TRUE(table.Resolve(mine, 2).status().IsInvalidArgument());
+  EXPECT_EQ(*table.Resolve(global, 2), 20u);
+  EXPECT_TRUE(table.Resolve(kNullRef, 1).status().IsInvalidArgument());
+  // Only the owner may drop a handle.
+  EXPECT_TRUE(table.Release(mine, 2).IsInvalidArgument());
+  EXPECT_EQ(*table.Get(mine), 10u);
+  ASSERT_TRUE(table.Release(mine, 1).ok());
+  EXPECT_TRUE(table.Resolve(mine, 1).status().IsInvalidArgument());
+}
+
+// The tests below create handles in multiples of 16 (the shard count):
+// round-robin assignment then comes back to shard 0 at each multiple, so
+// the next Create there reuses shard 0's most recently freed slot.
+constexpr int kRoundRobin = 16;
+
+TEST(HandleTableTest, ReleaseTxnSkipsARefAlreadyReleased) {
+  HandleTable table;
+  std::vector<Ref> refs;
+  for (int i = 0; i < kRoundRobin; ++i) refs.push_back(table.Create(1, 8 * i));
+  ASSERT_TRUE(table.Release(refs[0], 1).ok());
+  table.ReleaseTxn(1, refs);
+  EXPECT_EQ(table.LiveCount(), 0u);
+  // Slot 0 of shard 0 went on its free list once: each new handle holds an
+  // entry of its own.
+  std::vector<Ref> next;
+  for (int i = 0; i < 2 * kRoundRobin; ++i) {
+    next.push_back(table.Create(2, 1000 + i));
+  }
+  for (int i = 0; i < 2 * kRoundRobin; ++i) {
+    EXPECT_EQ(*table.Get(next[i]), 1000u + i) << i;
+  }
+  EXPECT_EQ(table.LiveCount(), 2u * kRoundRobin);
+}
+
+TEST(HandleTableTest, SlotReusedByAnotherTransactionStaysLive) {
+  HandleTable table;
+  std::vector<Ref> first;
+  for (int i = 0; i < kRoundRobin; ++i) first.push_back(table.Create(1, i));
+  ASSERT_TRUE(table.Release(first[0], 1).ok());
+  std::vector<Ref> second;
+  for (int i = 0; i < kRoundRobin; ++i) {
+    second.push_back(table.Create(2, 100 + i));
+  }
+  // The first one reuses transaction 1's released slot (generation 2).
+  ASSERT_EQ(second.front() >> 48, 2u);
+  table.ReleaseTxn(1, first);
+  for (int i = 0; i < kRoundRobin; ++i) {
+    EXPECT_EQ(*table.Resolve(second[i], 2), 100u + i) << i;
+  }
+  EXPECT_EQ(table.LiveCount(), static_cast<size_t>(kRoundRobin));
+}
+
+TEST(HandleTableTest, SlotReusedByTheSameTransactionIsFreedOnce) {
+  HandleTable table;
+  std::vector<Ref> refs;
+  for (int i = 0; i < kRoundRobin; ++i) refs.push_back(table.Create(1, i));
+  ASSERT_TRUE(table.Release(refs[0], 1).ok());
+  for (int i = 0; i < kRoundRobin; ++i) refs.push_back(table.Create(1, i));
+  ASSERT_EQ(refs[kRoundRobin] >> 48, 2u);  // reuses the released slot
+  EXPECT_TRUE(table.Get(refs[0]).status().IsInvalidArgument());
+  table.ReleaseTxn(1, refs);
+  EXPECT_EQ(table.LiveCount(), 0u);
+  for (Ref r : refs) EXPECT_FALSE(table.Get(r).ok());
+  std::vector<Ref> next;
+  for (int i = 0; i < 2 * kRoundRobin; ++i) {
+    next.push_back(table.Create(2, 1000 + i));
+  }
+  for (int i = 0; i < 2 * kRoundRobin; ++i) {
+    EXPECT_EQ(*table.Get(next[i]), 1000u + i) << i;
+  }
+}
+
+TEST(HandleTableTest, TransactionWithoutHandlesReleasesNothing) {
+  HandleTable table;
+  Ref other = table.Create(2, 10);
+  Ref global = table.Create(kNoTxn, 20);
+  table.ReleaseTxn(1, {});
+  EXPECT_EQ(table.LiveCount(), 2u);
+  EXPECT_TRUE(table.Get(other).ok());
+  EXPECT_TRUE(table.Get(global).ok());
+}
+
+TEST(HandleTableTest, ReleasedSlotsAreReusedInScanOrder) {
+  // Three handles per shard: global indices 0..47, slot = index / 16.
+  HandleTable table;
+  std::vector<Ref> refs;
+  for (int i = 0; i < 3 * kRoundRobin; ++i) refs.push_back(table.Create(1, i));
+  // Handed over newest first: the release sorts them itself.
+  table.ReleaseTxn(1, std::vector<Ref>(refs.rbegin(), refs.rend()));
+  // Each shard's free list holds slots 0, 1, 2 pushed in ascending order,
+  // so its next three Creates pop 2, 1, 0, each at generation 2.
+  for (int k = 0; k < 3 * kRoundRobin; ++k) {
+    const uint64_t shard = k % kRoundRobin;
+    const uint64_t slot = 2 - k / kRoundRobin;
+    const Ref expected = (2ULL << 48) | (slot * kRoundRobin + shard + 1);
+    EXPECT_EQ(table.Create(2, k), expected) << k;
+  }
+}
+
+TEST(HandleTableTest, ConcurrentTransactionsReleaseOnlyTheirOwn) {
+  HandleTable table;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  constexpr int kPerRound = 40;
+  std::vector<std::thread> threads;
+  std::atomic<int> errors{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const TxnId txn = 1 + t + kThreads * round;  // one id per round
+        std::vector<Ref> refs;
+        for (int i = 0; i < kPerRound; ++i) {
+          const HeapAddr addr = 8 * (txn * kPerRound + i);
+          refs.push_back(table.Create(txn, addr));
+          auto got = table.Resolve(refs.back(), txn);
+          if (!got.ok() || *got != addr) ++errors;
+          if (i % 3 == 0 && !table.Release(refs.back(), txn).ok()) ++errors;
+        }
+        for (int i = 0; i < kPerRound; ++i) {
+          if (table.Get(refs[i]).ok() != (i % 3 != 0)) ++errors;
+        }
+        table.ReleaseTxn(txn, refs);
+        for (Ref r : refs) {
+          if (table.Get(r).ok()) ++errors;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(table.LiveCount(), 0u);
 }
 
 class HeapMemoryTest : public ::testing::Test {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/stable_heap.h"
 #include "workload/graph_gen.h"
@@ -271,6 +272,66 @@ TEST(StableHeapAllStableTest, EveryUpdateIsLogged) {
   EXPECT_EQ((*heap)->log_volume().For(RecordType::kUpdate).records,
             before + 2);
   ASSERT_TRUE((*heap)->Commit(*t).ok());
+}
+
+TEST(StableHeapHandleTest, TransactionEndFreesExactlyItsOwnHandles) {
+  SimEnv env;
+  auto opened = StableHeap::Open(&env, SmallOptions());
+  ASSERT_TRUE(opened.ok());
+  StableHeap* heap = opened->get();
+  HandleTable* table = heap->handles();
+  {
+    auto t = heap->Begin();
+    auto obj = heap->AllocateStable(*t, kClassDataArray, 1);
+    ASSERT_TRUE(obj.ok());
+    ASSERT_TRUE(heap->SetRoot(*t, 0, *obj).ok());
+    ASSERT_TRUE(heap->Commit(*t).ok());
+  }
+  const size_t baseline = table->LiveCount();
+  {
+    // Grows the table past 20,000 entries, all free again at commit.
+    auto t = heap->Begin();
+    for (int i = 0; i < 20000; ++i) ASSERT_TRUE(heap->GetRoot(*t, 0).ok());
+    EXPECT_EQ(table->LiveCount(), baseline + 20000);
+    ASSERT_TRUE(heap->Commit(*t).ok());
+    EXPECT_EQ(table->LiveCount(), baseline);
+  }
+  // A concurrent reader holds handles across every end below.
+  auto reader = heap->Begin();
+  auto held = heap->GetRoot(*reader, 0);
+  ASSERT_TRUE(held.ok());
+
+  enum class End { kCommit, kAbort, kPrepare };
+  for (End end : {End::kCommit, End::kAbort, End::kPrepare}) {
+    auto t = heap->Begin();
+    std::vector<Ref> mine;
+    for (int i = 0; i < 5; ++i) mine.push_back(*heap->GetRoot(*t, 0));
+    auto fresh = heap->Allocate(*t, kClassDataArray, 1);
+    ASSERT_TRUE(fresh.ok());
+    mine.push_back(*fresh);
+    ASSERT_TRUE(heap->ReleaseRef(*t, mine[0]).ok());
+    EXPECT_EQ(table->LiveCount(), baseline + 1 + 5);
+    switch (end) {
+      case End::kCommit:
+        ASSERT_TRUE(heap->Commit(*t).ok());
+        break;
+      case End::kAbort:
+        ASSERT_TRUE(heap->Abort(*t).ok());
+        break;
+      case End::kPrepare:
+        ASSERT_TRUE(heap->Prepare(*t, /*gtid=*/42).ok());
+        break;
+    }
+    EXPECT_EQ(table->LiveCount(), baseline + 1);
+    for (Ref r : mine) EXPECT_FALSE(heap->DebugAddrOf(r).ok());
+    EXPECT_TRUE(heap->ReadScalar(*reader, *held, 0).ok());
+    if (end == End::kPrepare) {
+      ASSERT_TRUE(heap->CommitPrepared(*t).ok());
+      EXPECT_EQ(table->LiveCount(), baseline + 1);
+    }
+  }
+  ASSERT_TRUE(heap->Commit(*reader).ok());
+  EXPECT_EQ(table->LiveCount(), baseline);
 }
 
 }  // namespace
