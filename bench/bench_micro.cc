@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "core/stable_heap.h"
+#include "heap/heap_memory.h"
 #include "storage/sim_env.h"
 
 namespace sheap {
@@ -45,6 +46,41 @@ void BM_ReadScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadScalar);
+
+// The buffer-pool pin layer alone: one HeapMemory word access to a page
+// already resident in the pool (a hit), with no heap layer above it.
+struct PoolFixture {
+  SimEnv env;
+  BufferPool pool{env.disk(), /*capacity_frames=*/16, Hooks()};
+  HeapMemory mem{&pool};
+  const HeapAddr addr = 3 * kPageSizeBytes + 8 * kWordSizeBytes;
+
+  PoolFixture() { BENCH_OK(mem.WriteWordUnlogged(addr, 1)); }
+
+  static BufferPool::Hooks Hooks() {
+    BufferPool::Hooks hooks;
+    hooks.flush_log_to = [](Lsn) { return Status::OK(); };
+    return hooks;
+  }
+};
+
+void BM_PoolReadWordHit(benchmark::State& state) {
+  PoolFixture f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(*f.mem.ReadWord(f.addr));
+  }
+}
+BENCHMARK(BM_PoolReadWordHit);
+
+void BM_PoolWriteWordLoggedHit(benchmark::State& state) {
+  PoolFixture f;
+  Lsn lsn = 0;
+  for (auto _ : state) {
+    ++lsn;
+    BENCH_OK(f.mem.WriteWordLogged(f.addr, lsn, lsn));
+  }
+}
+BENCHMARK(BM_PoolWriteWordLoggedHit);
 
 void BM_WriteScalarStable(benchmark::State& state) {
   Fixture f;

@@ -1,6 +1,7 @@
 // HeapMemory: word- and byte-granular access to the one-level store through
 // the buffer pool, with the pin/modify/mark-dirty discipline of the
-// write-ahead log protocol (paper §2.2.3).
+// write-ahead log protocol (paper §2.2.3). Each page touched is one
+// BufferPool::Access, which applies that discipline under one shard lock.
 //
 // Logged writes carry the LSN of the record describing them; the buffer pool
 // uses it to enforce the WAL constraint before write-back. Unlogged writes
@@ -50,10 +51,6 @@ class HeapMemory {
   BufferPool* pool() { return pool_; }
 
  private:
-  enum class WriteMode { kLogged, kUnlogged };
-  Status WriteBytesInternal(HeapAddr a, const uint8_t* data, uint64_t n,
-                            WriteMode mode, Lsn lsn);
-
   BufferPool* pool_;
 };
 

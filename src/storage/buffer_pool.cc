@@ -13,16 +13,6 @@ BufferPool::BufferPool(Disk* disk, size_t capacity_frames, Hooks hooks)
   SHEAP_CHECK(capacity_ > 0);
 }
 
-BufferPool::Frame* BufferPool::FramePtr(uint32_t idx) {
-  MutexLock lock(&store_mu_);
-  return &frame_store_[idx];
-}
-
-const BufferPool::Frame* BufferPool::FramePtr(uint32_t idx) const {
-  MutexLock lock(&store_mu_);
-  return &frame_store_[idx];
-}
-
 void BufferPool::BumpStat(uint64_t BufferPoolStats::*field,
                           uint64_t n) const {
   MutexLock lock(&stats_mu_);
@@ -30,41 +20,55 @@ void BufferPool::BumpStat(uint64_t BufferPoolStats::*field,
 }
 
 BufferPoolStats BufferPool::stats() const {
-  MutexLock lock(&stats_mu_);
-  return stats_;
+  BufferPoolStats s;
+  {
+    MutexLock lock(&stats_mu_);
+    s = stats_;
+  }
+  for (const Shard& shard : shards_) {
+    MutexLock lock(&shard.mu);
+    s.hits += shard.hits;
+    s.misses += shard.misses;
+  }
+  return s;
 }
 
 void BufferPool::ResetStats() {
-  MutexLock lock(&stats_mu_);
-  stats_ = BufferPoolStats();
+  {
+    MutexLock lock(&stats_mu_);
+    stats_ = BufferPoolStats();
+  }
+  for (Shard& shard : shards_) {
+    MutexLock lock(&shard.mu);
+    shard.hits = 0;
+    shard.misses = 0;
+  }
 }
 
-void BufferPool::LruPushBack(uint32_t idx) {
-  Frame& frame = *FramePtr(idx);
-  frame.lru_prev = lru_tail_;
-  frame.lru_next = kNoFrame;
-  if (lru_tail_ != kNoFrame) {
-    FramePtr(lru_tail_)->lru_next = idx;
+void BufferPool::LruPushBack(Frame* frame) {
+  frame->lru_prev = lru_tail_;
+  frame->lru_next = nullptr;
+  if (lru_tail_ != nullptr) {
+    lru_tail_->lru_next = frame;
   } else {
-    lru_head_ = idx;
+    lru_head_ = frame;
   }
-  lru_tail_ = idx;
+  lru_tail_ = frame;
 }
 
-void BufferPool::LruRemove(uint32_t idx) {
-  Frame& frame = *FramePtr(idx);
-  if (frame.lru_prev != kNoFrame) {
-    FramePtr(frame.lru_prev)->lru_next = frame.lru_next;
+void BufferPool::LruRemove(Frame* frame) {
+  if (frame->lru_prev != nullptr) {
+    frame->lru_prev->lru_next = frame->lru_next;
   } else {
-    lru_head_ = frame.lru_next;
+    lru_head_ = frame->lru_next;
   }
-  if (frame.lru_next != kNoFrame) {
-    FramePtr(frame.lru_next)->lru_prev = frame.lru_prev;
+  if (frame->lru_next != nullptr) {
+    frame->lru_next->lru_prev = frame->lru_prev;
   } else {
-    lru_tail_ = frame.lru_prev;
+    lru_tail_ = frame->lru_prev;
   }
-  frame.lru_prev = kNoFrame;
-  frame.lru_next = kNoFrame;
+  frame->lru_prev = nullptr;
+  frame->lru_next = nullptr;
 }
 
 void BufferPool::DirtyInsert(Shard* shard, const Frame& frame) {
@@ -83,46 +87,50 @@ void BufferPool::DirtyErase(Shard* shard, const Frame& frame) {
   }
 }
 
-uint32_t BufferPool::AllocateFrame() {
+BufferPool::Frame* BufferPool::AllocateFrame() {
   MutexLock lock(&store_mu_);
   if (!free_frames_.empty()) {
-    const uint32_t idx = free_frames_.back();
+    Frame* frame = free_frames_.back();
     free_frames_.pop_back();
-    return idx;
+    return frame;
   }
-  frame_store_.emplace_back();
-  return static_cast<uint32_t>(frame_store_.size() - 1);
+  return &frame_store_.emplace_back();
 }
 
-void BufferPool::ReleaseFrame(uint32_t idx) {
+void BufferPool::ReleaseFrame(Frame* frame) {
   MutexLock lock(&store_mu_);
-  frame_store_[idx] = Frame();
-  free_frames_.push_back(idx);
+  *frame = Frame();
+  free_frames_.push_back(frame);
 }
 
 StatusOr<PageImage*> BufferPool::Pin(PageId pid) {
   if (hooks_.before_pin) {
     SHEAP_RETURN_IF_ERROR(hooks_.before_pin(pid));
   }
+  return PinFrame(pid);
+}
+
+StatusOr<PageImage*> BufferPool::PinFrame(PageId pid) {
   Shard& shard = ShardFor(pid);
-  for (;;) {
+  // One hit or one miss per Pin: a lost miss race pins the published frame
+  // without counting a second time.
+  for (bool counted = false;; counted = true) {
     {
       MutexLock lock(&shard.mu);
       auto it = shard.page_to_frame.find(pid);
       if (it != shard.page_to_frame.end()) {
-        BumpStat(&BufferPoolStats::hits);
-        const uint32_t idx = it->second;
-        Frame& frame = *FramePtr(idx);
-        if (frame.pin_count == 0) {
+        if (!counted) ++shard.hits;
+        Frame* frame = it->second;
+        if (frame->pin_count == 0) {
           MutexLock lru_lock(&lru_mu_);
-          LruRemove(idx);
+          LruRemove(frame);
         }
-        ++frame.pin_count;
-        return &frame.image;
+        ++frame->pin_count;
+        return &frame->image;
       }
+      if (!counted) ++shard.misses;
     }
 
-    BumpStat(&BufferPoolStats::misses);
     // Concurrent regimes never evict: a victim could belong to another redo
     // worker's partition, or be mid-access by another mutator thread. The
     // pool transiently grows instead, exactly as it already does when every
@@ -131,40 +139,75 @@ StatusOr<PageImage*> BufferPool::Pin(PageId pid) {
       SHEAP_RETURN_IF_ERROR(MaybeEvict());
     }
 
-    const uint32_t idx = AllocateFrame();
-    Frame& frame = *FramePtr(idx);
-    frame.pid = pid;
+    Frame* frame = AllocateFrame();
+    frame->pid = pid;
     // Transient read errors (device-level, injected in the simulator) are
     // retried with bounded exponential backoff; Corruption (bit rot caught
     // by the page CRC) and other errors surface immediately.
     FaultInjector* faults = disk_->faults();
     for (uint32_t attempt = 0;; ++attempt) {
-      Status s = disk_->ReadPage(pid, &frame.image);
+      Status s = disk_->ReadPage(pid, &frame->image);
       if (s.ok()) break;
       if (!s.IsIOError() || attempt >= kMaxIoRetries) {
         if (s.IsIOError() && faults != nullptr) faults->NoteExhausted();
-        ReleaseFrame(idx);
+        ReleaseFrame(frame);
         return s;
       }
       if (faults != nullptr) faults->BackoffBeforeRetry(attempt);
     }
-    frame.pin_count = 1;
+    frame->pin_count = 1;
     bool published;
     {
       MutexLock lock(&shard.mu);
-      published = shard.page_to_frame.emplace(pid, idx).second;
+      published = shard.page_to_frame.emplace(pid, frame).second;
     }
     if (!published) {
       // Lost a same-page miss race: another mutator thread fetched and
       // published this page while we were reading it. Discard our copy and
       // pin the published frame via the hit path (the winner already
       // emitted the page-fetch notification).
-      ReleaseFrame(idx);
+      ReleaseFrame(frame);
       continue;
     }
     if (hooks_.on_page_fetch) hooks_.on_page_fetch(pid);
-    return &frame.image;
+    return &frame->image;
   }
+}
+
+Status BufferPool::AccessImage(PageId pid, AccessMode mode, Lsn lsn,
+                               void* fn_arg, void (*fn)(void*, PageImage*)) {
+  if (hooks_.before_pin) {
+    SHEAP_RETURN_IF_ERROR(hooks_.before_pin(pid));
+  }
+  // The LSN a write dirties the frame under; an unlogged write has none.
+  const Lsn dirty_lsn = mode == AccessMode::kWriteLogged ? lsn : kInvalidLsn;
+  Shard& shard = ShardFor(pid);
+  {
+    MutexLock lock(&shard.mu);
+    auto it = shard.page_to_frame.find(pid);
+    if (it != shard.page_to_frame.end()) {
+      // A hit: Pin + Unpin's net effect on the LRU is to make an unpinned
+      // frame the most recent one; a pinned frame is not in the list.
+      ++shard.hits;
+      Frame* frame = it->second;
+      if (frame->pin_count == 0) {
+        MutexLock lru_lock(&lru_mu_);
+        if (frame != lru_tail_) {
+          LruRemove(frame);
+          LruPushBack(frame);
+        }
+      }
+      fn(fn_arg, &frame->image);
+      if (mode != AccessMode::kRead) SetDirty(&shard, frame, dirty_lsn);
+      return Status::OK();
+    }
+  }
+  // A miss: the one fetch path (before_pin has already run).
+  SHEAP_ASSIGN_OR_RETURN(PageImage * image, PinFrame(pid));
+  fn(fn_arg, image);
+  if (mode != AccessMode::kRead) MarkDirty(pid, dirty_lsn);
+  Unpin(pid);
+  return Status::OK();
 }
 
 void BufferPool::Unpin(PageId pid) {
@@ -172,12 +215,21 @@ void BufferPool::Unpin(PageId pid) {
   MutexLock lock(&shard.mu);
   auto it = shard.page_to_frame.find(pid);
   SHEAP_CHECK(it != shard.page_to_frame.end());
-  Frame& frame = *FramePtr(it->second);
-  SHEAP_CHECK(frame.pin_count > 0);
-  if (--frame.pin_count == 0) {
+  Frame* frame = it->second;
+  SHEAP_CHECK(frame->pin_count > 0);
+  if (--frame->pin_count == 0) {
     MutexLock lru_lock(&lru_mu_);
-    LruPushBack(it->second);
+    LruPushBack(frame);
   }
+}
+
+void BufferPool::SetDirty(Shard* shard, Frame* frame, Lsn lsn) {
+  if (!frame->dirty) {
+    frame->dirty = true;
+    frame->rec_lsn = lsn;
+    DirtyInsert(shard, *frame);
+  }
+  frame->image.page_lsn = std::max(frame->image.page_lsn, lsn);
 }
 
 void BufferPool::MarkDirty(PageId pid, Lsn lsn) {
@@ -185,14 +237,9 @@ void BufferPool::MarkDirty(PageId pid, Lsn lsn) {
   MutexLock lock(&shard.mu);
   auto it = shard.page_to_frame.find(pid);
   SHEAP_CHECK(it != shard.page_to_frame.end());
-  Frame& frame = *FramePtr(it->second);
-  SHEAP_CHECK(frame.pin_count > 0);  // WAL protocol modifies pinned pages
-  if (!frame.dirty) {
-    frame.dirty = true;
-    frame.rec_lsn = lsn;
-    DirtyInsert(&shard, frame);
-  }
-  frame.image.page_lsn = std::max(frame.image.page_lsn, lsn);
+  // The WAL protocol modifies pinned pages.
+  SHEAP_CHECK(it->second->pin_count > 0);
+  SetDirty(&shard, it->second, lsn);
 }
 
 void BufferPool::MarkDirtyUnlogged(PageId pid) {
@@ -200,17 +247,13 @@ void BufferPool::MarkDirtyUnlogged(PageId pid) {
   MutexLock lock(&shard.mu);
   auto it = shard.page_to_frame.find(pid);
   SHEAP_CHECK(it != shard.page_to_frame.end());
-  Frame& frame = *FramePtr(it->second);
-  SHEAP_CHECK(frame.pin_count > 0);
-  if (!frame.dirty) {
-    frame.dirty = true;
-    frame.rec_lsn = kInvalidLsn;  // no log record protects this page
-    DirtyInsert(&shard, frame);
-  }
+  SHEAP_CHECK(it->second->pin_count > 0);
+  // No log record protects this page: no recLSN, page LSN unchanged.
+  SetDirty(&shard, it->second, kInvalidLsn);
 }
 
 Status BufferPool::WriteBack(PageId pid) {
-  uint32_t idx;
+  Frame* frame;
   {
     Shard& shard = ShardFor(pid);
     MutexLock lock(&shard.mu);
@@ -218,12 +261,11 @@ Status BufferPool::WriteBack(PageId pid) {
     if (it == shard.page_to_frame.end()) {
       return Status::NotFound("page not resident");
     }
-    idx = it->second;
+    frame = it->second;
   }
-  const Frame& frame = *FramePtr(idx);
-  if (frame.pin_count > 0) return Status::Busy("page pinned");
-  if (!frame.dirty) return Status::OK();
-  return WritePages({Candidate{pid, idx}}, 1);
+  if (frame->pin_count > 0) return Status::Busy("page pinned");
+  if (!frame->dirty) return Status::OK();
+  return WritePages({Candidate{pid, frame}}, 1);
 }
 
 Status BufferPool::FlushAll() {
@@ -251,9 +293,8 @@ std::vector<BufferPool::Candidate> BufferPool::DirtyCandidates() {
             [](const Candidate& a, const Candidate& b) {
               return a.pid < b.pid;
             });
-  std::erase_if(dirty, [this](const Candidate& c) {
-    return FramePtr(c.idx)->pin_count > 0;
-  });
+  std::erase_if(dirty,
+                [](const Candidate& c) { return c.frame->pin_count > 0; });
   return dirty;
 }
 
@@ -266,7 +307,7 @@ Status BufferPool::WritePages(const std::vector<Candidate>& pages,
   // log holds every record reflected in any of the images.
   Lsn max_lsn = kInvalidLsn;  // the smallest Lsn: unlogged pages add none
   for (const Candidate& c : pages) {
-    max_lsn = std::max(max_lsn, FramePtr(c.idx)->image.page_lsn);
+    max_lsn = std::max(max_lsn, c.frame->image.page_lsn);
   }
   if (max_lsn != kInvalidLsn) {
     SHEAP_CHECK(hooks_.flush_log_to != nullptr);
@@ -326,7 +367,7 @@ Status BufferPool::WriteRun(const Candidate* pages, size_t n) {
   std::vector<const PageImage*> images;
   images.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    images.push_back(&FramePtr(pages[i].idx)->image);
+    images.push_back(&pages[i].frame->image);
   }
   for (uint32_t attempt = 0;; ++attempt) {
     // Rewriting a run is idempotent: after a transient fault part-way
@@ -346,12 +387,12 @@ Status BufferPool::WriteRun(const Candidate* pages, size_t n) {
   BumpStat(&BufferPoolStats::write_backs, n);
   BumpStat(&BufferPoolStats::flush_runs);
   for (size_t i = 0; i < n; ++i) {
-    Frame& frame = *FramePtr(pages[i].idx);
+    Frame* frame = pages[i].frame;
     Shard& shard = ShardFor(pages[i].pid);
     MutexLock lock(&shard.mu);
-    DirtyErase(&shard, frame);
-    frame.dirty = false;
-    frame.rec_lsn = kInvalidLsn;
+    DirtyErase(&shard, *frame);
+    frame->dirty = false;
+    frame->rec_lsn = kInvalidLsn;
   }
   return Status::OK();
 }
@@ -389,8 +430,8 @@ void BufferPool::DropAll() {
   }
   {
     MutexLock lru_lock(&lru_mu_);
-    lru_head_ = kNoFrame;
-    lru_tail_ = kNoFrame;
+    lru_head_ = nullptr;
+    lru_tail_ = nullptr;
   }
   MutexLock store_lock(&store_mu_);
   frame_store_.clear();
@@ -399,23 +440,22 @@ void BufferPool::DropAll() {
 
 void BufferPool::DropRange(PageId first, uint64_t count) {
   for (PageId pid = first; pid < first + count; ++pid) {
-    uint32_t idx;
+    Frame* frame;
     {
       Shard& shard = ShardFor(pid);
       MutexLock lock(&shard.mu);
       auto it = shard.page_to_frame.find(pid);
       if (it == shard.page_to_frame.end()) continue;
-      idx = it->second;
-      Frame& frame = *FramePtr(idx);
-      SHEAP_CHECK(frame.pin_count == 0);
-      if (frame.dirty) DirtyErase(&shard, frame);
+      frame = it->second;
+      SHEAP_CHECK(frame->pin_count == 0);
+      if (frame->dirty) DirtyErase(&shard, *frame);
       shard.page_to_frame.erase(it);
     }
     {
       MutexLock lru_lock(&lru_mu_);
-      LruRemove(idx);
+      LruRemove(frame);
     }
-    ReleaseFrame(idx);
+    ReleaseFrame(frame);
   }
 }
 
@@ -432,21 +472,14 @@ void BufferPool::EndConcurrent() {
   // determined the order frames were unpinned in, and later eviction
   // decisions must not depend on it (determinism contract).
   MutexLock lru_lock(&lru_mu_);
-  std::vector<std::pair<PageId, uint32_t>> entries;
-  for (uint32_t idx = lru_head_; idx != kNoFrame;) {
-    Frame& frame = *FramePtr(idx);
-    entries.emplace_back(frame.pid, idx);
-    idx = frame.lru_next;
+  std::vector<std::pair<PageId, Frame*>> entries;
+  for (Frame* frame = lru_head_; frame != nullptr; frame = frame->lru_next) {
+    entries.emplace_back(frame->pid, frame);
   }
   std::sort(entries.begin(), entries.end());
-  lru_head_ = kNoFrame;
-  lru_tail_ = kNoFrame;
-  for (const auto& [pid, idx] : entries) {
-    Frame& frame = *FramePtr(idx);
-    frame.lru_prev = kNoFrame;
-    frame.lru_next = kNoFrame;
-    LruPushBack(idx);
-  }
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
+  for (const auto& [pid, frame] : entries) LruPushBack(frame);
 }
 
 bool BufferPool::IsResident(PageId pid) const {
@@ -463,23 +496,19 @@ bool BufferPool::IsDirty(PageId pid) const {
 
 uint32_t BufferPool::PinCount(PageId pid) const {
   const Shard& shard = ShardFor(pid);
-  uint32_t idx;
+  const Frame* frame;
   {
     MutexLock lock(&shard.mu);
     auto it = shard.page_to_frame.find(pid);
     if (it == shard.page_to_frame.end()) return 0;
-    idx = it->second;
+    frame = it->second;
   }
-  return FramePtr(idx)->pin_count;
+  return frame->pin_count;
 }
 
 size_t BufferPool::ResidentCount() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    n += shard.page_to_frame.size();
-  }
-  return n;
+  MutexLock lock(&store_mu_);
+  return frame_store_.size() - free_frames_.size();
 }
 
 size_t BufferPool::DirtyCount() const {
@@ -503,18 +532,16 @@ Status BufferPool::MaybeEvict() {
   // pool grows past capacity rather than fail; the paper's protocols pin
   // only briefly, so this is a transient condition. Serial contexts only:
   // the lru peek below is not revalidated.
-  uint32_t idx;
-  PageId pid;
+  Frame* frame;
   {
     MutexLock lru_lock(&lru_mu_);
-    if (lru_head_ == kNoFrame) return Status::OK();
-    idx = lru_head_;
-    pid = FramePtr(idx)->pid;
+    if (lru_head_ == nullptr) return Status::OK();
+    frame = lru_head_;
   }
+  const PageId pid = frame->pid;
   BumpStat(&BufferPoolStats::evict_probe_steps);
-  Frame& frame = *FramePtr(idx);
-  if (frame.dirty) {
-    SHEAP_RETURN_IF_ERROR(WritePages({Candidate{pid, idx}}, 1));
+  if (frame->dirty) {
+    SHEAP_RETURN_IF_ERROR(WritePages({Candidate{pid, frame}}, 1));
   }
   BumpStat(&BufferPoolStats::evictions);
   {
@@ -524,9 +551,9 @@ Status BufferPool::MaybeEvict() {
   }
   {
     MutexLock lru_lock(&lru_mu_);
-    LruRemove(idx);
+    LruRemove(frame);
   }
-  ReleaseFrame(idx);
+  ReleaseFrame(frame);
   return Status::OK();
 }
 

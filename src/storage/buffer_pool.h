@@ -21,17 +21,23 @@
 // lanes the runs are spread over.
 //
 // Hot-path complexity: frames live in a stable-address store with a free
-// list; an intrusive doubly-linked LRU holds ONLY unpinned frames, so
-// eviction pops its head in O(1) with no pinned-frame skipping; a dirty
-// index (page -> recLSN) makes DirtyPages(), checkpoint snapshots, and
-// write-back selection O(dirty) instead of O(frames); a multiset of recLSNs
-// gives the checkpoint truncation floor in O(1).
+// list and are addressed by pointer everywhere (page map, LRU links, free
+// list, write-back candidates); an intrusive doubly-linked LRU holds ONLY
+// unpinned frames, so eviction pops its head in O(1) with no pinned-frame
+// skipping; a dirty index (page -> recLSN) makes DirtyPages(), checkpoint
+// snapshots, and write-back selection O(dirty) instead of O(frames); a
+// multiset of recLSNs gives the checkpoint truncation floor in O(1). A
+// short access through Access() that hits costs one shard lock, one page
+// lookup and at most one LRU relink (DESIGN.md §5c, "One shard lock per
+// pool hit").
 //
-// Thread safety: the page map and dirty index are sharded by page hash with
-// a mutex per shard; the LRU links, frame store and stats each have their
-// own mutex (lock rank: shard < lru < store < stats, never two shards
-// at once — see DESIGN.md §5e). The discipline is machine-checked: every
-// guarded field carries SHEAP_GUARDED_BY, lock-held helpers carry
+// Thread safety: the page map, dirty index and hit/miss counters are
+// sharded by page hash with a mutex per shard; the LRU links, the frame
+// store's growth + free list, and the remaining stats each have their own
+// mutex. A shard lock may be held while taking the LRU lock; the store and
+// stats locks are taken with no other pool lock held. Never two shards at
+// once (see DESIGN.md §5e for the ranks). The discipline is machine-checked:
+// every guarded field carries SHEAP_GUARDED_BY, lock-held helpers carry
 // SHEAP_REQUIRES, and a clang build rejects violations at compile time.
 // Two concurrent regimes are supported:
 //  * parallel redo (BeginConcurrent/EndConcurrent): recovery workers call
@@ -119,6 +125,25 @@ class BufferPool {
   /// Release one pin.
   void Unpin(PageId pid);
 
+  /// What a short access does to the frame's dirty state: nothing (a read),
+  /// MarkDirty's rule under the access's LSN, or MarkDirtyUnlogged's rule.
+  enum class AccessMode { kRead, kWriteLogged, kWriteUnlogged };
+
+  /// Run `fn(PageImage*)` on the page's image: the pool primitive behind
+  /// every HeapMemory word and byte access. Its effect is that of Pin, fn,
+  /// the mode's MarkDirty rule (with `lsn` for kWriteLogged) and Unpin:
+  /// before_pin fires once, outside any lock; one hit or miss is counted;
+  /// an unpinned frame becomes the LRU's most recent. A hit takes the
+  /// page's shard lock once and runs `fn` under it, so `fn` must be short
+  /// and must not call into the pool. A miss goes through Pin's fetch path.
+  template <typename Fn>
+  Status Access(PageId pid, Fn fn, AccessMode mode = AccessMode::kRead,
+                Lsn lsn = kInvalidLsn) {
+    return AccessImage(pid, mode, lsn, &fn, [](void* f, PageImage* image) {
+      (*static_cast<Fn*>(f))(image);
+    });
+  }
+
   /// Record that the (pinned) frame was modified under `lsn`; sets the page
   /// LSN and, if the frame was clean, its recovery LSN.
   void MarkDirty(PageId pid, Lsn lsn);
@@ -180,18 +205,21 @@ class BufferPool {
   bool IsResident(PageId pid) const;
   bool IsDirty(PageId pid) const;
   uint32_t PinCount(PageId pid) const;
-  size_t ResidentCount() const;
+  /// Frames holding a page: allocated minus free. Equal to the number of
+  /// resident pages whenever no miss is between its fetch and its publish,
+  /// which always holds in the serial contexts where eviction runs.
+  size_t ResidentCount() const SHEAP_EXCLUDES(store_mu_);
   size_t DirtyCount() const;
   /// Frames on the reusable free list (allocated but unoccupied).
   size_t FreeFrameCount() const;
 
-  /// Snapshot of the counters (copied under the stats lock; concurrent
-  /// regimes may be bumping them).
+  /// Snapshot of the counters (hits and misses summed over the shards,
+  /// the rest copied under the stats lock; concurrent regimes may be
+  /// bumping them).
   BufferPoolStats stats() const SHEAP_EXCLUDES(stats_mu_);
   void ResetStats() SHEAP_EXCLUDES(stats_mu_);
 
  private:
-  static constexpr uint32_t kNoFrame = UINT32_MAX;
   static constexpr uint32_t kShards = 16;
 
   struct Frame {
@@ -201,20 +229,21 @@ class BufferPool {
     bool dirty = false;
     Lsn rec_lsn = kInvalidLsn;  // LSN of first record dirtying this frame
     // Intrusive LRU links; in the list only while resident and unpinned.
-    uint32_t lru_prev = kNoFrame;
-    uint32_t lru_next = kNoFrame;
+    Frame* lru_prev = nullptr;
+    Frame* lru_next = nullptr;
   };
 
-  /// One lock's worth of the page map + dirty index. Page-ordered maps keep
-  /// per-shard iteration deterministic; cross-shard snapshots merge-sort.
-  /// `mu` is rank 1 (lowest): it may be held while taking lru/store/stats,
-  /// never the other way, and never two shards at once.
+  /// One lock's worth of the page map + dirty index + hit/miss counters.
+  /// Page-ordered maps keep per-shard iteration deterministic; cross-shard
+  /// snapshots merge-sort. `mu` is the pool's lowest rank: the only pool
+  /// lock taken under it is lru_mu_, and never two shards at once.
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<PageId, uint32_t> page_to_frame
-        SHEAP_GUARDED_BY(mu);
+    std::unordered_map<PageId, Frame*> page_to_frame SHEAP_GUARDED_BY(mu);
     std::map<PageId, Lsn> dirty SHEAP_GUARDED_BY(mu);  // page -> recLSN
     std::multiset<Lsn> dirty_rec_lsns SHEAP_GUARDED_BY(mu);
+    uint64_t hits SHEAP_GUARDED_BY(mu) = 0;
+    uint64_t misses SHEAP_GUARDED_BY(mu) = 0;
   };
 
   static uint32_t ShardIndex(PageId pid) {
@@ -224,17 +253,29 @@ class BufferPool {
   Shard& ShardFor(PageId pid) { return shards_[ShardIndex(pid)]; }
   const Shard& ShardFor(PageId pid) const { return shards_[ShardIndex(pid)]; }
 
-  /// Resolve a frame index to its stable address. The deque never moves
-  /// elements, but concurrent growth races with naked indexing, so the
-  /// lookup itself takes store_mu_. Frame *contents* are not capability-
-  /// guarded: pin_count/dirty/image are protected by the pin discipline and
-  /// the partition confinement of the concurrent regimes (DESIGN.md §5e).
-  Frame* FramePtr(uint32_t idx) SHEAP_EXCLUDES(store_mu_);
-  const Frame* FramePtr(uint32_t idx) const SHEAP_EXCLUDES(store_mu_);
+  // Frames are addressed by pointer: the deque never moves its elements,
+  // so a Frame* stays valid until the frame is released. Frame *contents*
+  // are not capability-guarded: pin_count/dirty/image are protected by the
+  // pin discipline, the shard lock on the Access hit path, and the
+  // partition confinement of the concurrent regimes (DESIGN.md §5e).
+
+  /// Pin's body after the before_pin gate: look the page up (a hit) or
+  /// fetch and publish it (a miss), and pin it.
+  StatusOr<PageImage*> PinFrame(PageId pid);
+
+  /// Access's body; `fn(fn_arg, image)` is the caller's callable.
+  Status AccessImage(PageId pid, AccessMode mode, Lsn lsn, void* fn_arg,
+                     void (*fn)(void*, PageImage*));
+
+  /// The one dirty-marking rule: a clean frame becomes dirty with recLSN
+  /// `lsn` (kInvalidLsn for an unlogged write), and the page LSN becomes
+  /// max(page LSN, lsn).
+  void SetDirty(Shard* shard, Frame* frame, Lsn lsn)
+      SHEAP_REQUIRES(shard->mu);
 
   // Unpinned-LRU list maintenance (O(1) each).
-  void LruPushBack(uint32_t idx) SHEAP_REQUIRES(lru_mu_);
-  void LruRemove(uint32_t idx) SHEAP_REQUIRES(lru_mu_);
+  void LruPushBack(Frame* frame) SHEAP_REQUIRES(lru_mu_);
+  void LruRemove(Frame* frame) SHEAP_REQUIRES(lru_mu_);
 
   // Dirty-index maintenance (O(log dirty) each).
   void DirtyInsert(Shard* shard, const Frame& frame)
@@ -242,8 +283,8 @@ class BufferPool {
   void DirtyErase(Shard* shard, const Frame& frame)
       SHEAP_REQUIRES(shard->mu);
 
-  uint32_t AllocateFrame() SHEAP_EXCLUDES(store_mu_);
-  void ReleaseFrame(uint32_t idx) SHEAP_EXCLUDES(store_mu_);
+  Frame* AllocateFrame() SHEAP_EXCLUDES(store_mu_);
+  void ReleaseFrame(Frame* frame) SHEAP_EXCLUDES(store_mu_);
 
   void BumpStat(uint64_t BufferPoolStats::*field, uint64_t n = 1) const
       SHEAP_EXCLUDES(stats_mu_);
@@ -256,7 +297,7 @@ class BufferPool {
   /// A dirty, unpinned frame chosen for write-back.
   struct Candidate {
     PageId pid = 0;
-    uint32_t idx = kNoFrame;
+    Frame* frame = nullptr;
   };
 
   /// The dirty, unpinned frames in ascending page order — the one scan of
@@ -282,20 +323,21 @@ class BufferPool {
   /// Mutated only from quiescent contexts; read (relaxed) on the Pin path.
   std::atomic<uint32_t> concurrent_depth_{0};
 
-  // Rank 3: frame_store_ growth + free list. Leaf-ward of shard.mu and
-  // lru_mu_ (FramePtr runs under either).
+  // frame_store_ growth + free list: taken only on a miss or a release,
+  // with no other pool lock held.
   mutable Mutex store_mu_ SHEAP_ACQUIRED_AFTER(lru_mu_);
   /// Stable addresses; slots are reused.
   std::deque<Frame> frame_store_ SHEAP_GUARDED_BY(store_mu_);
-  std::vector<uint32_t> free_frames_ SHEAP_GUARDED_BY(store_mu_);
+  std::vector<Frame*> free_frames_ SHEAP_GUARDED_BY(store_mu_);
 
   Shard shards_[kShards];
 
-  mutable Mutex lru_mu_;  // rank 2: the unpinned-LRU links
-  uint32_t lru_head_ SHEAP_GUARDED_BY(lru_mu_) = kNoFrame;  // least recent
-  uint32_t lru_tail_ SHEAP_GUARDED_BY(lru_mu_) = kNoFrame;  // most recent
+  mutable Mutex lru_mu_;  // the unpinned-LRU links; taken under a shard lock
+  Frame* lru_head_ SHEAP_GUARDED_BY(lru_mu_) = nullptr;  // least recent
+  Frame* lru_tail_ SHEAP_GUARDED_BY(lru_mu_) = nullptr;  // most recent
 
-  mutable Mutex stats_mu_ SHEAP_ACQUIRED_AFTER(store_mu_);  // rank 4: leaf
+  // Every counter but hits/misses (those live in the shards); a leaf.
+  mutable Mutex stats_mu_ SHEAP_ACQUIRED_AFTER(store_mu_);
   mutable BufferPoolStats stats_ SHEAP_GUARDED_BY(stats_mu_);
 };
 

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "fault/fault_injector.h"
+#include "heap/heap_memory.h"
 #include "storage/buffer_pool.h"
 #include "storage/sim_disk.h"
 #include "storage/sim_env.h"
@@ -576,6 +583,341 @@ TEST(WriteBackPipelineTest, ExhaustedRetriesLeaveTheRunDirty) {
     ASSERT_TRUE(env.disk()->ReadPage(3, &img).ok());
     EXPECT_EQ(img.ReadWord(0), 0u);
   }
+}
+
+// ---- HeapMemory's short accesses (BufferPool::Access) ----
+
+// One step of a scripted mix of HeapMemory accesses.
+struct AccessOp {
+  enum Kind {
+    kReadWord, kWriteLogged, kWriteUnlogged,
+    kReadBytes, kWriteBytesLogged, kWriteBytesUnlogged,
+    kPin, kUnpin,  // hold a pin across later accesses, as ScanPage does
+  };
+  Kind kind;
+  HeapAddr addr;
+  uint64_t n_bytes = 0;  // byte ops; may cross a page boundary
+  uint64_t value = 0;
+  Lsn lsn = kInvalidLsn;
+};
+
+constexpr PageId kScriptPages = 12;  // three times the pool below
+constexpr size_t kScriptPool = 4;
+
+std::vector<AccessOp> AccessScript() {
+  Rng rng(42);
+  std::vector<AccessOp> ops;
+  Lsn lsn = 100;
+  for (int i = 0; i < 600; ++i) {
+    AccessOp op{};
+    op.kind = static_cast<AccessOp::Kind>(rng.Uniform(6));
+    // Skewed toward low pages, so both hits and evictions happen.
+    const PageId pid = rng.Bernoulli(0.6) ? rng.Uniform(3)
+                                          : rng.Uniform(kScriptPages - 1);
+    op.addr = pid * kPageSizeBytes + rng.Uniform(kWordsPerPage) *
+                                         kWordSizeBytes;
+    op.n_bytes = (1 + rng.Uniform(kWordsPerPage)) * kWordSizeBytes;
+    op.value = rng.Next();
+    op.lsn = lsn += 1 + rng.Uniform(3);
+    if (i == 150) ops.push_back({AccessOp::kPin, 5 * kPageSizeBytes});
+    if (i == 400) ops.push_back({AccessOp::kUnpin, 5 * kPageSizeBytes});
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+// A pool over its own simulated disk, with every hook recording.
+struct ScriptPool {
+  explicit ScriptPool(size_t capacity)
+      : pool(env.disk(), capacity, Hooks()) {}
+
+  BufferPool::Hooks Hooks() {
+    BufferPool::Hooks hooks;
+    hooks.flush_log_to = [this](Lsn lsn) {
+      flushes.push_back(lsn);
+      return Status::OK();
+    };
+    hooks.on_page_fetch = [this](PageId p) { fetches.push_back(p); };
+    hooks.on_end_write = [this](PageId p) { end_writes.push_back(p); };
+    hooks.before_pin = [this](PageId) {
+      ++before_pins;
+      return Status::OK();
+    };
+    return hooks;
+  }
+
+  std::vector<PageId> Resident() const {
+    std::vector<PageId> out;
+    for (PageId p = 0; p < kScriptPages; ++p) {
+      if (pool.IsResident(p)) out.push_back(p);
+    }
+    return out;
+  }
+
+  SimEnv env;
+  BufferPool pool;
+  std::vector<Lsn> flushes;
+  std::vector<PageId> fetches;
+  std::vector<PageId> end_writes;
+  uint64_t before_pins = 0;
+};
+
+// The explicit per-page discipline — Pin, touch the image,
+// MarkDirty(Unlogged), Unpin, one page chunk at a time: the reference
+// the Access path must match.
+Status PinnedAccess(BufferPool* pool, const AccessOp& op,
+                    std::vector<uint8_t>* bytes, uint64_t* word) {
+  const bool logged = op.kind == AccessOp::kWriteLogged ||
+                      op.kind == AccessOp::kWriteBytesLogged;
+  const bool unlogged = op.kind == AccessOp::kWriteUnlogged ||
+                        op.kind == AccessOp::kWriteBytesUnlogged;
+  const bool word_op = op.kind <= AccessOp::kWriteUnlogged;
+  const uint64_t n = word_op ? kWordSizeBytes : op.n_bytes;
+  for (uint64_t done = 0; done < n;) {
+    const PageId pid = PageOf(op.addr + done);
+    const uint32_t off = OffsetInPage(op.addr + done);
+    const uint64_t chunk = std::min<uint64_t>(n - done, kPageSizeBytes - off);
+    SHEAP_ASSIGN_OR_RETURN(PageImage * image, pool->Pin(pid));
+    if (word_op) {
+      if (op.kind == AccessOp::kReadWord) {
+        *word = image->ReadWord(off / kWordSizeBytes);
+      } else {
+        image->WriteWord(off / kWordSizeBytes, op.value);
+      }
+    } else if (op.kind == AccessOp::kReadBytes) {
+      std::memcpy(bytes->data() + done, image->data.data() + off, chunk);
+    } else {
+      std::memcpy(image->data.data() + off, bytes->data() + done, chunk);
+    }
+    if (logged) pool->MarkDirty(pid, op.lsn);
+    if (unlogged) pool->MarkDirtyUnlogged(pid);
+    pool->Unpin(pid);
+    done += chunk;
+  }
+  return Status::OK();
+}
+
+Status HeapAccess(HeapMemory* mem, const AccessOp& op,
+                  std::vector<uint8_t>* bytes, uint64_t* word) {
+  switch (op.kind) {
+    case AccessOp::kReadWord: {
+      SHEAP_ASSIGN_OR_RETURN(*word, mem->ReadWord(op.addr));
+      return Status::OK();
+    }
+    case AccessOp::kWriteLogged:
+      return mem->WriteWordLogged(op.addr, op.value, op.lsn);
+    case AccessOp::kWriteUnlogged:
+      return mem->WriteWordUnlogged(op.addr, op.value);
+    case AccessOp::kReadBytes:
+      return mem->ReadBytes(op.addr, op.n_bytes, bytes->data());
+    case AccessOp::kWriteBytesLogged:
+      return mem->WriteBytesLogged(op.addr, bytes->data(), op.n_bytes,
+                                   op.lsn);
+    case AccessOp::kWriteBytesUnlogged:
+      return mem->WriteBytesUnlogged(op.addr, bytes->data(), op.n_bytes);
+    case AccessOp::kPin:
+    case AccessOp::kUnpin:
+      break;
+  }
+  return Status::Internal("not an access");
+}
+
+TEST(HeapMemoryAccessTest, MatchesPinUnpinMarkDirtyExactly) {
+  ScriptPool heap_side(kScriptPool);
+  ScriptPool pin_side(kScriptPool);
+  HeapMemory mem(&heap_side.pool);
+  uint64_t accesses = 0;
+  std::vector<std::vector<PageId>> heap_victims, pin_victims;
+  auto step = [](ScriptPool* side, std::vector<std::vector<PageId>>* victims,
+                 auto&& run) {
+    const std::vector<PageId> before = side->Resident();
+    run();
+    const std::vector<PageId> after = side->Resident();
+    std::vector<PageId> gone;
+    std::set_difference(before.begin(), before.end(), after.begin(),
+                        after.end(), std::back_inserter(gone));
+    victims->push_back(gone);
+  };
+  for (const AccessOp& op : AccessScript()) {
+    if (op.kind == AccessOp::kPin || op.kind == AccessOp::kUnpin) {
+      for (ScriptPool* side : {&heap_side, &pin_side}) {
+        if (op.kind == AccessOp::kPin) {
+          ASSERT_TRUE(side->pool.Pin(PageOf(op.addr)).ok());
+        } else {
+          side->pool.Unpin(PageOf(op.addr));
+        }
+      }
+      continue;
+    }
+    const bool bytes_op = op.kind >= AccessOp::kReadBytes;
+    accesses += bytes_op && PageOf(op.addr) != PageOf(op.addr + op.n_bytes - 1)
+                    ? 2
+                    : 1;
+    std::vector<uint8_t> heap_bytes(op.n_bytes), pin_bytes(op.n_bytes);
+    for (size_t i = 0; i < op.n_bytes; ++i) {
+      heap_bytes[i] = pin_bytes[i] = static_cast<uint8_t>(op.value >> (i % 8));
+    }
+    uint64_t heap_word = 0, pin_word = 0;
+    step(&heap_side, &heap_victims, [&] {
+      ASSERT_TRUE(HeapAccess(&mem, op, &heap_bytes, &heap_word).ok());
+    });
+    step(&pin_side, &pin_victims, [&] {
+      ASSERT_TRUE(
+          PinnedAccess(&pin_side.pool, op, &pin_bytes, &pin_word).ok());
+    });
+    ASSERT_EQ(heap_word, pin_word);
+    ASSERT_EQ(heap_bytes, pin_bytes);
+  }
+
+  // Same victims in the same order, same notifications and WAL forces.
+  EXPECT_EQ(heap_victims, pin_victims);
+  EXPECT_EQ(heap_side.fetches, pin_side.fetches);
+  EXPECT_EQ(heap_side.end_writes, pin_side.end_writes);
+  EXPECT_EQ(heap_side.flushes, pin_side.flushes);
+  EXPECT_EQ(heap_side.before_pins, pin_side.before_pins);
+  EXPECT_EQ(heap_side.before_pins, accesses + 1);  // + the script's Pin
+
+  const BufferPoolStats hs = heap_side.pool.stats();
+  const BufferPoolStats ps = pin_side.pool.stats();
+  EXPECT_EQ(hs.hits, ps.hits);
+  EXPECT_EQ(hs.misses, ps.misses);
+  EXPECT_EQ(hs.evictions, ps.evictions);
+  EXPECT_EQ(hs.evict_probe_steps, ps.evict_probe_steps);
+  EXPECT_EQ(hs.write_backs, ps.write_backs);
+  EXPECT_EQ(hs.hits + hs.misses, accesses + 1);
+  EXPECT_GT(hs.hits, 0u);
+  EXPECT_GT(hs.evictions, 0u);
+  EXPECT_EQ(heap_side.pool.DirtyPages(), pin_side.pool.DirtyPages());
+  EXPECT_FALSE(heap_side.pool.DirtyPages().empty());
+
+  // Same page images and page LSNs, resident or evicted.
+  ASSERT_TRUE(heap_side.pool.FlushAll().ok());
+  ASSERT_TRUE(pin_side.pool.FlushAll().ok());
+  for (PageId p = 0; p < kScriptPages; ++p) {
+    PageImage heap_img, pin_img;
+    ASSERT_TRUE(heap_side.env.disk()->ReadPage(p, &heap_img).ok());
+    ASSERT_TRUE(pin_side.env.disk()->ReadPage(p, &pin_img).ok());
+    EXPECT_EQ(heap_img.page_lsn, pin_img.page_lsn) << p;
+    EXPECT_TRUE(heap_img.data == pin_img.data) << p;
+  }
+}
+
+TEST(HeapMemoryAccessTest, BeforePinFiresOncePerAccess) {
+  ScriptPool side(/*capacity=*/2);
+  std::vector<PageId> gated;
+  bool in_gate = false;
+  BufferPool::Hooks hooks = side.Hooks();
+  hooks.before_pin = [&](PageId p) {
+    if (in_gate) return Status::OK();  // its own Pin re-enters the gate
+    gated.push_back(p);
+    // The gate may pin the page itself (instant redo does).
+    in_gate = true;
+    auto frame = side.pool.Pin(p);
+    in_gate = false;
+    if (!frame.ok()) return frame.status();
+    side.pool.Unpin(p);
+    return Status::OK();
+  };
+  side.pool.SetHooks(hooks);
+  HeapMemory mem(&side.pool);
+  const HeapAddr page1 = 1 * kPageSizeBytes;
+  const HeapAddr page2 = 2 * kPageSizeBytes;
+
+  ASSERT_TRUE(mem.WriteWordLogged(page1, 7, 10).ok());  // gate's pin missed
+  ASSERT_TRUE(mem.ReadWord(page1).ok());                // hit
+  ASSERT_TRUE(mem.WriteWordUnlogged(page2, 8).ok());    // gate's pin missed
+  EXPECT_EQ(gated, (std::vector<PageId>{1, 1, 2}));
+  // A byte range over pages 2..3 is one access per page: page 3 is a miss
+  // inside the access itself (the gate no longer pins after this point).
+  hooks.before_pin = [&](PageId p) {
+    gated.push_back(p);
+    return p == 9 ? Status::IOError("gate refuses page 9") : Status::OK();
+  };
+  side.pool.SetHooks(hooks);
+  std::vector<uint8_t> buf(2 * kWordSizeBytes, 0xab);
+  ASSERT_TRUE(mem.WriteBytesLogged(4 * kPageSizeBytes - kWordSizeBytes,
+                                   buf.data(), buf.size(), 11)
+                  .ok());
+  ASSERT_TRUE(mem.ReadBytes(page2, kWordSizeBytes, buf.data()).ok());
+  EXPECT_EQ(gated, (std::vector<PageId>{1, 1, 2, 3, 4, 2}));
+  // A failing gate fails the access before the page is looked up.
+  const uint64_t misses = side.pool.stats().misses;
+  EXPECT_TRUE(mem.ReadWord(9 * kPageSizeBytes).status().IsIOError());
+  EXPECT_FALSE(side.pool.IsResident(9));
+  EXPECT_EQ(side.pool.stats().misses, misses);
+}
+
+TEST(HeapMemoryAccessTest, ConcurrentAccessesCountAndPersist) {
+  SimEnv env;
+  BufferPool::Hooks hooks;
+  hooks.flush_log_to = [](Lsn) { return Status::OK(); };
+  BufferPool pool(env.disk(), /*capacity_frames=*/8, hooks);
+  HeapMemory mem(&pool);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 400;
+  constexpr PageId kShared = 3;  // pages 0..2, every thread
+  // Thread t owns words [t * 64, t * 64 + 64) of each shared page and all
+  // of pages kShared + 2t and kShared + 2t + 1.
+  auto shared_addr = [](int t, int i) {
+    return (i % kShared) * kPageSizeBytes +
+           (t * 64 + i % 64) * kWordSizeBytes;
+  };
+  auto own_addr = [](int t, int i) {
+    return (kShared + 2 * t + i % 2) * kPageSizeBytes +
+           (i % kWordsPerPage) * kWordSizeBytes;
+  };
+  auto value = [](int t, int i) { return uint64_t(t) << 32 | uint64_t(i); };
+
+  pool.BeginConcurrent();
+  pool.ResetStats();
+  std::atomic<uint64_t> accesses{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t n = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        const Lsn lsn = 1 + i;
+        if (!mem.WriteWordLogged(shared_addr(t, i), value(t, i), lsn).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!mem.WriteWordUnlogged(own_addr(t, i), value(t, i)).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        auto shared = mem.ReadWord(shared_addr(t, i));
+        auto own = mem.ReadWord(own_addr(t, i));
+        if (!shared.ok() || *shared != value(t, i) || !own.ok() ||
+            *own != value(t, i)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        n += 4;
+      }
+      accesses.fetch_add(n, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  pool.EndConcurrent();
+
+  EXPECT_EQ(failures.load(), 0);
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, accesses.load());
+  // At least one miss per page (two threads may race on a shared page's
+  // miss), and no eviction while concurrent.
+  EXPECT_GE(s.misses, kShared + 2 * kThreads);
+  EXPECT_EQ(s.evictions, 0u);
+  // Every thread's last write to each of its words reads back.
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = kRounds - 128; i < kRounds; ++i) {
+      EXPECT_EQ(*mem.ReadWord(shared_addr(t, i)), value(t, i));
+    }
+    for (int i = 0; i < kRounds; ++i) {  // kRounds < kWordsPerPage
+      EXPECT_EQ(*mem.ReadWord(own_addr(t, i)), value(t, i));
+    }
+  }
+  for (PageId p = 0; p < kShared; ++p) {
+    EXPECT_TRUE(pool.IsDirty(p));
+  }
+  EXPECT_EQ(pool.DirtyPages().front().second, 1u);  // recLSN: first write
 }
 
 }  // namespace
