@@ -26,8 +26,16 @@ Ref HandleTable::Create(TxnId owner, HeapAddr addr) {
   ++e.generation;
   e.in_use = true;
   const uint64_t index = static_cast<uint64_t>(local) * kShards + si;
-  // Ref layout: [63:48] generation, [47:0] global index+1.
+  // Ref layout: [63:48] generation, [47:0] global index+1, whose tag bits
+  // [47:40] must stay clear (see Ref).
+  SHEAP_CHECK(index + 1 < (1ULL << kTagShift));
   return (static_cast<uint64_t>(e.generation) << kIndexBits) | (index + 1);
+}
+
+Ref HandleTable::Tag(Ref ref, uint32_t tag) {
+  SHEAP_CHECK(tag < kMaxTags && TagOf(ref) == 0);
+  if (ref == kNullRef) return kNullRef;
+  return ref | (static_cast<uint64_t>(tag) << kTagShift);
 }
 
 HandleTable::Entry* HandleTable::LookupLocked(Shard& shard, Ref ref) {

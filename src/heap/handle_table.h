@@ -38,6 +38,13 @@ namespace sheap {
 
 /// Opaque reference to a heap object, valid until its owning transaction
 /// ends (or forever for owner 0 = heap-global handles). 0 is the null Ref.
+///
+/// Layout: [63:48] generation, [47:0] global index+1. Create keeps
+/// index+1 below 2^40, so bits [47:40] of a Ref the table hands out are
+/// always zero: they hold an 8-bit tag that a routing layer above the
+/// table may set (ShardedHeap stores the owning shard there) and must
+/// strip with HandleTable::Untag before passing the Ref back. The null
+/// Ref is never tagged.
 using Ref = uint64_t;
 constexpr Ref kNullRef = 0;
 
@@ -99,6 +106,16 @@ class HandleTable {
 
   size_t LiveCount() const;
 
+  /// Tags a routing layer can store in a Ref's bits [47:40].
+  static constexpr uint32_t kMaxTags = 1u << 8;
+  /// `ref` (untagged) with `tag` (< kMaxTags) in its tag bits; null stays
+  /// null.
+  static Ref Tag(Ref ref, uint32_t tag);
+  static uint32_t TagOf(Ref ref) {
+    return static_cast<uint32_t>((ref & kTagMask) >> kTagShift);
+  }
+  static Ref Untag(Ref ref) { return ref & ~kTagMask; }
+
  private:
   struct Entry {
     HeapAddr addr = kNullAddr;
@@ -110,6 +127,10 @@ class HandleTable {
   static constexpr uint32_t kShards = 16;
   static constexpr uint64_t kIndexBits = 48;
   static constexpr uint64_t kIndexMask = (1ULL << kIndexBits) - 1;
+  /// index+1 stays below 2^kTagShift; the bits above it, up to the
+  /// generation, are the tag.
+  static constexpr uint64_t kTagShift = 40;
+  static constexpr uint64_t kTagMask = kIndexMask & ~((1ULL << kTagShift) - 1);
 
   /// A Ref's global index g decomposes as shard g % kShards, slot
   /// g / kShards; Create assigns g round-robin so single-mutator index

@@ -10,17 +10,6 @@ namespace sheap {
 
 namespace {
 
-// GRef layout mirrors the local handle table: 48-bit table index above a
-// 16-bit generation. Generations start at 1, so a live GRef is never 0.
-constexpr int kGGenBits = 16;
-constexpr uint64_t kGGenMask = (1ull << kGGenBits) - 1;
-
-uint64_t GIndexOf(GRef ref) { return ref >> kGGenBits; }
-uint16_t GGenOf(GRef ref) { return static_cast<uint16_t>(ref & kGGenMask); }
-GRef MakeGRef(uint64_t index, uint16_t gen) {
-  return (index << kGGenBits) | gen;
-}
-
 // Field-wise accumulation for the rolled-up view. Every counter sums;
 // time-to-open maxes separately (the caller keeps sum and max).
 void AddHeapStats(HeapStats* total, const HeapStats& s) {
@@ -85,6 +74,10 @@ StatusOr<std::unique_ptr<ShardedHeap>> ShardedHeap::Open(
     const ShardedHeapOptions& options) {
   if (options.shards == 0) {
     return Status::InvalidArgument("sharded heap needs >= 1 shard");
+  }
+  if (options.shards > HandleTable::kMaxTags) {
+    // A GRef carries its shard in the local Ref's tag bits.
+    return Status::InvalidArgument("sharded heap allows at most 256 shards");
   }
   if (shard_envs.size() != options.shards) {
     return Status::InvalidArgument("shard env count != shard count");
@@ -171,52 +164,18 @@ StatusOr<TxnId> ShardedHeap::BranchFor(GTxn* txn, uint32_t shard) {
   return txn->branch[shard];
 }
 
-StatusOr<const ShardedHeap::GHandle*> ShardedHeap::Resolve(const GTxn* txn,
-                                                           GRef ref) const {
-  const uint64_t idx = GIndexOf(ref);
-  if (ref == kNullGRef || idx >= ghandles_.size()) {
+StatusOr<ShardedHeap::Routed> ShardedHeap::Route(const GTxn* txn,
+                                                 GRef ref) const {
+  const uint32_t shard = HandleTable::TagOf(ref);
+  // Every GRef `txn` holds came from its branch on the GRef's shard, so a
+  // shard without a branch means a foreign or corrupt GRef. Rejecting it
+  // before BranchFor keeps a bad GRef from turning a single-shard commit
+  // into 2PC.
+  if (ref == kNullGRef || shard >= shards_.size() ||
+      txn->branch[shard] == kNoTxn) {
     return Status::InvalidArgument("bad global ref");
   }
-  const GHandle& h = ghandles_[idx];
-  if (!h.in_use || h.generation != GGenOf(ref)) {
-    return Status::InvalidArgument("stale global ref");
-  }
-  if (h.owner != txn->id) {
-    return Status::InvalidArgument("global ref owned by another transaction");
-  }
-  return &h;
-}
-
-GRef ShardedHeap::Wrap(GTxn* txn, uint32_t shard, Ref local) {
-  if (local == kNullRef) return kNullGRef;
-  uint64_t idx;
-  if (!gfree_.empty()) {
-    idx = gfree_.back();
-    gfree_.pop_back();
-  } else {
-    idx = ghandles_.size();
-    ghandles_.emplace_back();
-  }
-  GHandle& h = ghandles_[idx];
-  h.shard = shard;
-  h.local = local;
-  h.owner = txn->id;
-  h.in_use = true;
-  return MakeGRef(idx, h.generation);
-}
-
-void ShardedHeap::EndGTxn(GTxnId id) {
-  for (uint64_t i = 0; i < ghandles_.size(); ++i) {
-    GHandle& h = ghandles_[i];
-    if (h.in_use && h.owner == id) {
-      h.in_use = false;
-      h.local = kNullRef;
-      ++h.generation;
-      if (h.generation == 0) h.generation = 1;  // skip the null pattern
-      gfree_.push_back(i);
-    }
-  }
-  gtxns_.erase(id);
+  return Routed{shard, txn->branch[shard], HandleTable::Untag(ref)};
 }
 
 // ---------------------------------------------------------------- schema
@@ -243,7 +202,6 @@ StatusOr<GTxnId> ShardedHeap::Begin() {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   const GTxnId id = next_gtxn_++;
   GTxn txn;
-  txn.id = id;
   txn.branch.assign(shards_.size(), kNoTxn);
   gtxns_.emplace(id, std::move(txn));
   return id;
@@ -253,26 +211,23 @@ Status ShardedHeap::Commit(GTxnId gtxn) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
 
-  // Gather the participants (shards with a local branch).
-  std::vector<uint32_t> parts;
-  for (uint32_t s : txn->touched) {
-    if (txn->branch[s] != kNoTxn) parts.push_back(s);
-  }
-
-  if (parts.empty()) {
+  // The participants are the touched shards: each has a local branch, and
+  // each branch frees its own handles (the GTxn's GRefs) when it ends, so
+  // ending the GTxn only drops its entry.
+  if (txn->touched.empty()) {
     ++empty_commits_;
-    EndGTxn(gtxn);
+    gtxns_.erase(gtxn);
     return Status::OK();
   }
 
-  if (parts.size() == 1) {
+  if (txn->touched.size() == 1) {
     // Single-shard fast path: the plain StableHeap commit, including its
     // group-commit Busy retry protocol (the GTxn survives Busy).
-    const uint32_t s = parts.front();
+    const uint32_t s = txn->touched.front();
     Status st = shards_[s]->Commit(txn->branch[s]);
     if (st.IsBusy()) return st;  // the GTxn survives Busy; caller retries
     if (st.ok()) ++single_shard_commits_;
-    EndGTxn(gtxn);
+    gtxns_.erase(gtxn);
     return st;
   }
 
@@ -280,18 +235,15 @@ Status ShardedHeap::Commit(GTxnId gtxn) {
   // record; participant prepare/commit records ride each shard's
   // group-commit batches.
   std::vector<TwoPhaseCoordinator::Branch> branches;
-  branches.reserve(parts.size());
-  for (uint32_t s : parts) {
+  branches.reserve(txn->touched.size());
+  for (uint32_t s : txn->touched) {
     branches.push_back({shards_[s].get(), txn->branch[s]});
   }
   auto committed = coordinator_->CommitDistributed(branches);
-  if (!committed.ok()) {
-    // Injected crash or I/O failure mid-protocol: the GTxn is done as far
-    // as this process is concerned; recovery owns the outcome now.
-    EndGTxn(gtxn);
-    return committed.status();
-  }
-  EndGTxn(gtxn);
+  // On an injected crash or I/O failure mid-protocol the GTxn is done as
+  // far as this process is concerned; recovery owns the outcome now.
+  gtxns_.erase(gtxn);
+  if (!committed.ok()) return committed.status();
   if (!*committed) {
     ++cross_shard_aborts_;
     return Status::Aborted("cross-shard transaction lost the prepare round");
@@ -305,11 +257,10 @@ Status ShardedHeap::Abort(GTxnId gtxn) {
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
   Status first = Status::OK();
   for (uint32_t s : txn->touched) {
-    if (txn->branch[s] == kNoTxn) continue;
     Status st = shards_[s]->Abort(txn->branch[s]);
     if (!st.ok() && first.ok()) first = st;
   }
-  EndGTxn(gtxn);
+  gtxns_.erase(gtxn);
   return first;
 }
 
@@ -333,72 +284,58 @@ StatusOr<GRef> ShardedHeap::AllocateOn(GTxnId gtxn, uint32_t shard,
   SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, shard));
   SHEAP_ASSIGN_OR_RETURN(Ref ref,
                          shards_[shard]->Allocate(local, cls, nslots));
-  return Wrap(txn, shard, ref);
+  return HandleTable::Tag(ref, shard);
 }
 
 StatusOr<uint64_t> ShardedHeap::ReadScalar(GTxnId gtxn, GRef ref,
                                            uint64_t slot) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
-  SHEAP_ASSIGN_OR_RETURN(const GHandle* h, Resolve(txn, ref));
-  SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, h->shard));
-  return shards_[h->shard]->ReadScalar(local, h->local, slot);
+  SHEAP_ASSIGN_OR_RETURN(Routed r, Route(txn, ref));
+  return shards_[r.shard]->ReadScalar(r.branch, r.local, slot);
 }
 
 StatusOr<GRef> ShardedHeap::ReadRef(GTxnId gtxn, GRef ref, uint64_t slot) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
-  SHEAP_ASSIGN_OR_RETURN(const GHandle* h, Resolve(txn, ref));
-  const uint32_t shard = h->shard;
-  SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, shard));
+  SHEAP_ASSIGN_OR_RETURN(Routed r, Route(txn, ref));
   SHEAP_ASSIGN_OR_RETURN(Ref out,
-                         shards_[shard]->ReadRef(local, h->local, slot));
-  return Wrap(txn, shard, out);
+                         shards_[r.shard]->ReadRef(r.branch, r.local, slot));
+  return HandleTable::Tag(out, r.shard);
 }
 
 Status ShardedHeap::WriteScalar(GTxnId gtxn, GRef ref, uint64_t slot,
                                 uint64_t value) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
-  SHEAP_ASSIGN_OR_RETURN(const GHandle* h, Resolve(txn, ref));
-  SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, h->shard));
-  return shards_[h->shard]->WriteScalar(local, h->local, slot, value);
+  SHEAP_ASSIGN_OR_RETURN(Routed r, Route(txn, ref));
+  return shards_[r.shard]->WriteScalar(r.branch, r.local, slot, value);
 }
 
 Status ShardedHeap::WriteRef(GTxnId gtxn, GRef ref, uint64_t slot,
                              GRef target) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
-  SHEAP_ASSIGN_OR_RETURN(const GHandle* h, Resolve(txn, ref));
+  SHEAP_ASSIGN_OR_RETURN(Routed r, Route(txn, ref));
   Ref local_target = kNullRef;
   if (target != kNullGRef) {
-    SHEAP_ASSIGN_OR_RETURN(const GHandle* t, Resolve(txn, target));
-    if (t->shard != h->shard) {
+    SHEAP_ASSIGN_OR_RETURN(Routed t, Route(txn, target));
+    if (t.shard != r.shard) {
       // The object graph is shard-local by construction: a pointer cannot
       // name an address in another shard's address space. Spanning
       // structures hang off per-shard roots instead.
       return Status::InvalidArgument("cross-shard pointer rejected");
     }
-    local_target = t->local;
+    local_target = t.local;
   }
-  SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, h->shard));
-  return shards_[h->shard]->WriteRef(local, h->local, slot, local_target);
+  return shards_[r.shard]->WriteRef(r.branch, r.local, slot, local_target);
 }
 
 Status ShardedHeap::ReleaseRef(GTxnId gtxn, GRef ref) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   SHEAP_ASSIGN_OR_RETURN(GTxn * txn, FindGTxn(gtxn));
-  SHEAP_ASSIGN_OR_RETURN(const GHandle* h, Resolve(txn, ref));
-  const uint64_t idx = GIndexOf(ref);
-  SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, h->shard));
-  SHEAP_RETURN_IF_ERROR(shards_[h->shard]->ReleaseRef(local, h->local));
-  GHandle& mut = ghandles_[idx];
-  mut.in_use = false;
-  mut.local = kNullRef;
-  ++mut.generation;
-  if (mut.generation == 0) mut.generation = 1;
-  gfree_.push_back(idx);
-  return Status::OK();
+  SHEAP_ASSIGN_OR_RETURN(Routed r, Route(txn, ref));
+  return shards_[r.shard]->ReleaseRef(r.branch, r.local);
 }
 
 // ----------------------------------------------------------------- roots
@@ -410,12 +347,12 @@ Status ShardedHeap::SetRoot(GTxnId gtxn, uint64_t index, GRef target) {
   const uint64_t local_slot = index / shards_.size();
   Ref local_target = kNullRef;
   if (target != kNullGRef) {
-    SHEAP_ASSIGN_OR_RETURN(const GHandle* t, Resolve(txn, target));
-    if (t->shard != shard) {
+    SHEAP_ASSIGN_OR_RETURN(Routed t, Route(txn, target));
+    if (t.shard != shard) {
       return Status::InvalidArgument(
           "root and target route to different shards");
     }
-    local_target = t->local;
+    local_target = t.local;
   }
   SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, shard));
   return shards_[shard]->SetRoot(local, local_slot, local_target);
@@ -428,7 +365,7 @@ StatusOr<GRef> ShardedHeap::GetRoot(GTxnId gtxn, uint64_t index) {
   const uint64_t local_slot = index / shards_.size();
   SHEAP_ASSIGN_OR_RETURN(TxnId local, BranchFor(txn, shard));
   SHEAP_ASSIGN_OR_RETURN(Ref out, shards_[shard]->GetRoot(local, local_slot));
-  return Wrap(txn, shard, out);
+  return HandleTable::Tag(out, shard);
 }
 
 // ---------------------------------------------------------------- control
@@ -461,8 +398,6 @@ Status ShardedHeap::SimulateCrashAll(const CrashOptions& crash_options) {
   SHEAP_RETURN_IF_ERROR(CheckUsable());
   usable_ = false;
   gtxns_.clear();
-  ghandles_.clear();
-  gfree_.clear();
   for (uint32_t i = 0; i < shards_.size(); ++i) {
     CrashOptions per_shard = crash_options;
     per_shard.seed = crash_options.seed + i;

@@ -8,11 +8,15 @@
 //
 //   * roots: global root index r lives on shard r % N, local slot r / N
 //     (round-robin striping, so adding load spreads evenly), and
-//   * objects: a global Ref (GRef) encodes which shard owns the object;
-//     object operations route on it. Cross-shard *pointers* are rejected
-//     (a WriteRef whose target lives on another shard than the object) —
-//     the object graph stays shard-local; spanning data structures hang
-//     off per-shard roots and cross-shard *transactions*.
+//   * objects: a global Ref (GRef) is the owning shard's local Ref with
+//     the shard index in the Ref's tag bits (HandleTable::Tag); object
+//     operations route on the tag to the transaction's branch on that
+//     shard, whose own handle table does the generation and owner checks.
+//     There is no second handle table: a GRef dies with the branch that
+//     was handed it. Cross-shard *pointers* are rejected (a WriteRef whose
+//     target lives on another shard than the object) — the object graph
+//     stays shard-local; spanning data structures hang off per-shard
+//     roots and cross-shard *transactions*.
 //
 // Transactions are global: a GTxn lazily opens a local transaction on each
 // shard at first touch. Commit dispatches on the participant count:
@@ -43,6 +47,7 @@
 #include "common/statusor.h"
 #include "core/stable_heap.h"
 #include "dtx/two_phase.h"
+#include "heap/handle_table.h"
 #include "storage/sim_env.h"
 
 namespace sheap {
@@ -51,14 +56,17 @@ namespace sheap {
 using GTxnId = uint64_t;
 constexpr GTxnId kNoGTxn = 0;
 
-/// Global object reference: shard-qualified, generation-checked. 0 is the
-/// null GRef. GRefs are owned by the GTxn that created them and die with
-/// it, exactly like local Refs.
+/// Global object reference: the owning shard's local Ref, tagged with the
+/// shard index (HandleTable::Tag), so it is generation- and owner-checked
+/// by that shard's handle table. 0 is the null GRef. A GRef belongs to
+/// the GTxn's branch on its shard and dies with it, exactly like a local
+/// Ref.
 using GRef = uint64_t;
 constexpr GRef kNullGRef = 0;
 
 struct ShardedHeapOptions {
-  /// Number of shards (>= 1). Fixed for the lifetime of the heap image:
+  /// Number of shards, 1 to HandleTable::kMaxTags (a GRef carries its
+  /// shard in a Ref's tag bits). Fixed for the lifetime of the heap image:
   /// routing is arithmetic on this count, so reopening with a different
   /// count would scramble the root striping.
   uint32_t shards = 1;
@@ -183,19 +191,18 @@ class ShardedHeap {
 
  private:
   struct GTxn {
-    GTxnId id = kNoGTxn;
     /// Local transaction per shard; kNoTxn where untouched.
     std::vector<TxnId> branch;
     /// Shards in first-touch order; front() is the home shard.
     std::vector<uint32_t> touched;
   };
 
-  struct GHandle {
+  /// A GRef decoded for one transaction: its shard, the transaction's
+  /// branch there and the shard-local Ref.
+  struct Routed {
     uint32_t shard = 0;
+    TxnId branch = kNoTxn;
     Ref local = kNullRef;
-    GTxnId owner = kNoGTxn;
-    uint16_t generation = 1;
-    bool in_use = false;
   };
 
   ShardedHeap(std::vector<std::unique_ptr<StableHeap>> shards,
@@ -206,12 +213,10 @@ class ShardedHeap {
   StatusOr<GTxn*> FindGTxn(GTxnId id);
   /// Lazily begin the local transaction on `shard` (first touch).
   StatusOr<TxnId> BranchFor(GTxn* txn, uint32_t shard);
-  /// Decode a GRef owned by `txn` into (shard, local Ref).
-  StatusOr<const GHandle*> Resolve(const GTxn* txn, GRef ref) const;
-  /// Wrap a local Ref into a txn-owned GRef (null stays null).
-  GRef Wrap(GTxn* txn, uint32_t shard, Ref local);
-  /// Drop the transaction's global handles and bookkeeping.
-  void EndGTxn(GTxnId id);
+  /// Decode `ref` for `txn`. InvalidArgument, opening no branch, if the
+  /// GRef is null or names a shard `txn` has no branch on; the branch's
+  /// handle table checks the rest when the shard uses the local Ref.
+  StatusOr<Routed> Route(const GTxn* txn, GRef ref) const;
 
   std::vector<std::unique_ptr<StableHeap>> shards_;
   std::unique_ptr<TwoPhaseCoordinator> coordinator_;
@@ -220,9 +225,6 @@ class ShardedHeap {
 
   GTxnId next_gtxn_ = 1;
   std::unordered_map<GTxnId, GTxn> gtxns_;
-
-  std::vector<GHandle> ghandles_;
-  std::vector<uint64_t> gfree_;  // free indices in ghandles_
 
   // Commit-path counters (see ShardedHeapStats).
   uint64_t single_shard_commits_ = 0;

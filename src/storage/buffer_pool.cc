@@ -99,7 +99,15 @@ BufferPool::Frame* BufferPool::AllocateFrame() {
 
 void BufferPool::ReleaseFrame(Frame* frame) {
   MutexLock lock(&store_mu_);
-  *frame = Frame();
+  // Reset the metadata only: the one reuse of a free frame is a miss, and
+  // its successful Disk::ReadPage overwrites the whole image (a failed read
+  // releases the frame again), so zeroing 4 KiB here would never be read.
+  frame->pid = 0;
+  frame->pin_count = 0;
+  frame->dirty = false;
+  frame->rec_lsn = kInvalidLsn;
+  frame->lru_prev = nullptr;
+  frame->lru_next = nullptr;
   free_frames_.push_back(frame);
 }
 

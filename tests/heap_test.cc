@@ -274,6 +274,30 @@ TEST(HandleTableTest, ResolveChecksTheOwner) {
   EXPECT_TRUE(table.Resolve(mine, 1).status().IsInvalidArgument());
 }
 
+TEST(HandleTableTest, TagsRoundTripAndLeaveTheLocalRefIntact) {
+  HandleTable table;
+  const Ref r = table.Create(1, 4096);
+  // A Ref the table hands out is untagged, and resolves as it always did.
+  EXPECT_EQ(HandleTable::TagOf(r), 0u);
+  EXPECT_EQ(HandleTable::Untag(r), r);
+  EXPECT_EQ(*table.Resolve(r, 1), 4096u);
+  for (uint32_t tag : {0u, HandleTable::kMaxTags - 1}) {
+    const Ref tagged = HandleTable::Tag(r, tag);
+    EXPECT_EQ(HandleTable::TagOf(tagged), tag);
+    EXPECT_EQ(HandleTable::Untag(tagged), r);
+    // The tag sits between the index and the generation; neither moves.
+    EXPECT_EQ(tagged >> 48, r >> 48);
+    EXPECT_EQ(tagged & ((1ULL << 40) - 1), r & ((1ULL << 40) - 1));
+    EXPECT_EQ(*table.Resolve(HandleTable::Untag(tagged), 1), 4096u);
+  }
+  EXPECT_EQ(HandleTable::Tag(r, 0), r);
+  // A tagged Ref is not a Ref of this table until the tag is stripped.
+  EXPECT_TRUE(table.Get(HandleTable::Tag(r, 255)).status().IsInvalidArgument());
+  // The null Ref is never tagged.
+  EXPECT_EQ(HandleTable::Tag(kNullRef, 255), kNullRef);
+  EXPECT_EQ(HandleTable::TagOf(kNullRef), 0u);
+}
+
 // The tests below create handles in multiples of 16 (the shard count):
 // round-robin assignment then comes back to shard 0 at each multiple, so
 // the next Create there reuses shard 0's most recently freed slot.

@@ -342,6 +342,168 @@ TEST(ShardedHeapTest, StaleGRefsAreRejected) {
   EXPECT_TRUE(heap->Abort(t2).ok());
 }
 
+// Pointer slot 0, scalar slots 1..3.
+std::vector<bool> PtrThenScalars() { return {true, false, false, false}; }
+
+TEST(ShardedHeapTest, ForeignGRefOnAnUntouchedShardOpensNoBranch) {
+  Cluster cluster;
+  auto heap = std::move(*cluster.Open(BaseOptions()));
+  auto cls = heap->RegisterClass(PtrThenScalars());
+  ASSERT_TRUE(cls.ok());
+
+  GTxnId owner = *heap->Begin();
+  GRef theirs = *heap->AllocateOn(owner, 1, *cls, 4);
+  ASSERT_TRUE(heap->WriteScalar(owner, theirs, 1, 5).ok());
+
+  GTxnId caller = *heap->Begin();
+  GRef mine = *heap->AllocateOn(caller, 0, *cls, 4);
+  const ShardedHeapStats before = heap->stats();
+  // Every use names shard 1, where the caller has no branch: each is
+  // rejected before a branch opens there.
+  EXPECT_TRUE(heap->ReadScalar(caller, theirs, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->ReadRef(caller, theirs, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteScalar(caller, theirs, 1, 7).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteRef(caller, theirs, 0, kNullGRef).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteRef(caller, mine, 0, theirs).IsInvalidArgument());
+  EXPECT_TRUE(heap->ReleaseRef(caller, theirs).IsInvalidArgument());
+  // Root index 1 routes to shard 1, the target's shard.
+  ASSERT_EQ(heap->ShardOfRoot(1), 1u);
+  EXPECT_TRUE(heap->SetRoot(caller, 1, theirs).IsInvalidArgument());
+
+  ASSERT_TRUE(heap->WriteScalar(caller, mine, 1, 1).ok());
+  ASSERT_TRUE(heap->CommitSync(caller).ok());
+  const ShardedHeapStats after = heap->stats();
+  EXPECT_EQ(after.single_shard_commits, before.single_shard_commits + 1);
+  EXPECT_EQ(after.cross_shard_commits, before.cross_shard_commits);
+
+  // The owner's GRef is untouched by the rejected uses.
+  EXPECT_EQ(*heap->ReadScalar(owner, theirs, 1), 5u);
+  EXPECT_TRUE(heap->Abort(owner).ok());
+}
+
+TEST(ShardedHeapTest, ForeignGRefOnASharedShardFailsTheOwnerCheck) {
+  Cluster cluster;
+  auto heap = std::move(*cluster.Open(BaseOptions()));
+  auto cls = heap->RegisterClass(PtrThenScalars());
+  ASSERT_TRUE(cls.ok());
+
+  GTxnId owner = *heap->Begin();
+  GRef theirs = *heap->AllocateOn(owner, 1, *cls, 4);
+  ASSERT_TRUE(heap->WriteScalar(owner, theirs, 1, 5).ok());
+
+  // The caller holds a branch on shard 1 too, so the GRef routes; the
+  // branch's own handle table rejects a handle another branch owns.
+  GTxnId caller = *heap->Begin();
+  GRef mine = *heap->AllocateOn(caller, 1, *cls, 4);
+  EXPECT_TRUE(heap->ReadScalar(caller, theirs, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->ReadRef(caller, theirs, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteScalar(caller, theirs, 1, 7).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteRef(caller, mine, 0, theirs).IsInvalidArgument());
+  EXPECT_TRUE(heap->ReleaseRef(caller, theirs).IsInvalidArgument());
+  EXPECT_TRUE(heap->SetRoot(caller, 1, theirs).IsInvalidArgument());
+  // The caller's own GRef on the same shard works.
+  EXPECT_TRUE(heap->WriteRef(caller, mine, 0, mine).ok());
+  EXPECT_TRUE(heap->Abort(caller).ok());
+
+  EXPECT_EQ(*heap->ReadScalar(owner, theirs, 1), 5u);
+  EXPECT_TRUE(heap->CommitSync(owner).ok());
+}
+
+TEST(ShardedHeapTest, ReleasedAndEndedGRefsDieAlone) {
+  Cluster cluster;
+  auto heap = std::move(*cluster.Open(BaseOptions()));
+  auto cls = heap->RegisterClass(PtrThenScalars());
+  ASSERT_TRUE(cls.ok());
+
+  GTxnId t = *heap->Begin();
+  GRef obj = *heap->AllocateOn(t, 2, *cls, 4);
+  GRef keep = *heap->AllocateOn(t, 2, *cls, 4);
+  ASSERT_TRUE(heap->ReleaseRef(t, obj).ok());
+  EXPECT_TRUE(heap->ReadScalar(t, obj, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->ReadRef(t, obj, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteScalar(t, obj, 1, 1).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteRef(t, obj, 0, kNullGRef).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteRef(t, keep, 0, obj).IsInvalidArgument());
+  EXPECT_TRUE(heap->SetRoot(t, 2, obj).IsInvalidArgument());
+  EXPECT_TRUE(heap->ReleaseRef(t, obj).IsInvalidArgument());
+  EXPECT_TRUE(heap->WriteScalar(t, keep, 1, 1).ok());
+  EXPECT_TRUE(heap->Abort(t).ok());
+
+  // One object per shard, each pointing at itself.
+  GTxnId setup = *heap->Begin();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    GRef o = *heap->AllocateOn(setup, s, *cls, 4);
+    ASSERT_TRUE(heap->WriteRef(setup, o, 0, o).ok());
+    ASSERT_TRUE(heap->WriteScalar(setup, o, 1, 100 + s).ok());
+    ASSERT_TRUE(heap->SetRoot(setup, s, o).ok());
+  }
+  ASSERT_TRUE(heap->CommitSync(setup).ok());
+
+  // A survivor holds GRefs on every shard, made before, between and after
+  // a big transaction's; the big one ends holding 20,000 GRefs.
+  GTxnId survivor = *heap->Begin();
+  GTxnId big = *heap->Begin();
+  std::vector<GRef> kept;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    kept.push_back(*heap->GetRoot(survivor, s));
+  }
+  std::vector<GRef> roots;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    roots.push_back(*heap->GetRoot(big, s));
+  }
+  constexpr int kBigGRefs = 20000;
+  for (int i = static_cast<int>(kShards); i < kBigGRefs; ++i) {
+    auto r = heap->ReadRef(big, roots[i % kShards], 0);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (i % 5000 == 0) {
+      kept.push_back(*heap->ReadRef(survivor, kept[i % kShards], 0));
+    }
+  }
+  ASSERT_TRUE(heap->Abort(big).ok());
+  for (uint32_t s = 0; s < kShards; ++s) {
+    kept.push_back(*heap->GetRoot(survivor, s));
+  }
+  for (size_t i = 0; i < kept.size(); ++i) {
+    auto v = heap->ReadScalar(survivor, kept[i], 1);
+    ASSERT_TRUE(v.ok()) << i << ": " << v.status().ToString();
+    EXPECT_GE(*v, 100u);
+    EXPECT_LT(*v, 100u + kShards);
+  }
+  // The big transaction's GRefs died with it.
+  EXPECT_TRUE(
+      heap->ReadScalar(survivor, roots[1], 1).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->CommitSync(survivor).ok());
+}
+
+TEST(ShardedHeapTest, NullSlotsOnEveryShardReadAsNullGRef) {
+  Cluster cluster;
+  auto heap = std::move(*cluster.Open(BaseOptions()));
+  auto cls = heap->RegisterClass(PtrThenScalars());
+  ASSERT_TRUE(cls.ok());
+  GTxnId t = *heap->Begin();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(*heap->GetRoot(t, s), kNullGRef) << s;
+    GRef o = *heap->AllocateOn(t, s, *cls, 4);
+    EXPECT_EQ(*heap->ReadRef(t, o, 0), kNullGRef) << s;
+  }
+  EXPECT_TRUE(heap->Abort(t).ok());
+}
+
+TEST(ShardedHeapTest, OpenRejectsMoreShardsThanTags) {
+  constexpr uint32_t kTooMany = HandleTable::kMaxTags + 1;
+  std::vector<std::unique_ptr<SimEnv>> owned;
+  std::vector<SimEnv*> envs;
+  for (uint32_t i = 0; i < kTooMany; ++i) {
+    owned.push_back(std::make_unique<SimEnv>());
+    envs.push_back(owned.back().get());
+  }
+  SimEnv coord;
+  ShardedHeapOptions opts = BaseOptions();
+  opts.shards = kTooMany;
+  auto heap = ShardedHeap::Open(envs, &coord, opts);
+  EXPECT_TRUE(heap.status().IsInvalidArgument()) << heap.status().ToString();
+}
+
 TEST(ShardedHeapTest, WorkloadIsDeterministic) {
   // Sanity for the matrix below: the crashed image itself is reproducible.
   ShardedHeapOptions opts = BaseOptions();
