@@ -162,19 +162,10 @@ Status StableHeap::InitializeImpl() {
       log_.get(), env_->log(), pool_.get(), txns_.get(), stable_gc_.get(),
       spaces_.get(), &utt_, &types_, env_->clock(),
       std::move(format_payload));
-  // Initial-value records of pending (unmaterialized) promotions must
-  // survive log truncation until the physical move happens; likewise,
-  // under instant recovery, every record a not-yet-redone page still needs.
-  checkpointer_->extra_keep_floor = [this]() {
-    Lsn floor = pending_.OldestLsn();
-    if (instant_) {
-      const Lsn gate = instant_->MinPendingRecLsn();
-      if (gate != kInvalidLsn && (floor == kInvalidLsn || gate < floor)) {
-        floor = gate;
-      }
-    }
-    return floor;
-  };
+  // Pending (unmaterialized) promotions' pages exist only in their
+  // initial-value records, and under instant recovery a not-yet-redone
+  // page only in the records the gate still holds: both are DPT rows, so
+  // the checkpoint keeps the log they need.
   checkpointer_->extra_dirty_pages =
       [this]() -> std::vector<std::pair<PageId, Lsn>> {
     std::vector<std::pair<PageId, Lsn>> out;
@@ -659,8 +650,7 @@ Status StableHeap::AbortPrepared(TxnId txn_id) {
 std::vector<std::pair<TxnId, uint64_t>> StableHeap::InDoubtTransactions()
     const {
   std::vector<std::pair<TxnId, uint64_t>> out;
-  auto* txns = const_cast<TxnManager*>(txns_.get());
-  for (Txn* txn : txns->ActiveTxns()) {
+  for (const Txn* txn : txns_->ActiveTxns()) {
     if (txn->state == TxnState::kPrepared) {
       out.emplace_back(txn->id, txn->gtid);
     }

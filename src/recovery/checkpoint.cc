@@ -1,7 +1,6 @@
 #include "recovery/checkpoint.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 
@@ -9,64 +8,75 @@ namespace sheap {
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x53484350;  // "SHCP"
-}  // namespace
 
-void EncodeCheckpointPayload(
-    const BufferPool& pool, const TxnManager& txns, const AtomicGc& gc,
-    const SpaceManager& spaces, const UndoTranslationTable& utt,
-    const TypeRegistry& types, const std::vector<uint8_t>& format_payload,
-    const std::vector<std::pair<PageId, Lsn>>& extra_dirty,
-    std::vector<uint8_t>* out) {
-  Encoder enc(out);
-  enc.PutU32(kCheckpointMagic);
-  enc.PutLengthPrefixed(format_payload.data(), format_payload.size());
-
-  // Dirty-page table (precise snapshot plus logically-dirty pages;
-  // recLSN per page, minimum when both sources list a page).
-  std::map<PageId, Lsn> dirty;
+// The pool's dirty frames plus the logically dirty pages, at the per-page
+// minimum valid recLSN when both list a page.
+DirtyPageTable SnapshotDirtyPages(
+    const BufferPool& pool,
+    const std::vector<std::pair<PageId, Lsn>>& extra_dirty) {
+  DirtyPageTable dpt;
   for (const auto& [page, rec_lsn] : pool.DirtyPages()) {
-    dirty[page] = rec_lsn;
+    dpt[page] = rec_lsn;
   }
   for (const auto& [page, rec_lsn] : extra_dirty) {
-    auto [it, fresh] = dirty.emplace(page, rec_lsn);
+    auto [it, fresh] = dpt.emplace(page, rec_lsn);
     if (!fresh && rec_lsn != kInvalidLsn &&
         (it->second == kInvalidLsn || rec_lsn < it->second)) {
       it->second = rec_lsn;
     }
   }
-  enc.PutVarint(dirty.size());
-  for (const auto& [page, rec_lsn] : dirty) {
-    enc.PutVarint(page);
-    enc.PutVarint(rec_lsn);
-  }
+  return dpt;
+}
 
-  // Active-transaction table.
-  auto* mutable_txns = const_cast<TxnManager*>(&txns);
-  auto active = mutable_txns->ActiveTxns();
-  enc.PutVarint(active.size());
-  for (const Txn* t : active) {
-    enc.PutVarint(t->id);
-    uint8_t status;
+ActiveTxnTable SnapshotActiveTxns(const TxnManager& txns) {
+  ActiveTxnTable att;
+  for (const Txn* t : txns.ActiveTxns()) {
+    AttEntry& e = att[t->id];
     switch (t->state) {
       case TxnState::kCommitted:
       case TxnState::kCommitting:
-        status = static_cast<uint8_t>(AttStatus::kCommitted);
+        e.status = AttStatus::kCommitted;
         break;
       case TxnState::kAborting:
       case TxnState::kAborted:
-        status = static_cast<uint8_t>(AttStatus::kAborting);
+        e.status = AttStatus::kAborting;
         break;
       case TxnState::kPrepared:
-        status = static_cast<uint8_t>(AttStatus::kPrepared);
+        e.status = AttStatus::kPrepared;
         break;
       default:
-        status = static_cast<uint8_t>(AttStatus::kActive);
+        e.status = AttStatus::kActive;
     }
-    enc.PutU8(status);
-    enc.PutVarint(t->first_lsn);
-    enc.PutVarint(t->last_lsn);
+    e.first_lsn = t->first_lsn;
+    e.last_lsn = t->last_lsn;
   }
-  enc.PutVarint(mutable_txns->next_txn_id());
+  return att;
+}
+
+}  // namespace
+
+void EncodeCheckpointPayload(
+    const DirtyPageTable& dpt, const ActiveTxnTable& att, TxnId next_txn_id,
+    const AtomicGc& gc, const SpaceManager& spaces,
+    const UndoTranslationTable& utt, const TypeRegistry& types,
+    const std::vector<uint8_t>& format_payload, std::vector<uint8_t>* out) {
+  Encoder enc(out);
+  enc.PutU32(kCheckpointMagic);
+  enc.PutLengthPrefixed(format_payload.data(), format_payload.size());
+
+  enc.PutVarint(dpt.size());
+  for (const auto& [page, rec_lsn] : dpt) {
+    enc.PutVarint(page);
+    enc.PutVarint(rec_lsn);
+  }
+  enc.PutVarint(att.size());
+  for (const auto& [id, e] : att) {
+    enc.PutVarint(id);
+    enc.PutU8(static_cast<uint8_t>(e.status));
+    enc.PutVarint(e.first_lsn);
+    enc.PutVarint(e.last_lsn);
+  }
+  enc.PutVarint(next_txn_id);
 
   spaces.EncodeTo(&enc);
   utt.EncodeTo(&enc);
@@ -128,12 +138,16 @@ Status Checkpointer::Take() {
   SimSpan span(clock_);
   [[maybe_unused]] FaultInjector* faults = device_->faults();
   SHEAP_FAULT_POINT(faults, "ckpt.take.begin");
+  // The tables are built once: what recovery from this checkpoint reads
+  // is also what decides how much log the checkpoint keeps.
+  const DirtyPageTable dpt = SnapshotDirtyPages(
+      *pool_, extra_dirty_pages ? extra_dirty_pages()
+                                : std::vector<std::pair<PageId, Lsn>>());
+  const ActiveTxnTable att = SnapshotActiveTxns(*txns_);
   LogRecord rec;
   rec.type = RecordType::kCheckpoint;
-  std::vector<std::pair<PageId, Lsn>> extra_dirty;
-  if (extra_dirty_pages) extra_dirty = extra_dirty_pages();
-  EncodeCheckpointPayload(*pool_, *txns_, *gc_, *spaces_, *utt_, *types_,
-                          format_payload_, extra_dirty, &rec.payload);
+  EncodeCheckpointPayload(dpt, att, txns_->next_txn_id(), *gc_, *spaces_,
+                          *utt_, *types_, format_payload_, &rec.payload);
   const Lsn ckpt_lsn = log_->Append(&rec);
   // Spool-and-flush; no force (the paper's checkpoints require no
   // synchronous writes — a torn checkpoint is detected by its CRC and
@@ -148,22 +162,17 @@ Status Checkpointer::Take() {
   // must fall back to the previous one (kept by the truncation floor).
   SHEAP_FAULT_POINT(faults, "ckpt.take.master");
 
-  // Truncation point: nothing before min(checkpoint, oldest recLSN,
-  // oldest active transaction's first record) can be needed — and the
-  // previous checkpoint must survive until this (unforced, tearable) one
-  // is safely behind the durable barrier.
+  // Truncation point: recovery from this checkpoint reads the log from
+  // its DPT's oldest recLSN (redo) and from each ATT transaction's first
+  // record (undo) — and the previous checkpoint must survive until this
+  // (unforced, tearable) one is safely behind the durable barrier.
   Lsn keep = ckpt_lsn;
-  if (previous_ckpt != kInvalidLsn) keep = std::min(keep, previous_ckpt);
-  // O(1): the pool indexes dirty recLSNs, no dirty-page scan needed here.
-  const Lsn min_rec = pool_->MinRecLsn();
-  if (min_rec != kInvalidLsn) keep = std::min(keep, min_rec);
-  for (Txn* t : txns_->ActiveTxns()) {
-    if (t->first_lsn != kInvalidLsn) keep = std::min(keep, t->first_lsn);
-  }
-  if (extra_keep_floor) {
-    const Lsn floor = extra_keep_floor();
-    if (floor != kInvalidLsn) keep = std::min(keep, floor);
-  }
+  auto keep_from = [&keep](Lsn lsn) {
+    if (lsn != kInvalidLsn) keep = std::min(keep, lsn);
+  };
+  keep_from(previous_ckpt);
+  keep_from(OldestRecLsn(dpt));
+  for (const auto& [id, e] : att) keep_from(e.first_lsn);
   device_->TruncatePrefix(keep - 1);
   SHEAP_FAULT_POINT(faults, "ckpt.take.end");
 

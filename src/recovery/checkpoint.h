@@ -7,6 +7,14 @@
 // a crash during a collection needs no heap traversal), the undo translation
 // table, and the class registry. Checkpoints are cheap: one spooled record
 // and one master-pointer write — no synchronous log force, no page flushes.
+//
+// The log a checkpoint keeps is read off the tables it logs: recovery from
+// it reads from the DPT's oldest recLSN (OldestRecLsn, the rule redo starts
+// by) and from each ATT transaction's first record, so truncation keeps
+// exactly that much plus the previous checkpoint. Pages dirty only in the
+// log — a pending method-2 promotion's, or an instant-recovery page still
+// behind the redo gate — enter the DPT as rows like any other, and so hold
+// the floor without a rule of their own.
 
 #ifndef SHEAP_RECOVERY_CHECKPOINT_H_
 #define SHEAP_RECOVERY_CHECKPOINT_H_
@@ -41,13 +49,14 @@ struct CheckpointData {
   // spaces / utt / registry are decoded directly into the live objects.
 };
 
-/// Serializes the full checkpoint payload.
+/// Serializes the full checkpoint payload: the same DPT and ATT that
+/// DecodeCheckpointPayload gives back in CheckpointData, then the live
+/// space table, UTT, class registry and collector state.
 void EncodeCheckpointPayload(
-    const BufferPool& pool, const TxnManager& txns, const AtomicGc& gc,
-    const SpaceManager& spaces, const UndoTranslationTable& utt,
-    const TypeRegistry& types, const std::vector<uint8_t>& format_payload,
-    const std::vector<std::pair<PageId, Lsn>>& extra_dirty,
-    std::vector<uint8_t>* out);
+    const DirtyPageTable& dpt, const ActiveTxnTable& att, TxnId next_txn_id,
+    const AtomicGc& gc, const SpaceManager& spaces,
+    const UndoTranslationTable& utt, const TypeRegistry& types,
+    const std::vector<uint8_t>& format_payload, std::vector<uint8_t>* out);
 
 /// Parses a checkpoint payload; space/utt/registry state is installed into
 /// the given live objects, the rest into *data.
@@ -85,7 +94,8 @@ class Checkpointer {
 
   /// Take a checkpoint: spool the record, flush the buffer (asynchronous in
   /// spirit; no force), update the master pointer, truncate the log prefix
-  /// no recovery could need.
+  /// no recovery could need — everything before the previous checkpoint,
+  /// the logged DPT's oldest recLSN and the logged ATT's oldest first LSN.
   Status Take();
 
   /// Flush checkpoint: push every dirty page through the pool's parallel
@@ -95,14 +105,11 @@ class Checkpointer {
   /// Take() stays flush-free (the paper's cheap checkpoint).
   Status TakeWithWriteback();
 
-  /// Optional extra truncation floor (e.g. the oldest initial-value record
-  /// of a pending method-2 promotion). Return kInvalidLsn for none.
-  std::function<Lsn()> extra_keep_floor;
-
   /// Pages that are *logically* dirty even though no frame is dirty: a
   /// pending method-2 promotion's reserved pages exist only in the log, so
   /// the checkpoint DPT must carry them (page, initial-value LSN) or redo
-  /// would never reach back to materialize them.
+  /// would never reach back to materialize them — and, being DPT rows,
+  /// they hold the truncation floor at those LSNs.
   std::function<std::vector<std::pair<PageId, Lsn>>()> extra_dirty_pages;
 
   const CheckpointStats& stats() const { return stats_; }

@@ -243,14 +243,6 @@ InstantRedoStats InstantRedoManager::stats() const {
   return stats_;
 }
 
-Lsn InstantRedoManager::MinPendingRecLsn() const {
-  Lsn floor = kInvalidLsn;
-  for (const auto& [pid, rec_lsn] : PendingDirtyPages()) {
-    if (floor == kInvalidLsn || rec_lsn < floor) floor = rec_lsn;
-  }
-  return floor;
-}
-
 std::vector<std::pair<PageId, Lsn>> InstantRedoManager::PendingDirtyPages()
     const {
   MutexLock lock(&mu_);

@@ -128,16 +128,11 @@ class InstantRedoManager {
 
   InstantRedoStats stats() const SHEAP_EXCLUDES(mu_);
 
-  /// Oldest DPT recLSN over not-yet-done pages (kInvalidLsn if none): the
-  /// gate's contribution to the checkpoint log-truncation floor — a
-  /// checkpoint taken mid-drain must keep every record a pending page still
-  /// needs.
-  Lsn MinPendingRecLsn() const SHEAP_EXCLUDES(mu_);
-
   /// (page, DPT recLSN) for every not-yet-done page, page-ordered: chained
   /// into Checkpointer::extra_dirty_pages so a checkpoint taken mid-drain
   /// carries the pending pages in its DPT — a crash right after it still
-  /// redoes them from their original recLSNs.
+  /// redoes them from their original recLSNs, and the checkpoint keeps
+  /// every record they need.
   std::vector<std::pair<PageId, Lsn>> PendingDirtyPages() const
       SHEAP_EXCLUDES(mu_);
 

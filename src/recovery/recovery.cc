@@ -20,6 +20,16 @@ std::vector<TxnId> ActiveIds(const ActiveTxnTable& att) {
   return ids;
 }
 
+// Moves a redoable record into `plan` with the pages its redo touches;
+// `rec` is left empty for the next read.
+const RedoPlanEntry& AppendPlanEntry(LogRecord* rec, RedoPlan* plan) {
+  std::vector<PageId> pages;
+  RedoExecutor::AffectedPages(*rec, &pages);
+  plan->entries.push_back(RedoPlanEntry{std::move(*rec), std::move(pages)});
+  *rec = LogRecord();
+  return plan->entries.back();
+}
+
 }  // namespace
 
 Status RecoveryManager::FindStartingCheckpoint(CheckpointData* data,
@@ -72,7 +82,6 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
   SHEAP_RETURN_IF_ERROR(reader.Seek(start_lsn));
   const uint64_t start_offset = reader.offset();
   LogRecord rec;
-  std::vector<PageId> rec_pages;
 
   while (true) {
     auto more = reader.Next(&rec);
@@ -102,16 +111,6 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
       if (rec.txn_id >= data->next_txn_id) data->next_txn_id = rec.txn_id + 1;
     }
 
-    // Dirty-page table: every redoable record's pages enter the table; the
-    // buffer-manager records refine it (§2.2.4 optimization 1).
-    const bool redoable = RedoExecutor::IsRedoable(rec.type);
-    if (redoable) {
-      RedoExecutor::AffectedPages(rec, &rec_pages);
-      for (PageId p : rec_pages) {
-        data->dpt.emplace(p, rec.lsn);  // insert-if-absent
-      }
-    }
-
     // The collector's state goes through the rule the collector applied
     // when it logged the record (flip, scan, copy batch, completion, root
     // object, allocation frontier), without touching the heap.
@@ -139,7 +138,6 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         // A newer checkpoint than the one we started from (stale master):
         // restart state from it.
         CheckpointData fresh;
-        d_.utt->Clear();
         SHEAP_RETURN_IF_ERROR(DecodeCheckpointPayload(
             rec.payload, d_.spaces, d_.utt, d_.types, &fresh));
         *data = std::move(fresh);
@@ -197,15 +195,17 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         break;
     }
 
-    // Fused plan construction: the record is already decoded, so redo will
-    // never re-read this log range. Gating against the *final* DPT happens
-    // at execution time, so entries made stale by a checkpoint restart
-    // above are harmlessly skipped there.
-    if (redoable) {
-      plan->entries.push_back(
-          RedoPlanEntry{std::move(rec), std::move(rec_pages)});
-      rec = LogRecord();
-      rec_pages.clear();
+    // A redoable record enters the plan — it is already decoded, so redo
+    // never re-reads this log range — and its pages the dirty-page table,
+    // which the buffer-manager records above refine (§2.2.4 optimization
+    // 1). Gating against the *final* DPT happens at execution time, so
+    // entries made stale by a checkpoint restart above are harmlessly
+    // skipped there.
+    if (RedoExecutor::IsRedoable(rec.type)) {
+      const RedoPlanEntry& entry = AppendPlanEntry(&rec, plan);
+      for (PageId p : entry.pages) {
+        data->dpt.emplace(p, entry.rec.lsn);  // insert-if-absent
+      }
     }
   }
   result->stats.saw_torn_tail = reader.saw_torn_tail();
@@ -219,13 +219,7 @@ Status RecoveryManager::Redo(const CheckpointData& data,
                              Result* result) {
   result->stats.redo_partitions = d_.redo->drain_threads();
   if (data.dpt.empty()) return Status::OK();
-  Lsn redo_start = kInvalidLsn;
-  for (const auto& [page, rec_lsn] : data.dpt) {
-    if (rec_lsn == kInvalidLsn) continue;
-    if (redo_start == kInvalidLsn || rec_lsn < redo_start) {
-      redo_start = rec_lsn;
-    }
-  }
+  Lsn redo_start = OldestRecLsn(data.dpt);
   if (redo_start == kInvalidLsn) return Status::OK();
   redo_start = std::max<Lsn>(redo_start, d_.device->truncated_prefix() + 1);
 
@@ -239,7 +233,6 @@ Status RecoveryManager::Redo(const CheckpointData& data,
     const uint64_t start_offset = reader.offset();
     uint64_t bytes = 0;
     LogRecord rec;
-    std::vector<PageId> rec_pages;
     while (true) {
       const uint64_t before = reader.offset();
       auto more = reader.Next(&rec);
@@ -250,12 +243,7 @@ Status RecoveryManager::Redo(const CheckpointData& data,
         break;
       }
       bytes = reader.offset() - start_offset;
-      if (!RedoExecutor::IsRedoable(rec.type)) continue;
-      RedoExecutor::AffectedPages(rec, &rec_pages);
-      exec.entries.push_back(
-          RedoPlanEntry{std::move(rec), std::move(rec_pages)});
-      rec = LogRecord();
-      rec_pages.clear();
+      if (RedoExecutor::IsRedoable(rec.type)) AppendPlanEntry(&rec, &exec);
     }
     result->stats.log_bytes_read += bytes;
     result->stats.log_segments_prefetched += reader.segments_prefetched();

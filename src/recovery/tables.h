@@ -33,6 +33,18 @@ using ActiveTxnTable = std::map<TxnId, AttEntry>;
 /// Dirty-page table: page -> recovery LSN (redo must start at the earliest).
 using DirtyPageTable = std::map<PageId, Lsn>;
 
+/// The oldest valid recLSN of `dpt`, or kInvalidLsn when every row is
+/// unlogged: where redo starts reading the log, and so the oldest record a
+/// checkpoint carrying `dpt` must keep.
+inline Lsn OldestRecLsn(const DirtyPageTable& dpt) {
+  Lsn oldest = kInvalidLsn;
+  for (const auto& [page, rec_lsn] : dpt) {
+    if (rec_lsn == kInvalidLsn) continue;
+    if (oldest == kInvalidLsn || rec_lsn < oldest) oldest = rec_lsn;
+  }
+  return oldest;
+}
+
 }  // namespace sheap
 
 #endif  // SHEAP_RECOVERY_TABLES_H_

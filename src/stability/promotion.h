@@ -130,20 +130,9 @@ class PendingMaterializations {
 
   /// Every page of a pending object, at its kInitialValue LSN: logically
   /// dirty for the checkpoint's dirty-page table, though the pool holds
-  /// nothing for them until materialization.
+  /// nothing for them until materialization. As DPT rows they also keep
+  /// that record in the log.
   void AppendDirtyPages(std::vector<std::pair<PageId, Lsn>>* out) const;
-
-  /// Oldest kInitialValue LSN still pending (log truncation floor), or
-  /// kInvalidLsn when none.
-  Lsn OldestLsn() const {
-    Lsn oldest = kInvalidLsn;
-    for (const auto& [s, e] : by_stable_) {
-      if (oldest == kInvalidLsn || e.initial_lsn < oldest) {
-        oldest = e.initial_lsn;
-      }
-    }
-    return oldest;
-  }
 
   template <typename F>
   Status ForEach(F f) const {

@@ -71,22 +71,6 @@ void BufferPool::LruRemove(Frame* frame) {
   frame->lru_next = nullptr;
 }
 
-void BufferPool::DirtyInsert(Shard* shard, const Frame& frame) {
-  shard->dirty[frame.pid] = frame.rec_lsn;
-  if (frame.rec_lsn != kInvalidLsn) {
-    shard->dirty_rec_lsns.insert(frame.rec_lsn);
-  }
-}
-
-void BufferPool::DirtyErase(Shard* shard, const Frame& frame) {
-  shard->dirty.erase(frame.pid);
-  if (frame.rec_lsn != kInvalidLsn) {
-    auto it = shard->dirty_rec_lsns.find(frame.rec_lsn);
-    SHEAP_CHECK(it != shard->dirty_rec_lsns.end());
-    shard->dirty_rec_lsns.erase(it);  // one instance only
-  }
-}
-
 BufferPool::Frame* BufferPool::AllocateFrame() {
   MutexLock lock(&store_mu_);
   if (!free_frames_.empty()) {
@@ -235,7 +219,7 @@ void BufferPool::SetDirty(Shard* shard, Frame* frame, Lsn lsn) {
   if (!frame->dirty) {
     frame->dirty = true;
     frame->rec_lsn = lsn;
-    DirtyInsert(shard, *frame);
+    shard->dirty[frame->pid] = lsn;
   }
   frame->image.page_lsn = std::max(frame->image.page_lsn, lsn);
 }
@@ -398,7 +382,7 @@ Status BufferPool::WriteRun(const Candidate* pages, size_t n) {
     Frame* frame = pages[i].frame;
     Shard& shard = ShardFor(pages[i].pid);
     MutexLock lock(&shard.mu);
-    DirtyErase(&shard, *frame);
+    shard.dirty.erase(frame->pid);
     frame->dirty = false;
     frame->rec_lsn = kInvalidLsn;
   }
@@ -416,17 +400,6 @@ std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPages() const {
   return out;
 }
 
-Lsn BufferPool::MinRecLsn() const {
-  Lsn min_lsn = kInvalidLsn;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    if (shard.dirty_rec_lsns.empty()) continue;
-    const Lsn lsn = *shard.dirty_rec_lsns.begin();
-    if (min_lsn == kInvalidLsn || lsn < min_lsn) min_lsn = lsn;
-  }
-  return min_lsn;
-}
-
 void BufferPool::DropAll() {
   // Crash path; strictly serial (any worker pools have joined), so the
   // locks are taken one at a time — no nesting, no ordering concerns.
@@ -434,7 +407,6 @@ void BufferPool::DropAll() {
     MutexLock lock(&shard.mu);
     shard.page_to_frame.clear();
     shard.dirty.clear();
-    shard.dirty_rec_lsns.clear();
   }
   {
     MutexLock lru_lock(&lru_mu_);
@@ -456,7 +428,7 @@ void BufferPool::DropRange(PageId first, uint64_t count) {
       if (it == shard.page_to_frame.end()) continue;
       frame = it->second;
       SHEAP_CHECK(frame->pin_count == 0);
-      if (frame->dirty) DirtyErase(&shard, *frame);
+      if (frame->dirty) shard.dirty.erase(pid);
       shard.page_to_frame.erase(it);
     }
     {

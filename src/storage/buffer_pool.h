@@ -25,11 +25,11 @@
 // list, write-back candidates); an intrusive doubly-linked LRU holds ONLY
 // unpinned frames, so eviction pops its head in O(1) with no pinned-frame
 // skipping; a dirty index (page -> recLSN) makes DirtyPages(), checkpoint
-// snapshots, and write-back selection O(dirty) instead of O(frames); a
-// multiset of recLSNs gives the checkpoint truncation floor in O(1). A
-// short access through Access() that hits costs one shard lock, one page
-// lookup and at most one LRU relink (DESIGN.md §5c, "One shard lock per
-// pool hit").
+// snapshots, and write-back selection O(dirty) instead of O(frames) (the
+// checkpoint reads its truncation floor off that snapshot). A short
+// access through Access() that hits costs one shard lock, one page lookup
+// and at most one LRU relink (DESIGN.md §5c, "One shard lock per pool
+// hit").
 //
 // Thread safety: the page map, dirty index and hit/miss counters are
 // sharded by page hash with a mutex per shard; the LRU links, the frame
@@ -57,7 +57,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -172,10 +171,6 @@ class BufferPool {
   /// Snapshot of the dirty-page table: (page, recLSN) pairs, page-ordered.
   std::vector<std::pair<PageId, Lsn>> DirtyPages() const;
 
-  /// Smallest recLSN over all dirty logged frames (kInvalidLsn if none):
-  /// the pool's contribution to the checkpoint log-truncation floor.
-  Lsn MinRecLsn() const;
-
   /// Crash: main memory is lost. Drops every frame without writing.
   void DropAll();
 
@@ -241,7 +236,6 @@ class BufferPool {
     mutable Mutex mu;
     std::unordered_map<PageId, Frame*> page_to_frame SHEAP_GUARDED_BY(mu);
     std::map<PageId, Lsn> dirty SHEAP_GUARDED_BY(mu);  // page -> recLSN
-    std::multiset<Lsn> dirty_rec_lsns SHEAP_GUARDED_BY(mu);
     uint64_t hits SHEAP_GUARDED_BY(mu) = 0;
     uint64_t misses SHEAP_GUARDED_BY(mu) = 0;
   };
@@ -276,12 +270,6 @@ class BufferPool {
   // Unpinned-LRU list maintenance (O(1) each).
   void LruPushBack(Frame* frame) SHEAP_REQUIRES(lru_mu_);
   void LruRemove(Frame* frame) SHEAP_REQUIRES(lru_mu_);
-
-  // Dirty-index maintenance (O(log dirty) each).
-  void DirtyInsert(Shard* shard, const Frame& frame)
-      SHEAP_REQUIRES(shard->mu);
-  void DirtyErase(Shard* shard, const Frame& frame)
-      SHEAP_REQUIRES(shard->mu);
 
   Frame* AllocateFrame() SHEAP_EXCLUDES(store_mu_);
   void ReleaseFrame(Frame* frame) SHEAP_EXCLUDES(store_mu_);

@@ -63,9 +63,9 @@ void TxnManager::Restore(std::unique_ptr<Txn> txn) {
   shard.txns[raw->id] = std::move(txn);
 }
 
-std::vector<Txn*> TxnManager::ActiveTxns() {
+std::vector<Txn*> TxnManager::ActiveTxns() const {
   std::vector<Txn*> out;
-  for (Shard& shard : shards_) {
+  for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     for (auto& [id, txn] : shard.txns) out.push_back(txn.get());
   }

@@ -59,7 +59,7 @@ class TxnManager {
 
   /// All transactions currently in the table (any state), in id order
   /// regardless of which shard holds them.
-  std::vector<Txn*> ActiveTxns();
+  std::vector<Txn*> ActiveTxns() const;
 
   size_t ActiveCount() const;
   uint64_t next_txn_id() const {

@@ -1,6 +1,7 @@
 // Unit tests for internals not covered by their own suites: checkpoint
-// payloads and retention, the stability side tables, pending
-// materializations, the spec-heap oracle itself, and workload helpers.
+// payloads, retention and truncation floor, the stability side tables,
+// pending materializations, the spec-heap oracle itself, and workload
+// helpers.
 
 #include <gtest/gtest.h>
 
@@ -83,10 +84,8 @@ TEST(PendingMaterializationsTest, RedirectAndLookup) {
   // One past the end: not covered.
   EXPECT_EQ(pending.Redirect(9040), kNullAddr);
   EXPECT_EQ(pending.Redirect(8999), kNullAddr);
-  EXPECT_EQ(pending.OldestLsn(), 77u);
   pending.Erase(9000);
   EXPECT_TRUE(pending.empty());
-  EXPECT_EQ(pending.OldestLsn(), kInvalidLsn);
 }
 
 TEST(CheckpointRetentionTest, PreviousCheckpointSurvivesTruncation) {
@@ -105,6 +104,200 @@ TEST(CheckpointRetentionTest, PreviousCheckpointSurvivesTruncation) {
   LogRecord rec;
   EXPECT_TRUE(reader.ReadAt(first, &rec).ok());
   EXPECT_EQ(rec.type, RecordType::kCheckpoint);
+}
+
+// Lowers *floor to `lsn` unless `lsn` is kInvalidLsn (no record to keep).
+void Lower(Lsn* floor, Lsn lsn) {
+  if (lsn != kInvalidLsn && (*floor == kInvalidLsn || lsn < *floor)) {
+    *floor = lsn;
+  }
+}
+
+// Every LSN a checkpoint taken now must keep, by source, read off the live
+// state its tables are built from (kInvalidLsn: the source holds none).
+struct FloorSources {
+  Lsn previous_checkpoint = kInvalidLsn;
+  Lsn dirty_frame = kInvalidLsn;        // oldest recLSN of a logged frame
+  Lsn active_txn = kInvalidLsn;         // oldest first LSN of a transaction
+  Lsn pending_promotion = kInvalidLsn;  // oldest kInitialValue LSN
+  Lsn pending_redo = kInvalidLsn;       // oldest recLSN behind the redo gate
+  size_t unlogged_dirty_frames = 0;     // dirty frames without a recLSN
+
+  Lsn Floor() const {
+    Lsn floor = kInvalidLsn;
+    for (Lsn lsn : {previous_checkpoint, dirty_frame, active_txn,
+                    pending_promotion, pending_redo}) {
+      Lower(&floor, lsn);
+    }
+    return floor;
+  }
+};
+
+FloorSources ReadFloorSources(StableHeap* heap) {
+  FloorSources src;
+  src.previous_checkpoint = heap->checkpoint_stats().last_checkpoint_lsn;
+  for (const auto& [pid, rec_lsn] : heap->pool()->DirtyPages()) {
+    if (rec_lsn == kInvalidLsn) ++src.unlogged_dirty_frames;
+    Lower(&src.dirty_frame, rec_lsn);
+  }
+  for (const Txn* t : heap->txn_manager()->ActiveTxns()) {
+    Lower(&src.active_txn, t->first_lsn);
+  }
+  const Status st = heap->pending_materializations()->ForEach(
+      [&](HeapAddr, const PendingMaterializations::Entry& e) {
+        Lower(&src.pending_promotion, e.initial_lsn);
+        return Status::OK();
+      });
+  EXPECT_TRUE(st.ok());
+  if (heap->instant_redo() != nullptr) {
+    for (const auto& [pid, rec_lsn] :
+         heap->instant_redo()->PendingDirtyPages()) {
+      Lower(&src.pending_redo, rec_lsn);
+    }
+  }
+  return src;
+}
+
+// Takes a checkpoint and checks that it truncated the log exactly at the
+// oldest LSN any source holds; returns the sources as the checkpoint saw
+// them.
+FloorSources CheckpointAndCheckFloor(StableHeap* heap) {
+  const FloorSources src = ReadFloorSources(heap);
+  EXPECT_TRUE(heap->Checkpoint().ok());
+  EXPECT_NE(src.Floor(), kInvalidLsn);
+  EXPECT_EQ(heap->checkpoint_stats().last_truncation_lsn, src.Floor());
+  return src;
+}
+
+TEST(CheckpointFloorTest, FloorIsTheMinimumOverItsSources) {
+  SimEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 64;
+  opts.volatile_space_pages = 32;
+  opts.divided_heap = true;
+  opts.promotion_method = PromotionMethod::kAtNextVolatileGc;
+  auto heap = std::move(*StableHeap::Open(&env, opts));
+  auto cls = workload::RegisterNodeClass(heap.get(), 2);
+  ASSERT_TRUE(cls.ok());
+  // Each source holds the floor only once it predates the previous
+  // checkpoint, so every phase takes two checkpoints and checks the second.
+  auto second_checkpoint = [&]() {
+    CheckpointAndCheckFloor(heap.get());
+    return CheckpointAndCheckFloor(heap.get());
+  };
+  auto truncated_at = [&]() {
+    return heap->checkpoint_stats().last_truncation_lsn;
+  };
+
+  // A clean pool and no transaction: the previous checkpoint holds it.
+  TxnId setup = *heap->Begin();
+  auto obj = heap->AllocateStable(setup, cls->id, cls->nslots);
+  ASSERT_TRUE(obj.ok());
+  ASSERT_TRUE(heap->SetRoot(setup, 0, *obj).ok());
+  ASSERT_TRUE(heap->Commit(setup).ok());
+  ASSERT_TRUE(heap->WriteBackPages(1.0, 1).ok());
+  FloorSources src = second_checkpoint();
+  EXPECT_EQ(truncated_at(), src.previous_checkpoint);
+
+  // A logged update leaves a dirty frame: its recLSN holds it.
+  TxnId writer = *heap->Begin();
+  Ref root = *heap->GetRoot(writer, 0);
+  ASSERT_TRUE(heap->WriteScalar(writer, root, 0, 7).ok());
+  ASSERT_TRUE(heap->Commit(writer).ok());
+  src = second_checkpoint();
+  ASSERT_NE(src.dirty_frame, kInvalidLsn);
+  EXPECT_EQ(truncated_at(), src.dirty_frame);
+
+  // An open transaction: its first record holds it, and the unlogged
+  // dirty frame of its volatile allocation does not lower it.
+  ASSERT_TRUE(heap->WriteBackPages(1.0, 2).ok());
+  TxnId open = *heap->Begin();
+  auto fresh = heap->Allocate(open, cls->id, cls->nslots);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(heap->WriteScalar(open, *fresh, 0, 42).ok());
+  src = second_checkpoint();
+  EXPECT_GT(src.unlogged_dirty_frames, 0u);
+  ASSERT_NE(src.active_txn, kInvalidLsn);
+  EXPECT_EQ(truncated_at(), src.active_txn);
+
+  // Its commit promotes the volatile object by method 2: the pending
+  // promotion's kInitialValue record holds it until the next volatile
+  // collection materializes the object.
+  ASSERT_TRUE(heap->SetRoot(open, 1, *fresh).ok());
+  ASSERT_TRUE(heap->Commit(open).ok());
+  ASSERT_TRUE(heap->WriteBackPages(1.0, 3).ok());
+  src = second_checkpoint();
+  ASSERT_NE(src.pending_promotion, kInvalidLsn);
+  EXPECT_EQ(truncated_at(), src.pending_promotion);
+
+  ASSERT_TRUE(heap->CollectVolatile().ok());
+  ASSERT_TRUE(heap->WriteBackPages(1.0, 4).ok());
+  src = second_checkpoint();
+  EXPECT_EQ(src.pending_promotion, kInvalidLsn);
+  EXPECT_EQ(truncated_at(), src.previous_checkpoint);
+}
+
+TEST(CheckpointFloorTest, MidDrainCheckpointKeepsPagesBehindTheRedoGate) {
+  SimEnv env;
+  StableHeapOptions opts;
+  opts.stable_space_pages = 64;
+  opts.volatile_space_pages = 32;
+  constexpr uint64_t kObjects = 8;
+  const uint64_t slots = kPageSizeBytes / kWordSizeBytes - 1;
+  {
+    auto heap = std::move(*StableHeap::Open(&env, opts));
+    ClassId big = *heap->RegisterClass(std::vector<bool>(slots, false));
+    ClassId dir = *heap->RegisterClass(std::vector<bool>(kObjects, true));
+    TxnId setup = *heap->Begin();
+    Ref dref = *heap->AllocateStable(setup, dir, kObjects);
+    ASSERT_TRUE(heap->SetRoot(setup, 0, dref).ok());
+    for (uint64_t i = 0; i < kObjects; ++i) {
+      Ref obj = *heap->AllocateStable(setup, big, slots);
+      ASSERT_TRUE(heap->WriteRef(setup, dref, i, obj).ok());
+    }
+    ASSERT_TRUE(heap->Commit(setup).ok());
+    ASSERT_TRUE(heap->WriteBackPages(1.0, 5).ok());
+    ASSERT_TRUE(heap->Checkpoint().ok());
+    // One update per page-sized object: redo work on every one of them,
+    // none of it written back before the crash.
+    TxnId txn = *heap->Begin();
+    Ref d = *heap->GetRoot(txn, 0);
+    for (uint64_t i = 0; i < kObjects; ++i) {
+      ASSERT_TRUE(heap->WriteScalar(txn, *heap->ReadRef(txn, d, i), i,
+                                    100 + i)
+                      .ok());
+    }
+    ASSERT_TRUE(heap->Commit(txn).ok());
+    ASSERT_TRUE(heap->SimulateCrash(CrashOptions{0.0, 1, 0}).ok());
+  }
+
+  StableHeapOptions instant = opts;
+  instant.instant_recovery = true;
+  instant.instant_drain_pages = 1;
+  {
+    auto heap = std::move(*StableHeap::Open(&env, instant));
+    ASSERT_EQ(heap->recovery_stats().outcome,
+              RecoveryOutcome::kOpenPendingRedo);
+    // One drain step, then a checkpoint with pages still behind the gate:
+    // the oldest of them holds the floor.
+    TxnId step = *heap->Begin();
+    ASSERT_TRUE(heap->Commit(step).ok());
+    const FloorSources src = CheckpointAndCheckFloor(heap.get());
+    ASSERT_NE(src.pending_redo, kInvalidLsn);
+    EXPECT_EQ(heap->checkpoint_stats().last_truncation_lsn, src.pending_redo);
+    // A crash right after it still redoes the pending pages.
+    ASSERT_TRUE(heap->SimulateCrash(CrashOptions{0.0, 2, 0}).ok());
+  }
+
+  auto heap = std::move(*StableHeap::Open(&env, opts));
+  TxnId reader = *heap->Begin();
+  Ref d = *heap->GetRoot(reader, 0);
+  for (uint64_t i = 0; i < kObjects; ++i) {
+    auto got = heap->ReadScalar(reader, *heap->ReadRef(reader, d, i), i);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, 100 + i);
+  }
+  ASSERT_TRUE(heap->Commit(reader).ok());
 }
 
 TEST(SpecHeapTest, ReadYourWritesAndIsolationFromCommitted) {

@@ -126,6 +126,9 @@ TEST(SimLogDeviceTest, MasterLsnPersists) {
   EXPECT_EQ(log.master_lsn(), 123u);
 }
 
+// A DirtyPages() snapshot: (page, recLSN) rows in page order.
+using DirtyRows = std::vector<std::pair<PageId, Lsn>>;
+
 class BufferPoolTest : public ::testing::Test {
  protected:
   BufferPoolTest() : disk_(&clock_) {}
@@ -297,10 +300,10 @@ TEST_F(BufferPoolTest, RecLsnResetAcrossCleanDirtyCleanCycle) {
   (*frame)->WriteWord(0, 1);
   pool.MarkDirty(5, 100);
   pool.Unpin(5);
-  EXPECT_EQ(pool.MinRecLsn(), 100u);
+  EXPECT_EQ(pool.DirtyPages(), (DirtyRows{{5, 100}}));
   ASSERT_TRUE(pool.WriteBack(5).ok());
   EXPECT_FALSE(pool.IsDirty(5));
-  EXPECT_EQ(pool.MinRecLsn(), kInvalidLsn);
+  EXPECT_TRUE(pool.DirtyPages().empty());
   // Re-dirty: the recLSN must be the NEW first-dirtying record, not the
   // stale one from the previous cycle.
   frame = pool.Pin(5);
@@ -308,13 +311,10 @@ TEST_F(BufferPoolTest, RecLsnResetAcrossCleanDirtyCleanCycle) {
   (*frame)->WriteWord(0, 2);
   pool.MarkDirty(5, 900);
   pool.Unpin(5);
-  auto dirty = pool.DirtyPages();
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0], (std::pair<PageId, Lsn>{5, 900}));
-  EXPECT_EQ(pool.MinRecLsn(), 900u);
+  EXPECT_EQ(pool.DirtyPages(), (DirtyRows{{5, 900}}));
 }
 
-TEST_F(BufferPoolTest, MinRecLsnTracksDirtySet) {
+TEST_F(BufferPoolTest, DirtyPagesTracksDirtySet) {
   BufferPool pool = MakePool(8);
   for (const auto& [pid, lsn] :
        std::vector<std::pair<PageId, Lsn>>{{1, 50}, {2, 20}, {3, 70}}) {
@@ -323,17 +323,19 @@ TEST_F(BufferPoolTest, MinRecLsnTracksDirtySet) {
     pool.MarkDirty(pid, lsn);
     pool.Unpin(pid);
   }
-  // Unlogged dirty pages carry no recLSN and must not affect the floor.
+  // Unlogged dirty pages are rows without a recLSN.
   auto frame = pool.Pin(4);
   ASSERT_TRUE(frame.ok());
   pool.MarkDirtyUnlogged(4);
   pool.Unpin(4);
-  EXPECT_EQ(pool.MinRecLsn(), 20u);
+  EXPECT_EQ(pool.DirtyPages(),
+            (DirtyRows{{1, 50}, {2, 20}, {3, 70}, {4, kInvalidLsn}}));
   ASSERT_TRUE(pool.WriteBack(2).ok());
-  EXPECT_EQ(pool.MinRecLsn(), 50u);
+  EXPECT_EQ(pool.DirtyPages(),
+            (DirtyRows{{1, 50}, {3, 70}, {4, kInvalidLsn}}));
   ASSERT_TRUE(pool.WriteBack(1).ok());
   ASSERT_TRUE(pool.WriteBack(3).ok());
-  EXPECT_EQ(pool.MinRecLsn(), kInvalidLsn);  // only the unlogged page left
+  EXPECT_EQ(pool.DirtyPages(), (DirtyRows{{4, kInvalidLsn}}));
   EXPECT_TRUE(pool.IsDirty(4));
 }
 
