@@ -189,6 +189,9 @@ CommitResult RunCommit(bool group, uint32_t threads) {
 
 struct RecoverResult {
   double open_wall_ms = 0;   // full reopen: analysis + redo + undo
+  double analysis_wall_ms = 0;  // recovery's own split of the same reopen
+  double redo_wall_ms = 0;
+  double undo_wall_ms = 0;
   double sim_ms = 0;         // the analytic model's opinion of the same run
   uint64_t redo_applied = 0;
   uint64_t reachable = 0;    // post-recovery audit
@@ -245,8 +248,12 @@ RecoverResult RunRecover(uint32_t threads) {
   heap = BENCH_VAL(StableHeap::Open(env.get(), opts));
   RecoverResult r;
   r.open_wall_ms = wall.elapsed_ms();
-  r.sim_ms = Ms(heap->recovery_stats().sim_time_ns);
-  r.redo_applied = heap->recovery_stats().redo_records_applied;
+  const RecoveryStats& rs = heap->recovery_stats();
+  r.analysis_wall_ms = Ms(rs.analysis_wall_ns);
+  r.redo_wall_ms = Ms(rs.redo_wall_ns);
+  r.undo_wall_ms = Ms(rs.undo_wall_ns);
+  r.sim_ms = Ms(rs.sim_time_ns);
+  r.redo_applied = rs.redo_records_applied;
 
   // Audit: the committed update values survived the crash.
   TxnId a = BENCH_VAL(heap->Begin());
@@ -397,15 +404,23 @@ int main(int argc, char** argv) {
   Header("E18 real backend: recovery wall time vs redo threads",
          "redo workers are real threads here; the partitioned redo win is "
          "wall-clock, not just modeled");
-  Row("  %-8s %12s %12s %10s", "threads", "open(ms)", "sim(ms)", "applied");
+  Row("  %-8s %12s %12s %12s %12s %12s %10s", "threads", "open(ms)",
+      "analysis(ms)", "redo(ms)", "undo(ms)", "sim(ms)", "applied");
   std::vector<RecoverResult> recs;
   for (uint32_t threads : {1u, 2u, 4u}) {
     RecoverResult r = RunRecover(threads);
     recs.push_back(r);
-    Row("  %-8u %12.2f %12.2f %10llu", threads, r.open_wall_ms, r.sim_ms,
-        (unsigned long long)r.redo_applied);
+    Row("  %-8u %12.2f %12.2f %12.2f %12.2f %12.2f %10llu", threads,
+        r.open_wall_ms, r.analysis_wall_ms, r.redo_wall_ms, r.undo_wall_ms,
+        r.sim_ms, (unsigned long long)r.redo_applied);
     const std::string tag = std::to_string(threads) + "t";
     EmitMetric("recover_open_wall_ms_" + tag, r.open_wall_ms, "ms",
+               /*simulated=*/false);
+    EmitMetric("recover_analysis_wall_ms_" + tag, r.analysis_wall_ms, "ms",
+               /*simulated=*/false);
+    EmitMetric("recover_redo_wall_ms_" + tag, r.redo_wall_ms, "ms",
+               /*simulated=*/false);
+    EmitMetric("recover_undo_wall_ms_" + tag, r.undo_wall_ms, "ms",
                /*simulated=*/false);
     EmitMetric("recover_sim_ms_" + tag, r.sim_ms, "ms");
     EmitMetric("recover_redo_applied_" + tag,

@@ -1,6 +1,7 @@
 #include "recovery/recovery.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 
@@ -11,22 +12,21 @@ namespace sheap {
 
 namespace {
 
-// The transactions a UTT batch translates undo information for: every one
-// in the active-transaction table at that point of the analysis scan.
-std::vector<TxnId> ActiveIds(const ActiveTxnTable& att) {
-  std::vector<TxnId> ids;
-  ids.reserve(att.size());
-  for (const auto& [id, entry] : att) ids.push_back(id);
-  return ids;
+uint64_t WallNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
-// Moves a redoable record into `plan` with the pages its redo touches;
-// `rec` is left empty for the next read.
-const RedoPlanEntry& AppendPlanEntry(LogRecord* rec, RedoPlan* plan) {
-  std::vector<PageId> pages;
-  RedoExecutor::AffectedPages(*rec, &pages);
-  plan->entries.push_back(RedoPlanEntry{std::move(*rec), std::move(pages)});
-  *rec = LogRecord();
+// Moves a redoable record into `plan` with the pages its redo touches,
+// gathered in `pages` (scratch reused across records).
+const RedoPlanEntry& AppendPlanEntry(LogRecord* rec,
+                                     std::vector<PageId>* pages,
+                                     RedoPlan* plan) {
+  RedoExecutor::AffectedPages(*rec, pages);
+  plan->entries.push_back(RedoPlanEntry{
+      std::move(*rec), std::vector<PageId>(pages->begin(), pages->end())});
   return plan->entries.back();
 }
 
@@ -82,6 +82,16 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
   SHEAP_RETURN_IF_ERROR(reader.Seek(start_lsn));
   const uint64_t start_offset = reader.offset();
   LogRecord rec;
+  std::vector<PageId> pages;
+  // The transactions a UTT batch translates undo information for: every
+  // one in the ATT at that point of the scan. Rebuilt only when the ATT
+  // gains or loses a transaction.
+  std::vector<TxnId> active;
+  auto att_changed = [&] {
+    active.clear();
+    for (const auto& [id, entry] : data->att) active.push_back(id);
+  };
+  att_changed();
 
   while (true) {
     auto more = reader.Next(&rec);
@@ -97,11 +107,15 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         e.first_lsn = rec.lsn;
         e.last_lsn = rec.lsn;
         data->att[rec.txn_id] = e;
+        att_changed();
       } else if (rec.type == RecordType::kEnd) {
         data->att.erase(rec.txn_id);
+        att_changed();
         d_.utt->OnTxnEnd(rec.txn_id);
       } else {
-        AttEntry& e = data->att[rec.txn_id];
+        auto [it, inserted] = data->att.try_emplace(rec.txn_id);
+        if (inserted) att_changed();
+        AttEntry& e = it->second;
         if (e.first_lsn == kInvalidLsn) e.first_lsn = rec.lsn;
         e.last_lsn = rec.lsn;
         if (rec.type == RecordType::kCommit) e.status = AttStatus::kCommitted;
@@ -128,19 +142,22 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         break;
       }
       case RecordType::kPageFetch:
-        data->dpt.emplace(rec.page, rec.lsn);
+        data->dpt.try_emplace(rec.page, rec.lsn);
         break;
       case RecordType::kEndWrite:
         // Disk is current for this page as of this record.
         data->dpt[rec.page] = rec.lsn;
         break;
       case RecordType::kCheckpoint: {
+        // FindStartingCheckpoint already decoded the one we start from.
+        if (rec.lsn == start_lsn) break;
         // A newer checkpoint than the one we started from (stale master):
         // restart state from it.
         CheckpointData fresh;
         SHEAP_RETURN_IF_ERROR(DecodeCheckpointPayload(
             rec.payload, d_.spaces, d_.utt, d_.types, &fresh));
         *data = std::move(fresh);
+        att_changed();
         break;
       }
       case RecordType::kSpaceAlloc:
@@ -154,7 +171,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         // retain a flip's copies while losing the trailing kUtr record
         // (log-suffix loss), and undo must still find the moved objects.
       case RecordType::kUtr:
-        d_.utt->AddBatch(rec.utr_entries, ActiveIds(data->att));
+        d_.utt->AddBatch(rec.utr_entries, active);
         break;
       case RecordType::kV2sCopy:
       case RecordType::kInitialValue: {
@@ -164,7 +181,7 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
         const bool v2s = rec.type == RecordType::kV2sCopy;
         d_.utt->AddBatch({UtrEntry{v2s ? rec.addr : rec.addr2,
                                    v2s ? rec.addr2 : rec.addr, rec.count}},
-                         ActiveIds(data->att));
+                         active);
         break;
       }
       // Exhaustive (lint-enforced): the lifecycle records maintain the ATT
@@ -202,9 +219,9 @@ Status RecoveryManager::Analysis(Lsn start_lsn, CheckpointData* data,
     // entries made stale by a checkpoint restart above are harmlessly
     // skipped there.
     if (RedoExecutor::IsRedoable(rec.type)) {
-      const RedoPlanEntry& entry = AppendPlanEntry(&rec, plan);
+      const RedoPlanEntry& entry = AppendPlanEntry(&rec, &pages, plan);
       for (PageId p : entry.pages) {
-        data->dpt.emplace(p, entry.rec.lsn);  // insert-if-absent
+        data->dpt.try_emplace(p, entry.rec.lsn);  // insert-if-absent
       }
     }
   }
@@ -233,6 +250,7 @@ Status RecoveryManager::Redo(const CheckpointData& data,
     const uint64_t start_offset = reader.offset();
     uint64_t bytes = 0;
     LogRecord rec;
+    std::vector<PageId> pages;
     while (true) {
       const uint64_t before = reader.offset();
       auto more = reader.Next(&rec);
@@ -243,7 +261,9 @@ Status RecoveryManager::Redo(const CheckpointData& data,
         break;
       }
       bytes = reader.offset() - start_offset;
-      if (RedoExecutor::IsRedoable(rec.type)) AppendPlanEntry(&rec, &exec);
+      if (RedoExecutor::IsRedoable(rec.type)) {
+        AppendPlanEntry(&rec, &pages, &exec);
+      }
     }
     result->stats.log_bytes_read += bytes;
     result->stats.log_segments_prefetched += reader.segments_prefetched();
@@ -409,6 +429,7 @@ Status RecoveryManager::RecoverImpl(Result* result_out) {
   [[maybe_unused]] FaultInjector* faults = d_.device->faults();
   {
     SimSpan analysis_span(d_.clock);
+    const uint64_t wall_start = WallNowNs();
     SHEAP_RETURN_IF_ERROR(FindStartingCheckpoint(&data, &start_lsn,
                                                  &have_checkpoint, &result));
     SHEAP_RETURN_IF_ERROR(Analysis(start_lsn, &data, &plan, &result));
@@ -419,18 +440,23 @@ Status RecoveryManager::RecoverImpl(Result* result_out) {
     // exactly once.
     d_.clock->ChargeLogAppend(result.stats.log_bytes_read);
     result.stats.analysis_ns = analysis_span.elapsed_ns();
+    result.stats.analysis_wall_ns = WallNowNs() - wall_start;
   }
   SHEAP_FAULT_POINT(faults, "recovery.analysis.done");
   {
     SimSpan redo_span(d_.clock);
+    const uint64_t wall_start = WallNowNs();
     SHEAP_RETURN_IF_ERROR(Redo(data, start_lsn, &plan, &result));
     result.stats.redo_ns = redo_span.elapsed_ns();
+    result.stats.redo_wall_ns = WallNowNs() - wall_start;
   }
   SHEAP_FAULT_POINT(faults, "recovery.redo.done");
   {
     SimSpan undo_span(d_.clock);
+    const uint64_t wall_start = WallNowNs();
     SHEAP_RETURN_IF_ERROR(Undo(&data, &result));
     result.stats.undo_ns = undo_span.elapsed_ns();
+    result.stats.undo_wall_ns = WallNowNs() - wall_start;
   }
   SHEAP_FAULT_POINT(faults, "recovery.undo.done");
   d_.spaces->DropFreedFromDisk();

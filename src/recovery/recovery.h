@@ -92,6 +92,11 @@ struct RecoveryStats {
   uint64_t analysis_ns = 0;
   uint64_t redo_ns = 0;
   uint64_t undo_ns = 0;
+  // The same three phases on the wall clock (steady_clock). They differ
+  // from run to run, so no deterministic output prints them.
+  uint64_t analysis_wall_ns = 0;
+  uint64_t redo_wall_ns = 0;
+  uint64_t undo_wall_ns = 0;
   /// Worker partitions the redo plan is drained across (1 = serial).
   uint64_t redo_partitions = 0;
   /// Log segments the streaming readers loaded ahead of the decode cursor.

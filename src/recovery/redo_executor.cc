@@ -100,11 +100,15 @@ void RedoExecutor::AffectedPages(const LogRecord& rec,
   ForEachWrite(rec, [pages](HeapAddr addr, const uint8_t*, uint64_t n) {
     if (n == 0) return;
     for (PageId p = PageOf(addr); p <= PageOf(addr + n - 1); ++p) {
-      pages->push_back(p);
+      // Neighbouring writes mostly share a page (a copy batch's forwarding
+      // words), so drop repeats as they come.
+      if (pages->empty() || pages->back() != p) pages->push_back(p);
     }
   });
-  std::sort(pages->begin(), pages->end());
-  pages->erase(std::unique(pages->begin(), pages->end()), pages->end());
+  if (!std::is_sorted(pages->begin(), pages->end())) {
+    std::sort(pages->begin(), pages->end());
+    pages->erase(std::unique(pages->begin(), pages->end()), pages->end());
+  }
 }
 
 uint32_t RedoExecutor::PartitionOf(PageId pid, uint32_t nparts) {

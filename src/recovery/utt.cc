@@ -12,11 +12,8 @@ void UndoTranslationTable::AddBatch(const std::vector<UtrEntry>& entries,
   // moved objects: the batch is prunable at birth. Keeping it would leave
   // it in every checkpoint until some other batch happened to be pruned.
   if (entries.empty() || active.empty()) return;
-  Batch batch;
-  batch.entries = entries;
-  batch.pending = active;
-  batches_.push_back(std::move(batch));
-  for (const auto& e : entries) by_from_[e.from] = e;
+  batches_.push_back(Batch{entries, active});
+  index_stale_ = true;
 }
 
 void UndoTranslationTable::OnTxnEnd(TxnId txn) {
@@ -34,16 +31,42 @@ void UndoTranslationTable::OnTxnEnd(TxnId txn) {
                                     return b.pending.empty();
                                   }),
                    batches_.end());
-    RebuildIndex();
+    index_stale_ = true;
   }
 }
 
+const std::vector<UtrEntry>& UndoTranslationTable::Index() const {
+  if (!index_stale_) return index_;
+  index_.clear();
+  for (const auto& batch : batches_) {
+    index_.insert(index_.end(), batch.entries.begin(), batch.entries.end());
+  }
+  // Stable, so each run of equal `from`s keeps insertion order and its last
+  // entry is the latest one added: the one lookups must see.
+  std::stable_sort(index_.begin(), index_.end(),
+                   [](const UtrEntry& x, const UtrEntry& y) {
+                     return x.from < y.from;
+                   });
+  auto out = index_.begin();
+  for (auto it = index_.begin(); it != index_.end(); ++it) {
+    if (it + 1 != index_.end() && (it + 1)->from == it->from) continue;
+    *out++ = *it;
+  }
+  index_.erase(out, index_.end());
+  index_stale_ = false;
+  return index_;
+}
+
 const UtrEntry* UndoTranslationTable::FindCovering(HeapAddr a) const {
-  auto it = by_from_.upper_bound(a);
-  if (it == by_from_.begin()) return nullptr;
+  const std::vector<UtrEntry>& index = Index();
+  auto it = std::upper_bound(
+      index.begin(), index.end(), a,
+      [](HeapAddr addr, const UtrEntry& e) { return addr < e.from; });
+  if (it == index.begin()) return nullptr;
   --it;
-  const UtrEntry& e = it->second;
-  if (a >= e.from && a < e.from + e.nwords * kWordSizeBytes) return &e;
+  if (a >= it->from && a < it->from + it->nwords * kWordSizeBytes) {
+    return &*it;
+  }
   return nullptr;
 }
 
@@ -65,14 +88,7 @@ bool UndoTranslationTable::Covers(HeapAddr a) const {
 
 void UndoTranslationTable::Clear() {
   batches_.clear();
-  by_from_.clear();
-}
-
-void UndoTranslationTable::RebuildIndex() {
-  by_from_.clear();
-  for (const auto& batch : batches_) {
-    for (const auto& e : batch.entries) by_from_[e.from] = e;
-  }
+  index_stale_ = true;
 }
 
 void UndoTranslationTable::EncodeTo(Encoder* enc) const {
@@ -114,7 +130,6 @@ Status UndoTranslationTable::DecodeFrom(Decoder* dec) {
     }
     batches_.push_back(std::move(batch));
   }
-  RebuildIndex();
   return Status::OK();
 }
 

@@ -12,12 +12,18 @@
 // Entries are pruned when every transaction that was active at the flip has
 // ended; the table is part of the checkpoint so recovery can rebuild it
 // without reading the log before the checkpoint.
+//
+// The batches are the table; the range index over them is a lookup
+// structure that only restart undo (and tests) read. Adding and pruning
+// batches — at every flip, promotion and transaction end, and for every
+// copy batch recovery analysis replays — only marks the index stale; the
+// first lookup after a change rebuilds it. A lookup may therefore write,
+// so lookups need the same exclusion as AddBatch and OnTxnEnd.
 
 #ifndef SHEAP_RECOVERY_UTT_H_
 #define SHEAP_RECOVERY_UTT_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/status.h"
@@ -49,7 +55,8 @@ class UndoTranslationTable {
   /// True if `a` falls inside some entry's source range.
   bool Covers(HeapAddr a) const;
 
-  size_t EntryCount() const { return by_from_.size(); }
+  /// Distinct source addresses across all batches.
+  size_t EntryCount() const { return Index().size(); }
   size_t BatchCount() const { return batches_.size(); }
   void Clear();
 
@@ -64,11 +71,15 @@ class UndoTranslationTable {
   };
 
   const UtrEntry* FindCovering(HeapAddr a) const;
-  void RebuildIndex();
+  /// The index, rebuilt first if a batch was added or pruned since.
+  const std::vector<UtrEntry>& Index() const;
 
   std::vector<Batch> batches_;
-  // from-address -> entry, for range lookup via upper_bound.
-  std::map<HeapAddr, UtrEntry> by_from_;
+  // Every batch's entries sorted by `from`, one per source address (a later
+  // batch, or a later entry of one batch, wins), for range lookup by binary
+  // search. Valid only while !index_stale_.
+  mutable std::vector<UtrEntry> index_;
+  mutable bool index_stale_ = false;
 };
 
 }  // namespace sheap

@@ -7,8 +7,12 @@
 // holds the current segment in memory and prefetches the following segment
 // from the device before the current one is exhausted, so record decode
 // overlaps the (simulated) device transfer of the next segment instead of
-// issuing a device read per frame. Random access (ReadAt, used by undo's
-// prev_lsn chain walks) still reads frames directly.
+// issuing a device read per frame. A frame that lies inside the current
+// segment is checked and decoded in place; only a frame that straddles two
+// segments is first assembled in a scratch buffer the reader reuses.
+// Random access (ReadAt, used by undo's prev_lsn chain walks) reads the
+// frame straight from the device into that same buffer. Both paths decode
+// through one CRC-and-decode step.
 
 #ifndef SHEAP_WAL_LOG_READER_H_
 #define SHEAP_WAL_LOG_READER_H_
@@ -48,7 +52,7 @@ class LogReader {
   StatusOr<bool> Next(LogRecord* rec);
 
   /// Random access: read the single record at `lsn`.
-  Status ReadAt(Lsn lsn, LogRecord* rec) const;
+  Status ReadAt(Lsn lsn, LogRecord* rec);
 
   bool saw_torn_tail() const { return saw_torn_tail_; }
   uint64_t offset() const { return offset_; }
@@ -57,13 +61,20 @@ class LogReader {
   uint64_t segments_prefetched() const { return segments_prefetched_; }
 
  private:
-  Status ReadFrameAt(uint64_t offset, LogRecord* rec,
-                     uint64_t* next_offset) const;
+  /// Check the `len` body bytes of the frame at device offset `offset`
+  /// against its CRC and decode them into *rec.
+  static Status DecodeFrame(const uint8_t* body, uint32_t len,
+                            uint32_t masked_crc, uint64_t offset,
+                            LogRecord* rec);
 
-  /// Copy `n` bytes at device offset `off` into `out`, serving from the
-  /// current/prefetched segments and refilling them as the cursor crosses
-  /// segment boundaries. Caller has checked off + n <= device size.
-  Status FetchSpan(uint64_t off, size_t n, uint8_t* out);
+  /// Make cur_ the segment holding device offset `off`: promote the
+  /// prefetched segment when `off` lies in it, else load cold. Either way
+  /// the segment after cur_ is prefetched.
+  Status Position(uint64_t off);
+  /// Point *out at the `n` bytes at device offset `off`: inside cur_ when
+  /// they lie in one segment, else copied into scratch_. Valid until the
+  /// next read. Caller has checked off + n <= device size.
+  Status Span(uint64_t off, size_t n, const uint8_t** out);
   /// Load the segment starting at `base` into *buf (clamped to device end).
   Status LoadSegment(uint64_t base, std::vector<uint8_t>* buf);
 
@@ -74,10 +85,12 @@ class LogReader {
 
   // Double buffer. cur_ covers [cur_base_, cur_base_+cur_.size());
   // next_ (when non-empty) covers the segment immediately after cur_.
+  // Both are empty before the first read and after a Seek.
   std::vector<uint8_t> cur_, next_;
   uint64_t cur_base_ = 0;
-  bool cur_valid_ = false;
   uint64_t segments_prefetched_ = 0;
+  // Straddling frames (Next) and random-access frames (ReadAt).
+  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace sheap

@@ -1,5 +1,7 @@
 #include "wal/record.h"
 
+#include <cstring>
+
 #include "common/check.h"
 #include "util/crc32c.h"
 
@@ -307,12 +309,18 @@ const char* LogRecord::TypeName(RecordType type) {
 }
 
 void EncodeFramed(const LogRecord& rec, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> body;
-  rec.EncodeTo(&body);
-  Encoder enc(out);
-  enc.PutU32(static_cast<uint32_t>(body.size()));
-  enc.PutU32(crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  enc.PutBytes(body.data(), body.size());
+  // Reserve the header, encode the body after it, then fill the header in.
+  const size_t frame = out->size();
+  out->resize(frame + kRecordFrameHeader);
+  rec.EncodeTo(out);
+  uint8_t* p = out->data() + frame;
+  const uint32_t len =
+      static_cast<uint32_t>(out->size() - frame - kRecordFrameHeader);
+  const uint32_t crc =
+      crc32c::Mask(crc32c::Value(p + kRecordFrameHeader, len));
+  // Little-endian host, as Encoder::PutU32 assumes.
+  std::memcpy(p, &len, sizeof(len));
+  std::memcpy(p + sizeof(len), &crc, sizeof(crc));
 }
 
 }  // namespace sheap

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.h"
 #include "recovery/utt.h"
 #include "storage/sim_env.h"
 #include "txn/lock_manager.h"
@@ -191,6 +194,117 @@ TEST(UttTest, EncodeDecodeRoundTrip) {
   copy.OnTxnEnd(1);
   copy.OnTxnEnd(7);
   EXPECT_FALSE(copy.Covers(1000));
+}
+
+// The table's contract as a plain model: batches kept in arrival order and
+// pruned by their pending transactions, looked up through a std::map from
+// source address to entry rebuilt from every batch in order, so a later
+// batch (or a later entry of one batch) wins for an equal source address.
+class UttModel {
+ public:
+  void AddBatch(const std::vector<UtrEntry>& entries,
+                const std::vector<TxnId>& active) {
+    if (entries.empty() || active.empty()) return;
+    batches_.push_back({entries, active});
+    Rebuild();
+  }
+  void OnTxnEnd(TxnId txn) {
+    for (auto& [entries, pending] : batches_) {
+      auto it = std::find(pending.begin(), pending.end(), txn);
+      if (it != pending.end()) pending.erase(it);
+    }
+    std::erase_if(batches_, [](const auto& b) { return b.second.empty(); });
+    Rebuild();
+  }
+  void Clear() {
+    batches_.clear();
+    Rebuild();
+  }
+  HeapAddr Translate(HeapAddr a) const {
+    const UtrEntry* e;
+    while ((e = Find(a)) != nullptr) a = e->to + (a - e->from);
+    return a;
+  }
+  bool Covers(HeapAddr a) const { return Find(a) != nullptr; }
+  size_t EntryCount() const { return by_from_.size(); }
+  size_t BatchCount() const { return batches_.size(); }
+
+ private:
+  void Rebuild() {
+    by_from_.clear();
+    for (const auto& [entries, pending] : batches_) {
+      for (const UtrEntry& e : entries) by_from_[e.from] = e;
+    }
+  }
+  const UtrEntry* Find(HeapAddr a) const {
+    auto it = by_from_.upper_bound(a);
+    if (it == by_from_.begin()) return nullptr;
+    --it;
+    const UtrEntry& e = it->second;
+    return a < e.from + e.nwords * kWordSizeBytes ? &e : nullptr;
+  }
+
+  std::vector<std::pair<std::vector<UtrEntry>, std::vector<TxnId>>> batches_;
+  std::map<HeapAddr, UtrEntry> by_from_;
+};
+
+TEST(UttTest, MatchesMapModelUnderRandomScript) {
+  // Generation g's objects live in [Base(g), Base(g) + 560): 64 word-aligned
+  // starts of up to 6 words. Every entry moves an object to a later
+  // generation, as flips do, so chains compose across flips and terminate.
+  constexpr uint64_t kGens = 6;
+  auto base = [](uint64_t gen) { return (gen + 1) << 20; };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    UndoTranslationTable utt;
+    UttModel model;
+    for (int step = 0; step < 300; ++step) {
+      const uint64_t op = rng.Uniform(10);
+      if (op < 5) {
+        // Few starts per generation, so equal source addresses recur
+        // within one batch and across batches.
+        std::vector<UtrEntry> entries(rng.Uniform(6));
+        for (UtrEntry& e : entries) {
+          const uint64_t gen = rng.Uniform(kGens);
+          e.from = base(gen) + kWordSizeBytes * rng.Uniform(64);
+          e.to = base(gen + 1 + rng.Uniform(2)) +
+                 kWordSizeBytes * rng.Uniform(64);
+          e.nwords = rng.Range(1, 6);
+        }
+        std::vector<TxnId> active;
+        for (TxnId t = 1; t <= 6; ++t) {
+          if (rng.Bernoulli(0.3)) active.push_back(t);
+        }
+        utt.AddBatch(entries, active);
+        model.AddBatch(entries, active);
+      } else if (op < 8) {
+        const TxnId t = rng.Range(1, 6);
+        utt.OnTxnEnd(t);
+        model.OnTxnEnd(t);
+      } else {
+        // Checkpoint round trip, decoded into the table itself.
+        std::vector<uint8_t> buf;
+        Encoder enc(&buf);
+        utt.EncodeTo(&enc);
+        Decoder dec(buf);
+        ASSERT_TRUE(utt.DecodeFrom(&dec).ok());
+        ASSERT_TRUE(dec.empty());
+      }
+      if (step % 100 == 99) {
+        utt.Clear();
+        model.Clear();
+      }
+      ASSERT_EQ(utt.BatchCount(), model.BatchCount()) << "step " << step;
+      ASSERT_EQ(utt.EntryCount(), model.EntryCount()) << "step " << step;
+      for (uint64_t gen = 0; gen < kGens + 3; ++gen) {
+        for (HeapAddr a = base(gen); a < base(gen) + 576;
+             a += kWordSizeBytes) {
+          ASSERT_EQ(utt.Covers(a), model.Covers(a)) << "step " << step;
+          ASSERT_EQ(utt.Translate(a), model.Translate(a)) << "step " << step;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

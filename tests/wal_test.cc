@@ -384,5 +384,143 @@ TEST_F(LogTest, WriterResumesAfterReopen) {
   EXPECT_EQ(out.txn_id, 2u);
 }
 
+// The streaming reader at segment edges: with 64-byte segments the log below
+// holds frames that lie inside one segment, frames that straddle two, and
+// frames larger than a whole segment.
+class LogReaderSegmentTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kSegment = 64;
+  /// Each record's LSN and re-encoded body.
+  using Records = std::vector<std::pair<Lsn, std::vector<uint8_t>>>;
+
+  void SetUp() override {
+    LogWriter writer(env_.log());
+    const size_t payload_sizes[] = {0, 3, 17, 40, 100, 9, 300, 1, 64, 130};
+    for (uint64_t i = 0; i < 40; ++i) {
+      LogRecord rec;
+      if (i % 4 == 3) {
+        rec.type = RecordType::kCheckpoint;
+        rec.payload.resize(payload_sizes[(i / 4) % 10]);
+        for (size_t b = 0; b < rec.payload.size(); ++b) {
+          rec.payload[b] = static_cast<uint8_t>(i * 31 + b);
+        }
+      } else if (i % 2 == 1) {
+        rec.type = RecordType::kUpdate;
+        rec.txn_id = i;
+        rec.prev_lsn = i * 1000;
+        rec.addr = i << 20;
+        rec.addr2 = (i << 20) - 8;
+        rec.new_word = ~i;
+        rec.old_word = i * i;
+      } else {
+        rec.type = RecordType::kBegin;
+        rec.txn_id = i + 1;
+      }
+      writer.Append(&rec);
+    }
+    ASSERT_TRUE(writer.Flush().ok());
+    expected_ = ReadAll(LogReader::kDefaultSegmentBytes);
+    ASSERT_EQ(expected_.size(), 40u);
+  }
+
+  /// The log's records, read with Next.
+  Records ReadAll(size_t segment_bytes, bool* torn = nullptr) {
+    LogReader reader(env_.log(), segment_bytes);
+    Records out;
+    LogRecord rec;
+    while (true) {
+      auto more = reader.Next(&rec);
+      EXPECT_TRUE(more.ok());
+      if (!more.ok() || !*more) break;
+      out.emplace_back(rec.lsn, Body(rec));
+    }
+    if (torn != nullptr) *torn = reader.saw_torn_tail();
+    return out;
+  }
+
+  static std::vector<uint8_t> Body(const LogRecord& rec) {
+    std::vector<uint8_t> body;
+    rec.EncodeTo(&body);
+    return body;
+  }
+
+  /// Device offsets [begin, end) of record i's frame.
+  std::pair<uint64_t, uint64_t> Frame(size_t i) {
+    const uint64_t begin = expected_[i].first - 1;
+    const uint64_t end = i + 1 < expected_.size()
+                             ? expected_[i + 1].first - 1
+                             : env_.log()->size();
+    return {begin, end};
+  }
+
+  SimEnv env_;
+  Records expected_;
+};
+
+TEST_F(LogReaderSegmentTest, SmallSegmentsDecodeTheSameRecords) {
+  // The log exercises all three frame placements. A reader that starts at
+  // offset 0 loads segments back to back, so a frame straddles iff it
+  // crosses a multiple of the segment size.
+  bool inside = false, straddles = false, larger = false;
+  for (size_t i = 0; i < expected_.size(); ++i) {
+    const auto [begin, end] = Frame(i);
+    if (end - begin > kSegment) larger = true;
+    if (begin / kSegment == (end - 1) / kSegment) {
+      inside = true;
+    } else {
+      straddles = true;
+    }
+  }
+  EXPECT_TRUE(inside && straddles && larger);
+
+  bool torn = true;
+  EXPECT_EQ(ReadAll(kSegment, &torn), expected_);
+  EXPECT_FALSE(torn);
+}
+
+TEST_F(LogReaderSegmentTest, FlippedCrcReadsAsTornTail) {
+  // One frame inside the first segment, one straddling the first edge.
+  size_t inside = expected_.size(), straddles = expected_.size();
+  for (size_t i = 1; i < expected_.size(); ++i) {
+    const auto [begin, end] = Frame(i);
+    if (end > kSegment) {
+      if (begin < kSegment) straddles = i;
+      break;
+    }
+    inside = i;
+  }
+  ASSERT_LT(inside, expected_.size());
+  ASSERT_LT(straddles, expected_.size());
+  uint8_t* log = const_cast<uint8_t*>(env_.log()->data());
+  for (size_t victim : {inside, straddles}) {
+    for (size_t crc_byte = 4; crc_byte < kRecordFrameHeader; ++crc_byte) {
+      uint8_t& b = log[Frame(victim).first + crc_byte];
+      b ^= 0x5a;
+      bool torn = false;
+      const auto got = ReadAll(kSegment, &torn);
+      b ^= 0x5a;
+      EXPECT_TRUE(torn) << "frame " << victim << " crc byte " << crc_byte;
+      EXPECT_EQ(got, Records(expected_.begin(), expected_.begin() + victim));
+    }
+  }
+}
+
+TEST_F(LogReaderSegmentTest, ReadAtMatchesNext) {
+  LogReader reader(env_.log(), kSegment);
+  LogRecord rec;
+  for (const auto& [lsn, body] : expected_) {
+    ASSERT_TRUE(reader.ReadAt(lsn, &rec).ok());
+    EXPECT_EQ(rec.lsn, lsn);
+    EXPECT_EQ(Body(rec), body);
+  }
+  // Random access leaves the streaming cursor where it was.
+  ASSERT_TRUE(reader.Seek(expected_[5].first).ok());
+  ASSERT_TRUE(reader.ReadAt(expected_[30].first, &rec).ok());
+  auto more = reader.Next(&rec);
+  ASSERT_TRUE(more.ok() && *more);
+  EXPECT_EQ(rec.lsn, expected_[5].first);
+  EXPECT_EQ(Body(rec), expected_[5].second);
+}
+
 }  // namespace
 }  // namespace sheap
